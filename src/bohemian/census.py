@@ -11,10 +11,9 @@ comparisons.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from itertools import product
-from typing import Callable, Iterable, Iterator, Optional
+from typing import Iterable, Iterator, Optional
 
 from .families import (
     ColumnScaledFamily,
@@ -108,75 +107,6 @@ class EnumerationResult:
         return payload
 
 
-@dataclass(frozen=True)
-class EnumerationTask:
-    """A reproducible scan of all population-valued matrices of one shape.
-
-    ``prefix`` pins leading entries, which is how a task splits into
-    disjoint subtasks for parallel runs: fixing the first cell to each
-    population value partitions the odometer sequence into consecutive
-    ranges, so concatenating subtask outputs in value order reproduces the
-    sequential stream exactly.
-    """
-
-    shape: tuple[int, int]
-    population: Population
-    predicate: Callable[[tuple[tuple[int, ...], ...]], bool]
-    rank_filter: Optional[int] = None
-    prefix: tuple[int, ...] = ()
-
-    def split(self) -> list["EnumerationTask"]:
-        return [
-            EnumerationTask(
-                self.shape,
-                self.population,
-                self.predicate,
-                self.rank_filter,
-                self.prefix + (v,),
-            )
-            for v in self.population.values
-        ]
-
-    def run(self, count_only: bool = False) -> EnumerationResult:
-        rows_n, cols_m = self.shape
-        cells = rows_n * cols_m
-        free = cells - len(self.prefix)
-        values = self.population.values
-        keep = self.predicate
-        rank_filter = self.rank_filter
-        matches: list[IntMatrix] = []
-        count = 0
-        for tail in product(values, repeat=free):
-            ent = self.prefix + tail
-            x_rows = tuple(ent[i : i + cols_m] for i in range(0, cells, cols_m))
-            if not keep(x_rows):
-                continue
-            x = IntMatrix(rows_n, cols_m, ent)
-            if rank_filter is not None and exact_rank(x) != rank_filter:
-                continue
-            count += 1
-            if not count_only:
-                matches.append(x)
-        return EnumerationResult(None if count_only else tuple(matches), count)
-
-
-def _run_task(
-    task: EnumerationTask, count_only: bool, workers: int
-) -> EnumerationResult:
-    if workers <= 1:
-        return task.run(count_only)
-    parts = task.split()
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        results = list(pool.map(lambda t: t.run(count_only), parts))
-    count = sum(r.count for r in results)
-    if count_only:
-        return EnumerationResult(None, count)
-    merged: list[IntMatrix] = []
-    for r in results:
-        merged.extend(r.matrices or ())
-    return EnumerationResult(tuple(merged), count)
-
-
 def brute_force_inverses(
     a: TernaryMatrix,
     spec: str,
@@ -184,7 +114,6 @@ def brute_force_inverses(
     rank_filter: Optional[int] = None,
     cell_budget: int = DEFAULT_CELL_BUDGET,
     count_only: bool = False,
-    workers: int = 1,
 ) -> EnumerationResult:
     """Literal evaluation of the defining equations over every candidate.
 
@@ -211,8 +140,20 @@ def brute_force_inverses(
             return False
         return True
 
-    task = EnumerationTask((n, m), population, keep, rank_filter)
-    return _run_task(task, count_only, workers)
+    values = population.values
+    matches: list[IntMatrix] = []
+    count = 0
+    for ent in product(values, repeat=cells):
+        x_rows = tuple(ent[i : i + m] for i in range(0, cells, m))
+        if not keep(x_rows):
+            continue
+        x = IntMatrix(n, m, ent)
+        if rank_filter is not None and exact_rank(x) != rank_filter:
+            continue
+        count += 1
+        if not count_only:
+            matches.append(x)
+    return EnumerationResult(None if count_only else tuple(matches), count)
 
 
 # ---------------------------------------------------------------------------
@@ -389,8 +330,10 @@ def _entries_ok(entries: Iterable[int], population: Population) -> bool:
 def _materialize_product(
     body: RankOneProductFamily, population: Population
 ) -> set[tuple[int, ...]]:
+    # every ternary rank-one matrix is p q^T with ternary factors, whatever
+    # the population its entries are then filtered by
     n, m = body.shape
-    values = population.values
+    values = TERNARY.values
     seen: set[tuple[int, ...]] = set()
     for p in product(values, repeat=n):
         for q in product(values, repeat=m):
@@ -405,8 +348,9 @@ def _materialize_product(
 def _materialize_column_scaled(
     body: ColumnScaledFamily, population: Population
 ) -> set[tuple[int, ...]]:
+    # ternary first columns and scalars, as in _materialize_product
     n, m = body.shape
-    values = population.values
+    values = TERNARY.values
     seen: set[tuple[int, ...]] = set()
     for x1 in product(values, repeat=n):
         if not any(x1):
@@ -451,6 +395,14 @@ def materialize_family(
     return EnumerationResult(
         tuple(IntMatrix(n, m, e) for e in entries), len(entries)
     )
+
+
+def count_family(family: InverseFamily, population: Population = TERNARY) -> int:
+    """The member count of ``materialize_family``; a sum-constraint family
+    is counted without building its members."""
+    if isinstance(family.body, SumConstraintSystem):
+        return enumerate_sum_constrained(family.body, population, count_only=True).count
+    return materialize_family(family, population).count
 
 
 @dataclass(frozen=True)

@@ -13,23 +13,20 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Optional
 
 from . import census as cs
 from . import classify as cl
 from . import counting as ct
-from . import families as fam
+from . import theorems as th
 from . import verify as vf
 from .matrices import (
     DomainError,
     ParseError,
-    ShapeError,
     TernaryMatrix,
     exact_rank,
     parse_matrix,
     serialize_matrix,
-    transform_inverse,
 )
 
 BUDGET_ENV = "BOHEMIAN_CELL_BUDGET"
@@ -40,18 +37,29 @@ EXIT_UNSUPPORTED = 3
 EXIT_RESOURCE = 4
 
 
-class UnsupportedShape(Exception):
-    """Theorem mode has no characterization for the input's class."""
-
-
-def _default_budget(fallback: int) -> int:
-    raw = os.environ.get(BUDGET_ENV)
-    if raw is None:
-        return fallback
+def _nonnegative_int(raw: str) -> int:
     try:
-        return int(raw)
+        if int(raw) >= 0:
+            return int(raw)
     except ValueError:
-        return fallback
+        pass
+    raise argparse.ArgumentTypeError(f"expected a nonnegative integer, got {raw!r}")
+
+
+def _cell_budget(raw: str) -> int:
+    try:
+        return _nonnegative_int(raw)
+    except argparse.ArgumentTypeError:
+        raise argparse.ArgumentTypeError(
+            f"the cell budget (--budget or {BUDGET_ENV}) must be a nonnegative "
+            f"integer, got {raw!r}"
+        ) from None
+
+
+def _budget_default(fallback: int) -> str:
+    """The budget when --budget is absent; argparse converts this string,
+    so a malformed environment value is a usage error like a flag's."""
+    return os.environ.get(BUDGET_ENV, str(fallback))
 
 
 def _load_matrix(path: str) -> TernaryMatrix:
@@ -64,309 +72,6 @@ def _load_matrix(path: str) -> TernaryMatrix:
 
 def _emit_json(payload: dict) -> None:
     print(json.dumps(payload, indent=2, sort_keys=True))
-
-
-# ---------------------------------------------------------------------------
-# theorem-mode dispatch
-
-@dataclass
-class TheoremSelection:
-    theorem_id: str
-    note: str
-    materialize: Callable[[cs.Population], cs.EnumerationResult]
-    family_json: Optional[dict] = None
-    count: Optional[Callable[[cs.Population], int]] = None
-
-    def count_members(self, population: cs.Population) -> int:
-        if self.count is not None:
-            return self.count(population)
-        return self.materialize(population).count
-
-
-def _contiguous_row_blocks(a: TernaryMatrix):
-    """Maximal runs of +- equal rows, or None when a class reappears later
-    or a zero row interrupts; returns the per-run single-row-class blocks."""
-    rows = a.row_tuples()
-    runs: list[list[int]] = []
-    reps: list[tuple[int, ...]] = []
-    for i, r in enumerate(rows):
-        lead = next((e for e in r if e), 0)
-        if lead == 0:
-            return None
-        rep = r if lead > 0 else tuple(-e for e in r)
-        if reps and reps[-1] == rep:
-            runs[-1].append(i)
-        elif rep in reps:
-            return None
-        else:
-            reps.append(rep)
-            runs.append([i])
-    return [TernaryMatrix.from_rows([rows[i] for i in run]) for run in runs]
-
-
-def _transport_rank_one_inner(a: TernaryMatrix) -> TheoremSelection:
-    f = cl.rank_one_factorize(a)
-    support = f.core_form.widths[0]
-    family = fam.inner_rank_one_core(
-        a.rows, a.cols, support, f.zero_row_count
-    )
-    u, v = f.u_factor(), f.v_factor()
-
-    def materialize(population: cs.Population) -> cs.EnumerationResult:
-        core_members = cs.materialize_family(family, population)
-        moved = sorted(
-            transform_inverse(x, u, v).entries for x in core_members
-        )
-        return cs.EnumerationResult(
-            tuple(cs.IntMatrix(a.cols, a.rows, e) for e in moved), len(moved)
-        )
-
-    # the transport is a bijection, so the core family count carries over
-    return TheoremSelection(
-        family.theorem_id,
-        "applied through the signed-permutation factorization",
-        materialize,
-        family.to_json(),
-        count=lambda population: cs.enumerate_sum_constrained(
-            family.body, population, count_only=True
-        ).count,
-    )
-
-
-def _family_selection(family: fam.InverseFamily, note: str = "") -> TheoremSelection:
-    count = None
-    if isinstance(family.body, fam.SumConstraintSystem):
-        body = family.body
-        count = lambda population: cs.enumerate_sum_constrained(
-            body, population, count_only=True
-        ).count
-    return TheoremSelection(
-        family.theorem_id,
-        note or family.note,
-        lambda population: cs.materialize_family(family, population),
-        family.to_json(),
-        count=count,
-    )
-
-
-def _match_canonical_pair(a: TernaryMatrix):
-    """Literal two-block layout (m1, m2, w1, w2) when rows split into two
-    leading/trailing constant runs."""
-    blocks = _contiguous_row_blocks(a)
-    if blocks is None or len(blocks) != 2:
-        return None
-    b1, b2 = blocks
-    r1, r2 = b1.row(0), b2.row(0)
-    if any(b1.row(i) != r1 for i in range(b1.rows)):
-        return None
-    if any(b2.row(i) != r2 for i in range(b2.rows)):
-        return None
-    return b1.rows, b2.rows, r1, r2
-
-
-def _canonical_s_params(a: TernaryMatrix):
-    """Detect the literal canonical rank-two layouts; returns
-    (structure, widths, m1, m2) or None."""
-    pair = _match_canonical_pair(a)
-    if pair is None:
-        return None
-    m1, m2, w1, w2 = pair
-    n = len(w1)
-
-    def runs(w):
-        out = []
-        for v in w:
-            if out and out[-1][0] == v:
-                out[-1][1] += 1
-            else:
-                out.append([v, 1])
-        return [(v, c) for v, c in out]
-
-    r1, r2 = runs(w1), runs(w2)
-    if r1 == [(1, n)] and len(r2) == 2 and [v for v, _ in r2] == [1, -1]:
-        n1, n2 = r2[0][1], r2[1][1]
-        if n1 == n2:
-            return ("S1", (n1,), m1, m2)
-    if r1 == [(1, n)] and len(r2) == 3 and [v for v, _ in r2] == [1, -1, 0]:
-        n1, n2, n3 = (c for _, c in r2)
-        if n1 == n2:
-            return ("S2", (n1, n3), m1, m2)
-    if (
-        len(r1) == 2
-        and [v for v, _ in r1] == [1, 0]
-        and len(r2) == 4
-        and [v for v, _ in r2] == [1, -1, 0, 1]
-    ):
-        n1, n2, n3, n4 = (c for _, c in r2)
-        if n1 + n2 + n3 == r1[0][1] and n4 == r1[1][1]:
-            return ("S3", (n1, n2, n3, n4), m1, m2)
-    if (
-        len(r1) == 2
-        and [v for v, _ in r1] == [1, 0]
-        and len(r2) == 2
-        and [v for v, _ in r2] == [0, 1]
-        and r1[0][1] == r2[0][1]
-    ):
-        return ("S4", (r1[0][1], r1[1][1]), m1, m2)
-    return None
-
-
-def _select_inner(a: TernaryMatrix) -> TheoremSelection:
-    form = cl.full_form(a)
-    if form is not None:
-        m = a.rows
-        n1, n2, n3 = form.widths
-        if form.kind == cl.TYPE_I:
-            return _family_selection(fam.inner_full_type_I(m, n1, form.sign))
-        if form.kind == cl.TYPE_II:
-            return _family_selection(fam.inner_full_type_II(m, n1, n2, form.sign))
-        if form.kind == cl.TYPE_III:
-            return _family_selection(fam.inner_full_type_III(m, n1, n3, form.sign))
-        return _family_selection(fam.inner_full_type_IV(m, n1, n2, n3, form.sign))
-    s_params = _canonical_s_params(a)
-    if s_params is not None:
-        structure, widths, m1, m2 = s_params
-        if structure == "S1":
-            return _family_selection(fam.inner_S1(m1, m2, widths[0]))
-        if structure == "S2":
-            return _family_selection(fam.inner_S2(m1, m2, widths[0], widths[1]))
-        if structure == "S3":
-            return _family_selection(fam.inner_S3(m1, m2, widths))
-    blocks = _contiguous_row_blocks(a)
-    if blocks is not None:
-        try:
-            return _family_selection(fam.class3_inner_system(blocks))
-        except (DomainError, ShapeError):
-            pass
-    if exact_rank(a) == a.rows:
-        return _family_selection(
-            fam.reflexive_full_row_rank(
-                [TernaryMatrix.from_rows([r]) for r in a.row_tuples()]
-            )
-        )
-    if exact_rank(a) == 1:
-        return _transport_rank_one_inner(a)
-    raise UnsupportedShape("no inner characterization for this shape")
-
-
-def _rank_one_factors(a: TernaryMatrix):
-    classes, _ = cl._row_classes(a.row_tuples())
-    rep, members = classes[0]
-    zeta = [0] * a.rows
-    for idx, sign in members:
-        zeta[idx] = sign
-    return tuple(zeta), rep
-
-
-def _select_outer(a: TernaryMatrix, rank: Optional[int]) -> TheoremSelection:
-    a_rank = exact_rank(a)
-    if rank is None:
-        if a_rank == 1:
-            zeta, eta = _rank_one_factors(a)
-            family = fam.outer_rank_one_general(zeta, eta)
-            union = fam.InverseFamily(
-                family.theorem_id,
-                "{2}",
-                family.shape,
-                fam.ExplicitUnion((family,), include_zero=True),
-            )
-            return _family_selection(union, "nonzero members are rank one")
-        s_params = _canonical_s_params(a)
-        if s_params is not None and s_params[2] == s_params[3] == 1:
-            structure, widths = s_params[0], s_params[1]
-            if structure == "S4":
-                return _family_selection(fam.outer_full_set_S4(*widths))
-            rank1 = fam.outer_rank1_full_row_rank(a.row_tuples())
-            rank2 = fam.outer_rank2_class3(structure, widths)
-            union = fam.InverseFamily(
-                f"OuterFullSet{structure}",
-                "{2}",
-                rank1.shape,
-                fam.ExplicitUnion((rank1, rank2), include_zero=True),
-                note=fam.FIRST_COLUMN_GAP_NOTE,
-            )
-            return _family_selection(union)
-        if a_rank == 2 and a.rows == 2:
-            # outer inverses of a two-row full-row-rank matrix have rank at
-            # most two, so zero, the rank-one family, and the reflexive set
-            # exhaust the outer set
-            rank1 = fam.outer_rank1_full_row_rank(a.row_tuples())
-            rank2 = fam.reflexive_full_row_rank(
-                [TernaryMatrix.from_rows([r]) for r in a.row_tuples()]
-            )
-            union = fam.InverseFamily(
-                "OuterFullSetRank2",
-                "{2}",
-                rank1.shape,
-                fam.ExplicitUnion((rank1, rank2), include_zero=True),
-                note=fam.FIRST_COLUMN_GAP_NOTE,
-            )
-            return _family_selection(union)
-        raise UnsupportedShape("full outer sets are characterized only for "
-                               "rank-one matrices and full-row-rank two-row "
-                               "layouts")
-    if rank == 0:
-        def materialize_zero(population: cs.Population) -> cs.EnumerationResult:
-            if 0 in population:
-                z = cs.IntMatrix(a.cols, a.rows, (0,) * (a.cols * a.rows))
-                return cs.EnumerationResult((z,), 1)
-            return cs.EnumerationResult((), 0)
-
-        return TheoremSelection(
-            "ZeroOuter", "the zero matrix is always an outer inverse",
-            materialize_zero,
-        )
-    if rank == 1:
-        if a_rank == a.rows:
-            return _family_selection(
-                fam.outer_rank1_full_row_rank(a.row_tuples())
-            )
-        blocks = _contiguous_row_blocks(a)
-        if blocks is None:
-            blocks = [TernaryMatrix.from_rows([r]) for r in a.row_tuples()]
-        return _family_selection(fam.outer_rank1_row_partitioned(blocks))
-    if rank == 2:
-        s_params = _canonical_s_params(a)
-        if s_params is not None and s_params[2] == s_params[3] == 1:
-            return _family_selection(
-                fam.outer_rank2_class3(s_params[0], s_params[1])
-            )
-    if rank == a_rank and a_rank == a.rows:
-        return _family_selection(
-            fam.reflexive_full_row_rank(
-                [TernaryMatrix.from_rows([r]) for r in a.row_tuples()]
-            )
-        )
-    raise UnsupportedShape(f"no rank-{rank} outer characterization for this shape")
-
-
-def _select_reflexive(a: TernaryMatrix) -> TheoremSelection:
-    if exact_rank(a) == 1:
-        zeta, eta = _rank_one_factors(a)
-        return _family_selection(
-            fam.outer_rank_one_general(zeta, eta),
-            "for rank-one matrices the nonzero outer and reflexive sets agree",
-        )
-    if exact_rank(a) == a.rows:
-        return _family_selection(
-            fam.reflexive_full_row_rank(
-                [TernaryMatrix.from_rows([r]) for r in a.row_tuples()]
-            )
-        )
-    s_params = _canonical_s_params(a)
-    if s_params is not None and s_params[2] == s_params[3] == 1:
-        return _family_selection(fam.outer_rank2_class3(s_params[0], s_params[1]))
-    raise UnsupportedShape("no reflexive characterization for this shape")
-
-
-def select_theorem(a: TernaryMatrix, spec: str, rank: Optional[int]) -> TheoremSelection:
-    if spec == "1":
-        sel = _select_inner(a)
-    elif spec == "2":
-        sel = _select_outer(a, rank)
-    else:
-        sel = _select_reflexive(a)
-    return sel
 
 
 # ---------------------------------------------------------------------------
@@ -431,15 +136,18 @@ def _cmd_inverses(args) -> int:
                 rank_filter=args.rank,
                 cell_budget=args.budget,
                 count_only=args.count_only,
-                workers=args.workers,
             )
         except cs.ResourceLimitError as exc:
             print(str(exc), file=sys.stderr)
             return EXIT_RESOURCE
     else:
+        if any(v not in cs.TERNARY for v in population.values):
+            print(f"theorem mode needs a population within {{-1, 0, 1}}, got "
+                  f"{args.population!r}", file=sys.stderr)
+            return EXIT_USAGE
         try:
-            selection = select_theorem(a, spec, args.rank)
-        except UnsupportedShape as exc:
+            selection = th.select_theorem(a, spec, args.rank)
+        except th.UnsupportedShape as exc:
             report = cl.class_membership(a)
             print(f"{exc}; detected class: {json.dumps(report.to_json())}",
                   file=sys.stderr)
@@ -485,6 +193,8 @@ def _cmd_count(args) -> int:
                     for block in args.dims.split(",")
                 )
             except ValueError:
+                dims = ()
+            if not dims or any(len(d) != 2 or min(d) < 1 for d in dims):
                 print(f"bad --dims {args.dims!r}", file=sys.stderr)
                 return EXIT_USAGE
             params["dims"] = dims
@@ -543,20 +253,20 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("matrix")
     p.add_argument("--spec", required=True, choices=["1", "2", "12"])
     p.add_argument("--mode", choices=["oracle", "theorem"], default="oracle")
-    p.add_argument("--rank", type=int, default=None)
+    p.add_argument("--rank", type=_nonnegative_int, default=None)
     p.add_argument("--count-only", action="store_true")
     p.add_argument("--population", default=None, help="comma-separated values")
-    p.add_argument("--budget", type=int, default=_default_budget(cs.DEFAULT_CELL_BUDGET))
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--budget", type=_cell_budget,
+                   default=_budget_default(cs.DEFAULT_CELL_BUDGET))
     p.set_defaults(fn=_cmd_inverses)
 
     p = sub.add_parser("count", help="closed-form cardinalities")
     p.add_argument("--formula", required=True, choices=sorted(ct.FORMULAS))
-    p.add_argument("--n", type=int)
+    p.add_argument("--n", type=_nonnegative_int)
     p.add_argument("--t", type=int)
-    p.add_argument("--m", type=int)
-    p.add_argument("--n1", type=int)
-    p.add_argument("--n2", type=int)
+    p.add_argument("--m", type=_nonnegative_int)
+    p.add_argument("--n1", type=_nonnegative_int)
+    p.add_argument("--n2", type=_nonnegative_int)
     p.add_argument("--dims", help="block dims as m1xn1,m2xn2,...")
     p.add_argument("--include-zero", action="store_true")
     p.add_argument("--zero-in-pop", action="store_true")
@@ -564,16 +274,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_count)
 
     p = sub.add_parser("identity", help="two-block counting identity check")
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--n1", type=int, required=True)
-    p.add_argument("--n2", type=int, required=True)
+    p.add_argument("--m", type=_nonnegative_int, required=True)
+    p.add_argument("--n1", type=_nonnegative_int, required=True)
+    p.add_argument("--n2", type=_nonnegative_int, required=True)
     p.set_defaults(fn=_cmd_identity)
 
     p = sub.add_parser("verify", help="cross-check families and counts "
                        "against the census")
     p.add_argument("--suite", choices=["core", "inner", "outer", "counts", "all"],
                    default="all")
-    p.add_argument("--budget", type=int, default=_default_budget(9))
+    p.add_argument("--budget", type=_cell_budget, default=_budget_default(9))
     p.add_argument("--allow-known-gaps", action="store_true")
     p.set_defaults(fn=_cmd_verify)
     return parser

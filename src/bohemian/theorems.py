@@ -1,0 +1,262 @@
+"""Theorem dispatch: which characterized family describes A's inverses.
+
+``select_theorem`` picks, for a matrix A and a Penrose spec, the theorem
+whose family is the requested inverse set and returns it as data: the
+:class:`~bohemian.families.InverseFamily`, the note printed with it, and,
+for rank-one inner inverses, the signed permutations that carry the
+canonical core's family over to A.  The canonical S1-S4 layouts are
+detected literally, in the column order their families are written for.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+from itertools import groupby
+from typing import NamedTuple, Optional
+
+from . import census as cs
+from . import classify as cl
+from . import families as fam
+from .matrices import (
+    DomainError,
+    ShapeError,
+    SignedPermutation,
+    TernaryMatrix,
+    exact_rank,
+    transform_inverse,
+)
+
+
+class UnsupportedShape(Exception):
+    """No characterization covers the input's class."""
+
+
+@dataclass(frozen=True)
+class TheoremSelection:
+    """A selected family and the note printed with it.
+
+    With a ``transport`` (U, V) the family describes the inverses of the
+    canonical core C of A = U C V, and its members are carried over to A by
+    :func:`~bohemian.matrices.transform_inverse`.
+    """
+
+    family: fam.InverseFamily
+    note: str
+    transport: Optional[tuple[SignedPermutation, SignedPermutation]] = None
+
+    @property
+    def theorem_id(self) -> str:
+        return self.family.theorem_id
+
+    def materialize(self, population: cs.Population = cs.TERNARY) -> cs.EnumerationResult:
+        """Population-valued members, sorted into odometer order."""
+        if self.transport is None:
+            return cs.materialize_family(self.family, population)
+        # The transport flips signs, so members over a smaller population
+        # come from core members over the whole ternary one.
+        u, v = self.transport
+        moved = [transform_inverse(x, u, v) for x in cs.materialize_family(self.family)]
+        if population != cs.TERNARY:
+            allowed = set(population.values)
+            moved = [x for x in moved if allowed.issuperset(x.entries)]
+        moved.sort(key=lambda x: x.entries)
+        return cs.EnumerationResult(tuple(moved), len(moved))
+
+    def count_members(self, population: cs.Population = cs.TERNARY) -> int:
+        if self.transport is None or population == cs.TERNARY:
+            # the transport is a bijection of ternary matrices
+            return cs.count_family(self.family, population)
+        return self.materialize(population).count
+
+
+class _Facts(NamedTuple):
+    """What the detectors read about A, each computed once per dispatch."""
+
+    a: TernaryMatrix
+    rank: int
+    #: one single-row block per row of A
+    row_blocks: list[TernaryMatrix]
+    #: maximal runs of +- equal rows, or None (see _row_runs)
+    runs: Optional[list[TernaryMatrix]]
+    #: literal canonical layout (structure, widths, m1, m2), or None
+    s_params: Optional[tuple]
+
+
+def _row_runs(rows) -> Optional[list[list[tuple[int, ...]]]]:
+    """Rows grouped into maximal runs of +- equal rows, or None when a zero
+    row occurs or a class of rows reappears after another one."""
+    classes, zero_rows = cl._row_classes(rows)
+    order = [i for _, members in classes for i, _ in members]
+    if zero_rows or order != list(range(len(rows))):
+        return None
+    return [[rows[i] for i, _ in members] for _, members in classes]
+
+
+def _canonical_s_params(runs) -> Optional[tuple]:
+    """(structure, widths, m1, m2) when the rows are two runs of literally
+    equal rows laid out as S1, S2, S3 or S4, else None."""
+    if runs is None or len(runs) != 2:
+        return None
+    if any(r != run[0] for run in runs for r in run):
+        return None
+    (m1, w1), (m2, w2) = ((len(run), run[0]) for run in runs)
+    # values and lengths of the maximal constant runs of each row
+    (v1, c1), (v2, c2) = (
+        zip(*((v, len(list(g))) for v, g in groupby(w))) for w in (w1, w2)
+    )
+    if v1 == (1,) and v2 == (1, -1) and c2[0] == c2[1]:
+        return ("S1", (c2[0],), m1, m2)
+    if v1 == (1,) and v2 == (1, -1, 0) and c2[0] == c2[1]:
+        return ("S2", (c2[0], c2[2]), m1, m2)
+    if v1 == (1, 0) and v2 == (1, -1, 0, 1) and sum(c2[:3]) == c1[0] and c2[3] == c1[1]:
+        return ("S3", c2, m1, m2)
+    if v1 == (1, 0) and v2 == (0, 1) and c1[0] == c2[0]:
+        return ("S4", c1, m1, m2)
+    return None
+
+
+def _facts(a: TernaryMatrix) -> _Facts:
+    rows = a.row_tuples()
+    runs = _row_runs(rows)
+    return _Facts(
+        a,
+        exact_rank(a),
+        [TernaryMatrix.from_rows([r]) for r in rows],
+        None if runs is None else [TernaryMatrix.from_rows(run) for run in runs],
+        _canonical_s_params(runs),
+    )
+
+
+def _pick(family: fam.InverseFamily, note: str = "") -> TheoremSelection:
+    return TheoremSelection(family, note or family.note)
+
+
+def _outer_union(theorem_id, shape, components, note="") -> fam.InverseFamily:
+    """Zero together with the given disjoint outer families."""
+    body = fam.ExplicitUnion(tuple(components), include_zero=True)
+    return fam.InverseFamily(theorem_id, "{2}", shape, body, note=note)
+
+
+def _two_row_s_params(f: _Facts) -> Optional[tuple]:
+    """(structure, widths) of a canonical layout with one row per run."""
+    s = f.s_params
+    if s is not None and s[2] == s[3] == 1:
+        return s[0], s[1]
+    return None
+
+
+def _select_inner(f: _Facts) -> TheoremSelection:
+    a = f.a
+    form = cl.full_form(a)
+    if form is not None:
+        m, sign = a.rows, form.sign
+        n1, n2, n3 = form.widths
+        if form.kind == cl.TYPE_I:
+            return _pick(fam.inner_full_type_I(m, n1, sign))
+        if form.kind == cl.TYPE_II:
+            return _pick(fam.inner_full_type_II(m, n1, n2, sign))
+        if form.kind == cl.TYPE_III:
+            return _pick(fam.inner_full_type_III(m, n1, n3, sign))
+        return _pick(fam.inner_full_type_IV(m, n1, n2, n3, sign))
+    if f.s_params is not None:
+        structure, widths, m1, m2 = f.s_params
+        if structure == "S1":
+            return _pick(fam.inner_S1(m1, m2, widths[0]))
+        if structure == "S2":
+            return _pick(fam.inner_S2(m1, m2, widths[0], widths[1]))
+        if structure == "S3":
+            return _pick(fam.inner_S3(m1, m2, widths))
+    if f.runs is not None:
+        try:
+            return _pick(fam.class3_inner_system(f.runs))
+        except (DomainError, ShapeError):
+            pass
+    if f.rank == a.rows:
+        return _pick(fam.reflexive_full_row_rank(f.row_blocks))
+    if f.rank == 1:
+        fac = cl.rank_one_factorize(a)
+        core = fam.inner_rank_one_core(
+            a.rows, a.cols, fac.core_form.widths[0], fac.zero_row_count
+        )
+        return TheoremSelection(
+            core,
+            "applied through the signed-permutation factorization",
+            (fac.u_factor(), fac.v_factor()),
+        )
+    raise UnsupportedShape("no inner characterization for this shape")
+
+
+def _select_outer(f: _Facts, rank: Optional[int]) -> TheoremSelection:
+    a = f.a
+    layout = _two_row_s_params(f)
+    if rank is None:
+        if f.rank == 1:
+            family = fam.outer_rank_one_general(*fam._rank_one_uv(a))
+            return _pick(_outer_union(
+                family.theorem_id, family.shape, (family,),
+                "nonzero members are rank one",
+            ))
+        if layout is not None:
+            if layout[0] == "S4":
+                return _pick(fam.outer_full_set_S4(*layout[1]))
+            rank1 = fam.outer_rank1_full_row_rank(a.row_tuples())
+            rank2 = fam.outer_rank2_class3(*layout)
+            return _pick(_outer_union(
+                f"OuterFullSet{layout[0]}", rank1.shape, (rank1, rank2),
+                fam.FIRST_COLUMN_GAP_NOTE,
+            ))
+        if f.rank == 2 and a.rows == 2:
+            # outer inverses of a two-row full-row-rank matrix have rank at
+            # most two, so zero, the rank-one family, and the reflexive set
+            # exhaust the outer set
+            rank1 = fam.outer_rank1_full_row_rank(a.row_tuples())
+            rank2 = fam.reflexive_full_row_rank(f.row_blocks)
+            return _pick(_outer_union(
+                "OuterFullSetRank2", rank1.shape, (rank1, rank2),
+                fam.FIRST_COLUMN_GAP_NOTE,
+            ))
+        raise UnsupportedShape("full outer sets are characterized only for "
+                               "rank-one matrices and full-row-rank two-row "
+                               "layouts")
+    if rank == 0:
+        return _pick(_outer_union(
+            "ZeroOuter", (a.cols, a.rows), (),
+            "the zero matrix is always an outer inverse",
+        ))
+    if rank == 1:
+        if f.rank == a.rows:
+            return _pick(fam.outer_rank1_full_row_rank(a.row_tuples()))
+        blocks = f.runs if f.runs is not None else f.row_blocks
+        return _pick(fam.outer_rank1_row_partitioned(blocks))
+    if rank == 2 and layout is not None:
+        return _pick(fam.outer_rank2_class3(*layout))
+    if rank == f.rank == a.rows:
+        return _pick(fam.reflexive_full_row_rank(f.row_blocks))
+    raise UnsupportedShape(f"no rank-{rank} outer characterization for this shape")
+
+
+def _select_reflexive(f: _Facts) -> TheoremSelection:
+    if f.rank == 1:
+        return _pick(
+            fam.outer_rank_one_general(*fam._rank_one_uv(f.a)),
+            "for rank-one matrices the nonzero outer and reflexive sets agree",
+        )
+    if f.rank == f.a.rows:
+        return _pick(fam.reflexive_full_row_rank(f.row_blocks))
+    layout = _two_row_s_params(f)
+    if layout is not None:
+        return _pick(fam.outer_rank2_class3(*layout))
+    raise UnsupportedShape("no reflexive characterization for this shape")
+
+
+def select_theorem(
+    a: TernaryMatrix, spec: str, rank: Optional[int] = None
+) -> TheoremSelection:
+    """The characterization of A's {spec} inverses (of the given rank, for
+    spec 2); raises UnsupportedShape when none applies."""
+    f = _facts(a)
+    if spec == "1":
+        return _select_inner(f)
+    if spec == "2":
+        return _select_outer(f, rank)
+    return _select_reflexive(f)

@@ -104,6 +104,26 @@ class VerifyOutcome:
             )
         return cmpres.equal
 
+    def compare_gap_sets(self, theorem_id: str, instance: str, family_res, oracle_res):
+        """Like compare_sets for a family with the documented gap: the
+        mismatch is a known gap when the family only misses members with a
+        zero first column, and the sample lists the missed members."""
+        cmpres = cs.set_equal(family_res, oracle_res)
+        if cmpres.equal:
+            self.record(True)
+            return
+        structural = not cmpres.only_in_a and not any(
+            any(m.column(0)) for m in cmpres.only_in_b
+        )
+        self.fail(
+            theorem_id,
+            instance,
+            family_res.count,
+            oracle_res.count,
+            diff=cmpres.only_in_b,
+            known_gap=structural,
+        )
+
     def compare_counts(
         self, theorem_id: str, instance: str, family_count: int, oracle_count: int
     ):
@@ -502,41 +522,18 @@ def suite_outer(budget: int) -> VerifyOutcome:
         )
 
     # the documented gap: column-scaled rank-one families on the identity
-    lam = cs.materialize_family(fam.outer_rank1_full_row_rank([(1, 0), (0, 1)]))
-    oracle_rank1 = cs.brute_force_inverses(identity(2), "2", rank_filter=1)
-    gap = cs.set_equal(lam, oracle_rank1)
-    if gap.equal:
-        out.record(True)
-    else:
-        structural = not gap.only_in_a and all(
-            all(row[0] == 0 for row in m.to_lists()) for m in gap.only_in_b
-        )
-        out.fail(
-            "OuterRank1FullRowRank",
-            "identity 2x2, rank-one outer set",
-            lam.count,
-            oracle_rank1.count,
-            diff=gap.only_in_b,
-            known_gap=structural,
-        )
-
-    union = cs.materialize_family(fam.outer_full_set_S4(1, 1))
-    oracle_full = cs.brute_force_inverses(identity(2), "2")
-    gap2 = cs.set_equal(union, oracle_full)
-    if gap2.equal:
-        out.record(True)
-    else:
-        structural = not gap2.only_in_a and all(
-            all(row[0] == 0 for row in m.to_lists()) for m in gap2.only_in_b
-        )
-        out.fail(
-            "Thm5.19",
-            "identity 2x2, full outer set",
-            union.count,
-            oracle_full.count,
-            diff=gap2.only_in_b,
-            known_gap=structural,
-        )
+    out.compare_gap_sets(
+        "OuterRank1FullRowRank",
+        "identity 2x2, rank-one outer set",
+        cs.materialize_family(fam.outer_rank1_full_row_rank([(1, 0), (0, 1)])),
+        cs.brute_force_inverses(identity(2), "2", rank_filter=1),
+    )
+    out.compare_gap_sets(
+        "Thm5.19",
+        "identity 2x2, full outer set",
+        cs.materialize_family(fam.outer_full_set_S4(1, 1)),
+        cs.brute_force_inverses(identity(2), "2"),
+    )
 
     # zero-column stacks: census members decompose blockwise
     bad = 0

@@ -81,20 +81,6 @@ class TestBruteForce:
         r2 = cs.brute_force_inverses(a, "1").serialize()
         assert r1 == r2
 
-    def test_parallel_merge_matches_sequential(self):
-        a = M([[1, 1], [1, -1]])
-        seq = cs.brute_force_inverses(a, "2")
-        par = cs.brute_force_inverses(a, "2", workers=3)
-        assert [m.entries for m in seq] == [m.entries for m in par]
-        assert seq.count == par.count
-
-    def test_split_covers_all_prefixes(self):
-        a = M([[1, 0]])
-        task = cs.EnumerationTask((2, 1), cs.TERNARY, lambda rows: True)
-        parts = task.split()
-        merged = [m.entries for part in parts for m in part.run()]
-        assert merged == [m.entries for m in task.run()]
-
     def test_custom_population(self):
         res = cs.brute_force_inverses(
             ones(1, 2), "2", population=cs.Population((0, 1))

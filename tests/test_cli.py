@@ -137,11 +137,38 @@ class TestInverses:
         )
         assert out.strip() == "count: 5"
 
-    def test_workers_agree(self, capsys, write):
-        path = write("a.txt", "1 1\n1 -1\n")
-        _, seq, _ = run(capsys, "inverses", path, "--spec", "2")
-        _, par, _ = run(capsys, "inverses", path, "--spec", "2", "--workers", "3")
-        assert seq == par
+    def test_theorem_mode_transport_respects_population(self, capsys, write):
+        # the signed permutation flips the core's signs, so the core is
+        # built over {-1, 0, 1} and only then filtered
+        path = write("a.txt", "-1\n0\n")
+        pop = ["--spec", "1", "--population", "0,1"]
+        code, thm, _ = run(capsys, "inverses", path, *pop, "--mode", "theorem")
+        assert code == 0
+        assert thm.splitlines()[0] == "theorem_id: RankOneInner"
+        _, orc, _ = run(capsys, "inverses", path, *pop)
+        assert orc == "count: 0\n"
+        assert thm.endswith(orc)
+        _, thm_count, _ = run(
+            capsys, "inverses", path, *pop, "--mode", "theorem", "--count-only"
+        )
+        assert thm_count.endswith("count: 0\n")
+
+    def test_theorem_mode_product_factors_are_ternary(self, capsys, write):
+        path = write("a.txt", "-1 -1\n")
+        pop = ["--spec", "2", "--population=-1,0"]
+        _, thm, _ = run(capsys, "inverses", path, *pop, "--mode", "theorem")
+        _, orc, _ = run(capsys, "inverses", path, *pop)
+        assert orc.endswith("count: 3\n")
+        assert thm.split("\n", 2)[2] == orc
+
+    def test_theorem_mode_population_outside_ternary_exit_two(self, capsys, write):
+        path = write("a.txt", "1 1\n")
+        code, out, err = run(
+            capsys, "inverses", path, "--spec", "1", "--mode", "theorem",
+            "--population", "0,1,2",
+        )
+        assert code == 2 and out == ""
+        assert "population" in err
 
 
 class TestDecompose:
@@ -261,7 +288,7 @@ class TestTheoremDispatch:
         from itertools import product
 
         from bohemian import census as cs
-        from bohemian.cli import UnsupportedShape, select_theorem
+        from bohemian.theorems import UnsupportedShape, select_theorem
         from bohemian.matrices import TernaryMatrix
 
         supported = 0
@@ -281,7 +308,7 @@ class TestTheoremDispatch:
 
     def test_rank_one_transport_paths(self):
         from bohemian import census as cs
-        from bohemian.cli import select_theorem
+        from bohemian.theorems import select_theorem
         from bohemian.matrices import TernaryMatrix
 
         cases = (
@@ -300,7 +327,7 @@ class TestTheoremDispatch:
         from itertools import product
 
         from bohemian import census as cs
-        from bohemian.cli import UnsupportedShape, select_theorem
+        from bohemian.theorems import UnsupportedShape, select_theorem
         from bohemian.matrices import TernaryMatrix, exact_rank
 
         for ent in product((-1, 0, 1), repeat=4):
@@ -316,7 +343,7 @@ class TestTheoremDispatch:
         from itertools import product
 
         from bohemian import census as cs
-        from bohemian.cli import UnsupportedShape, select_theorem
+        from bohemian.theorems import UnsupportedShape, select_theorem
         from bohemian.matrices import TernaryMatrix, exact_rank
 
         for ent in product((-1, 0, 1), repeat=4):
@@ -338,6 +365,58 @@ class TestTheoremDispatch:
                     assert all(row[0] == 0 for row in extra.to_lists())
             else:
                 assert diff.equal, ent
+
+
+    def test_dispatch_matches_census_on_small_shapes(self):
+        from itertools import product
+
+        from bohemian import census as cs
+        from bohemian.families import FIRST_COLUMN_GAP_NOTE
+        from bohemian.matrices import TernaryMatrix, exact_rank
+        from bohemian.theorems import UnsupportedShape, select_theorem
+
+        pairs = [("1", None), ("2", None), ("2", 0), ("2", 1), ("2", 2), ("12", None)]
+        populations = [
+            cs.TERNARY,
+            cs.Population((0, 1)),
+            cs.Population((1,)),
+            cs.Population((-1, 0)),
+        ]
+        reached = set()
+        for m, n in [(1, 2), (2, 1), (1, 3), (3, 1), (2, 2)]:
+            for ent in product((-1, 0, 1), repeat=m * n):
+                if not any(ent):
+                    continue
+                a = TernaryMatrix(m, n, ent)
+                for spec, rank in pairs:
+                    try:
+                        sel = select_theorem(a, spec, rank)
+                    except UnsupportedShape:
+                        continue
+                    reached.add(sel.theorem_id)
+                    for pop in populations:
+                        case = (ent, spec, rank, pop.values, sel.theorem_id)
+                        got = sel.materialize(pop)
+                        assert sel.count_members(pop) == got.count, case
+                        if rank is not None:
+                            got = [x for x in got if exact_rank(x) == rank]
+                        want = cs.brute_force_inverses(
+                            a, spec, population=pop, rank_filter=rank
+                        )
+                        diff = cs.set_equal(got, want)
+                        if sel.note == FIRST_COLUMN_GAP_NOTE:
+                            # may miss only members with a zero first column
+                            assert not diff.only_in_a, case
+                            for x in diff.only_in_b:
+                                assert not any(x.column(0)), case
+                        else:
+                            assert diff.equal, case
+        assert reached == {
+            "InnerTypeI", "InnerTypeIII", "InnerTypeIV", "Thm3.5", "Thm4.5",
+            "Thm4.7", "Thm5.16", "RankOneInner", "Thm5.1", "Thm5.19",
+            "OuterFullSetS1", "OuterFullSetRank2", "OuterRank1FullRowRank",
+            "OuterRank1RowBlocks", "Rank2OuterS1", "Rank2OuterS4", "ZeroOuter",
+        }
 
 
 class TestUsage:
@@ -364,6 +443,45 @@ class TestUsage:
         )
         assert code == 0
         assert out.strip().endswith("count: 18")
+
+    def test_invalid_budget_env_exit_two(self, capsys, write, monkeypatch):
+        path = write("a.txt", "1 1\n")
+        monkeypatch.setenv("BOHEMIAN_CELL_BUDGET", "abc")
+        for argv in (["inverses", path, "--spec", "1"], ["verify", "--suite", "core"]):
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            assert exc.value.code == 2
+            assert "BOHEMIAN_CELL_BUDGET" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("mode", ["oracle", "theorem"])
+    def test_negative_rank_exit_two(self, capsys, write, mode):
+        path = write("a.txt", "1 1\n")
+        with pytest.raises(SystemExit) as exc:
+            main(["inverses", path, "--spec", "2", "--mode", mode, "--rank", "-3"])
+        assert exc.value.code == 2
+        assert "--rank" in capsys.readouterr().err
+
+    def test_negative_count_length_exit_two(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["count", "--formula", "count_sum_t", "--n", "-1", "--t", "0"])
+        assert exc.value.code == 2
+        assert "Traceback" not in capsys.readouterr().err
+        # a negative target sum stays valid
+        code, out, _ = run(
+            capsys, "count", "--formula", "count_sum_t", "--n", "3", "--t", "-1"
+        )
+        assert code == 0 and ",6,closed_form" in out
+
+    def test_negative_identity_width_exit_two(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["identity", "--m", "0", "--n1", "-1", "--n2", "1"])
+        assert exc.value.code == 2
+        assert capsys.readouterr().out == ""
+
+    @pytest.mark.parametrize("dims", ["0x1", "1x2x3"])
+    def test_bad_block_dims_exit_two(self, capsys, dims):
+        code, _, err = run(capsys, "count", "--formula", "inner_pure_ws", "--dims", dims)
+        assert code == 2 and "bad --dims" in err
 
     def test_round_trip_canonical_file(self, tmp_path, capsys):
         text = "1 -1 0\n0 1 1\n"
