@@ -13,7 +13,7 @@ from bohemian.matrices import TernaryMatrix, ones
 
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__)
-    ap.add_argument("--max-cells", type=int, default=9,
+    ap.add_argument("--max-cells", type=int, default=12,
                     help="census cell budget for the cross-check column")
     ap.add_argument("--no-census", action="store_true",
                     help="skip the census column (formulas only)")
@@ -35,12 +35,13 @@ def main() -> int:
             rep = ct.evaluate_formula("count_sum_t", n=n, t=t)
             print(f"{rep.csv_row()},")
 
-    for m in range(1, 10):
-        for n in range(1, 10):
-            if m * n > 9:
-                continue
-            rep = ct.evaluate_formula("inner_type_I", m=m, n=n)
-            print(f"{rep.csv_row()},{census_or_blank(ones(m, n), '1')}")
+    inner_grid = [(m, n) for m in range(1, 10) for n in range(1, 10) if m * n <= 9]
+    inner_grid += [
+        (m, n) for m in range(1, 13) for n in range(1, 13) if 9 < m * n <= 12
+    ]
+    for m, n in inner_grid:
+        rep = ct.evaluate_formula("inner_type_I", m=m, n=n)
+        print(f"{rep.csv_row()},{census_or_blank(ones(m, n), '1')}")
 
     for m in range(1, 4):
         for n in range(1, 4):

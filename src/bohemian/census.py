@@ -1,18 +1,25 @@
 """Exhaustive censuses over finite populations.
 
-The brute-force census is the independent oracle: it evaluates the defining
-equations literally for every candidate matrix, in a fixed odometer order
-(row-major, last entry varying fastest, population values ascending), so
-identical tasks always produce identical streams.  Constraint-guided
-enumeration and family materialization live here too; their outputs are
-canonically sorted so theorem-versus-oracle comparisons are plain set
-comparisons.
+The brute-force census is the independent oracle: it decides the defining
+equations for every candidate matrix by exact integer comparison, in a
+fixed odometer order (row-major, last entry varying fastest, population
+values ascending), so identical tasks always produce identical streams.
+It uses only the ``matrices`` kernel, never the characterized families it
+checks.  The scan shares work across candidates only through row tables
+built once per A: every population row x and its product x A, and for
+AXA = A the per-row terms A[:, k] (x A), of which there are |P|^min(m, n)
+each because a taller-than-wide A is scanned as its transpose.  Nesting
+over the rows of X with running partial sums then leaves one tuple
+comparison per candidate.  Constraint-guided enumeration and family
+materialization live here too; their outputs are canonically sorted so
+theorem-versus-oracle comparisons are plain set comparisons.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
+from itertools import chain, compress, product
+from operator import mul, sub
 from typing import Iterable, Iterator, Optional
 
 from .families import (
@@ -115,45 +122,160 @@ def brute_force_inverses(
     cell_budget: int = DEFAULT_CELL_BUDGET,
     count_only: bool = False,
 ) -> EnumerationResult:
-    """Literal evaluation of the defining equations over every candidate.
+    """Exact evaluation of the defining equations over every candidate.
 
     Scans all population-valued matrices of the transposed shape and keeps
     those satisfying the requested equations (1: AXA=A, 2: XAX=X, 12:
-    both), optionally restricted to an exact rank.  Refuses scans beyond
-    the cell budget instead of truncating.
+    both), optionally restricted to an exact rank, in odometer order.
+    Refuses scans beyond the cell budget instead of truncating.
+
+    Every candidate meets an exact comparison of integer tuples computed
+    from its own entries: for AXA = A that comparison is the whole
+    equation (``_inner_hits``); for XAX = X it is one row of it
+    (``_outer_hits``), and the candidates passing it are checked row by
+    row (``_outer_holds``).  Spec 12 runs the XAX = X check on the AXA = A
+    hits.  Only the per-row parts of the products are shared, tabulated
+    once per A.  A taller-than-wide A is scanned as A^T, whose inverses
+    are the transposes of A's with the same ranks, so every table has at
+    most |P|^min(m, n) rows.  Matrices are built, and ranks taken, for hits
+    only.
     """
     spec = normalize_spec(spec)
-    n, m = a.cols, a.rows
-    cells = n * m
+    cells = a.rows * a.cols
     if cells > cell_budget:
+        size = len(population)
         raise ResourceLimitError(
-            f"enumeration of {cells} cells exceeds the budget of {cell_budget}"
+            f"enumeration of {cells} cells ({size}^{cells} = {size ** cells} "
+            f"candidates) exceeds the budget of {cell_budget}"
         )
     ar = a.row_tuples()
-    want_1 = "1" in spec
-    want_2 = "2" in spec
+    flip = a.rows > a.cols
+    if flip:
+        ar = tuple(zip(*ar))
+    rows = tuple(product(population.values, repeat=len(ar)))
+    ra = _product_rows(rows, ar)
+    if "1" in spec:
+        hits = _inner_hits(ar, ra)
+    else:
+        hits = _outer_hits(rows, ra)
+    if "2" in spec:
+        hits = (idx for idx in hits if _outer_holds(idx, rows, ra))
+    if count_only and rank_filter is None:
+        return EnumerationResult(None, sum(1 for _ in hits))
 
-    def keep(x_rows) -> bool:
-        if want_1 and _product_rows(_product_rows(ar, x_rows), ar) != ar:
-            return False
-        if want_2 and _product_rows(_product_rows(x_rows, ar), x_rows) != x_rows:
-            return False
-        return True
-
-    values = population.values
+    if flip:
+        # row j of X is column j of the scanned X^T
+        found = (
+            tuple(chain.from_iterable(zip(*[rows[i] for i in idx]))) for idx in hits
+        )
+        if not count_only:
+            found = sorted(found)  # odometer order again
+    else:
+        found = (tuple(chain.from_iterable([rows[i] for i in idx])) for idx in hits)
     matches: list[IntMatrix] = []
     count = 0
-    for ent in product(values, repeat=cells):
-        x_rows = tuple(ent[i : i + m] for i in range(0, cells, m))
-        if not keep(x_rows):
-            continue
-        x = IntMatrix(n, m, ent)
+    for ent in found:
+        x = IntMatrix(a.cols, a.rows, ent)
         if rank_filter is not None and exact_rank(x) != rank_filter:
             continue
         count += 1
         if not count_only:
             matches.append(x)
     return EnumerationResult(None if count_only else tuple(matches), count)
+
+
+def _nested_scan(n, size, start, step, leaf) -> Iterator[tuple[int, ...]]:
+    """Index tuples (r_0, ..., r_{n-1}) into a row table of ``size`` rows,
+    in odometer order, one nesting depth per row of X.
+
+    ``step(state, depth, r)`` carries a state past row ``depth``;
+    ``leaf(state)`` yields the last-row indices that pass, given the state
+    after all earlier rows.
+    """
+    indices = range(size)
+    if n == 1:
+        return ((r,) for r in leaf(start))
+
+    def descend(depth, state, prefix):
+        for r in indices:
+            nxt = step(state, depth, r)
+            if depth == n - 2:
+                for last in leaf(nxt):
+                    yield prefix + (r, last)
+            else:
+                yield from descend(depth + 1, nxt, prefix + (r,))
+
+    return descend(0, start, ())
+
+
+def _inner_hits(ar, ra) -> Iterator[tuple[int, ...]]:
+    """Row-table indices of the X with AXA = A, for an m x n A with m <= n.
+
+    AXA = sum_k A[:, k] (x_k A), one term per row x_k of X.  The terms are
+    tabulated per row index and subtracted from vec(A) depth by depth, so
+    at the last row each candidate is one tuple comparison of its term
+    with what is left of vec(A).
+    """
+    n = len(ar[0])
+    cols = tuple(zip(*ar))
+    terms = [[tuple(c * e for c in cols[k] for e in xa) for xa in ra] for k in range(n)]
+    indices = range(len(ra))
+
+    def step(rest, depth, r):
+        return tuple(map(sub, rest, terms[depth][r]))
+
+    def leaf(rest):
+        return compress(indices, map(rest.__eq__, terms[-1]))
+
+    return _nested_scan(n, len(ra), tuple(e for row in ar for e in row), step, leaf)
+
+
+def _outer_hits(rows, ra) -> Iterator[tuple[int, ...]]:
+    """Row-table indices of the X passing one row of XAX = X, for an
+    m x n A with m <= n; ``_outer_holds`` checks every row.
+
+    The row checked is x_p, the first nonzero row of X before the last:
+    row p of XAX is sum_k (x_p A)_k x_k.  The sum over all but the last
+    row is carried as x_p minus the partial sum, so at the last row each
+    candidate is one comparison of (x_p A)_{n-1} x_{n-1} with it.  A zero
+    x_p would pass every candidate, so zero rows are skipped; when all rows
+    before the last are zero, each candidate is left whole to
+    ``_outer_holds``.
+    """
+    n = len(ra[0])
+    indices = range(len(rows))
+    scaled: dict[int, list[tuple[int, ...]]] = {}
+
+    def scale(s):
+        table = scaled.get(s)
+        if table is None:
+            table = scaled[s] = [tuple(s * e for e in row) for row in rows]
+        return table
+
+    def step(state, depth, r):
+        if state is not None:
+            xpa, rest = state
+            return xpa, tuple(map(sub, rest, scale(xpa[depth])[r]))
+        if any(rows[r]):
+            return ra[r], tuple(map(sub, rows[r], scale(ra[r][depth])[r]))
+        return None
+
+    def leaf(state):
+        if state is None:
+            return indices
+        xpa, rest = state
+        return compress(indices, map(rest.__eq__, scale(xpa[n - 1])))
+
+    return _nested_scan(n, len(rows), None, step, leaf)
+
+
+def _outer_holds(idx, rows, ra) -> bool:
+    """XAX = X, row by row: row i of XAX is (x_i A) X, with x_i A read
+    from the row table."""
+    x_cols = tuple(zip(*[rows[i] for i in idx]))
+    return all(
+        tuple(sum(map(mul, ra[i], col)) for col in x_cols) == rows[i] for i in idx
+    )
 
 
 # ---------------------------------------------------------------------------

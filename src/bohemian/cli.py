@@ -37,6 +37,10 @@ EXIT_UNSUPPORTED = 3
 EXIT_RESOURCE = 4
 
 
+class UsageError(ValueError):
+    """Bad input that has no line and column to report; exit 2."""
+
+
 def _nonnegative_int(raw: str) -> int:
     try:
         if int(raw) >= 0:
@@ -65,9 +69,12 @@ def _budget_default(fallback: int) -> str:
 def _load_matrix(path: str) -> TernaryMatrix:
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return parse_matrix(fh.read())
+            text = fh.read()
     except OSError as exc:
-        raise ParseError(str(exc), 0, 0) from exc
+        raise UsageError(f"cannot read {path}: {exc.strerror or exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise UsageError(f"cannot read {path}: not UTF-8 text") from exc
+    return parse_matrix(text)
 
 
 def _emit_json(payload: dict) -> None:
@@ -118,9 +125,15 @@ def _parse_population(raw: Optional[str]) -> cs.Population:
     if not raw:
         return cs.TERNARY
     try:
-        return cs.Population(tuple(sorted(int(v) for v in raw.split(","))))
-    except (ValueError, DomainError) as exc:
-        raise ParseError(f"bad population {raw!r}: {exc}", 0, 0) from exc
+        values = tuple(sorted(int(v) for v in raw.split(",")))
+    except ValueError as exc:
+        raise UsageError(
+            f"bad --population {raw!r}: expected comma-separated integers"
+        ) from exc
+    try:
+        return cs.Population(values)
+    except DomainError as exc:
+        raise UsageError(f"bad --population {raw!r}: {exc}") from exc
 
 
 def _cmd_inverses(args) -> int:
@@ -296,6 +309,9 @@ def main(argv=None) -> int:
         return args.fn(args)
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except UsageError as exc:
+        print(str(exc), file=sys.stderr)
         return EXIT_USAGE
     except cs.ResourceLimitError as exc:
         print(str(exc), file=sys.stderr)

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+from itertools import product
+
 import pytest
 from hypothesis import given, settings
 
@@ -9,9 +11,11 @@ from bohemian.matrices import (
     DomainError,
     IntMatrix,
     TernaryMatrix,
+    exact_rank,
     identity,
     multiply,
     ones,
+    penrose_check,
     zeros,
 )
 
@@ -86,6 +90,88 @@ class TestBruteForce:
             ones(1, 2), "2", population=cs.Population((0, 1))
         )
         assert res.count == 3
+
+
+SCAN_POPULATIONS = [(-1, 0, 1), (0, 1), (-1, 0), (1,), (-2, -1, 0, 1, 2)]
+
+
+def _reference(a, values):
+    """(X, PenroseReport, rank) for the X over ``values`` satisfying
+    equation 1 or 2, from one penrose_check per candidate, in odometer
+    order."""
+    checked = []
+    for ent in product(values, repeat=a.rows * a.cols):
+        x = IntMatrix(a.cols, a.rows, ent)
+        report = penrose_check(a, x)
+        if report.satisfies_1 or report.satisfies_2:
+            checked.append((x, report, exact_rank(x)))
+    return checked
+
+
+def _assert_scan_matches(
+    a, population, checked, ranks, count_ranks=(None,), serialized=False
+):
+    """Scans of every spec at each rank in ``ranks``, and count-only scans
+    at each rank in ``count_ranks``, against the reference members over
+    ``population``.  Streams are compared as matrices, which fix their
+    serialized bytes, or as those bytes."""
+    checked = [c for c in checked if all(e in population for e in c[0].entries)]
+    for spec in ("1", "2", "12"):
+        for rank in ranks:
+            want = tuple(
+                x for x, report, r in checked
+                if report.satisfies(spec) and rank in (None, r)
+            )
+            got = cs.brute_force_inverses(a, spec, population, rank)
+            if serialized:
+                want_text = cs.EnumerationResult(want, len(want)).serialize()
+                assert got.serialize() == want_text, (a, spec, population, rank)
+            else:
+                assert got.matrices == want and got.count == len(want), (
+                    a, spec, population, rank,
+                )
+            if rank in count_ranks:
+                quick = cs.brute_force_inverses(
+                    a, spec, population, rank, count_only=True
+                )
+                assert quick.matrices is None and quick.count == got.count
+
+
+class TestScanMatchesReference:
+    """The row-table scan against a naive check of every candidate."""
+
+    @pytest.mark.parametrize("cells", [1, 2, 3, 4, 5])
+    def test_every_small_matrix(self, cells):
+        # One reference over the widest population serves its
+        # sub-populations.  Five cells over five values would need 1.5M
+        # reference checks, so {-2, ..., 2} stops at four cells.
+        widest = SCAN_POPULATIONS[-1] if cells < 5 else SCAN_POPULATIONS[0]
+        for m in range(1, cells + 1):
+            if cells % m:
+                continue
+            for a in all_ternary(m, cells // m):
+                checked = _reference(a, widest)
+                ranks = (None,) + tuple(range(1, min(a.shape) + 1))
+                for values in SCAN_POPULATIONS:
+                    if set(values) <= set(widest):
+                        population = cs.Population(values)
+                        _assert_scan_matches(a, population, checked, ranks)
+
+    @pytest.mark.parametrize(
+        "a",
+        [
+            ones(4, 1),
+            ones(1, 4),
+            M([[1, 1], [1, 1], [1, 0], [0, 0]]),
+            M([[1, 0, -1, 1], [0, 1, 1, 0]]),
+        ],
+        ids=["4x1", "1x4", "4x2", "2x4"],
+    )
+    def test_transposed_and_wide_scans(self, a):
+        checked = _reference(a, cs.TERNARY.values)
+        ranks = (None, 0, 1, 2)
+        _assert_scan_matches(a, cs.TERNARY, checked, ranks, ranks, serialized=True)
+        assert cs.brute_force_inverses(a, "12").count > 10
 
 
 class TestLemma24Consistency:

@@ -56,8 +56,19 @@ class TestClassify:
         assert "line 1" in err
 
     def test_missing_file_exit_two(self, capsys):
-        code, _, err = run(capsys, "classify", "/nonexistent/path.txt")
+        code, out, err = run(capsys, "classify", "/nonexistent/path.txt")
+        assert code == 2 and out == ""
+        assert err == "cannot read /nonexistent/path.txt: No such file or directory\n"
+
+    def test_unreadable_file_has_no_fake_location(self, capsys, tmp_path):
+        code, _, err = run(capsys, "classify", str(tmp_path))
         assert code == 2
+        assert err.startswith(f"cannot read {tmp_path}: ")
+        binary = tmp_path / "a.bin"
+        binary.write_bytes(b"\xff\xfe\x00")
+        code, _, err = run(capsys, "classify", str(binary))
+        assert code == 2
+        assert err == f"cannot read {binary}: not UTF-8 text\n"
 
 
 class TestInverses:
@@ -118,10 +129,48 @@ class TestInverses:
 
     def test_budget_exit_four(self, capsys, write):
         path = write("a.txt", "1 1 1 1 1\n")
-        code, _, _ = run(
+        code, _, err = run(
             capsys, "inverses", path, "--spec", "1", "--budget", "4"
         )
         assert code == 4
+        assert err == (
+            "enumeration of 5 cells (3^5 = 243 candidates) exceeds the budget of 4\n"
+        )
+        path = write("b.txt", "1 1 1 1 1\n" * 4)
+        code, out, err = run(capsys, "inverses", path, "--spec", "1")
+        assert code == 4 and out == ""
+        assert err == (
+            "enumeration of 20 cells (3^20 = 3486784401 candidates) "
+            "exceeds the budget of 16\n"
+        )
+        code, _, err = run(
+            capsys, "inverses", path, "--spec", "2", "--population", "0,1",
+            "--budget", "19",
+        )
+        assert code == 4
+        assert err == (
+            "enumeration of 20 cells (2^20 = 1048576 candidates) "
+            "exceeds the budget of 19\n"
+        )
+
+    @pytest.mark.parametrize(
+        "raw, reason",
+        [
+            ("0,0", "population values must be strictly increasing"),
+            ("a", "expected comma-separated integers"),
+            ("1,,2", "expected comma-separated integers"),
+            ("0,1,2,3,4,5,6,7,8", "populations with more than 8 values are unsupported"),
+        ],
+    )
+    def test_bad_population_has_no_fake_location(self, capsys, write, raw, reason):
+        path = write("a.txt", "1 1\n")
+        for mode in ("oracle", "theorem"):
+            code, out, err = run(
+                capsys, "inverses", path, "--spec", "1", "--mode", mode,
+                "--population", raw,
+            )
+            assert code == 2 and out == ""
+            assert err == f"bad --population {raw!r}: {reason}\n"
 
     def test_population_flag(self, capsys, write):
         path = write("a.txt", "1 1\n1 1\n")
