@@ -10,17 +10,28 @@ built once per A: every population row x and its product x A, and for
 AXA = A the per-row terms A[:, k] (x A), of which there are |P|^min(m, n)
 each because a taller-than-wide A is scanned as its transpose.  Nesting
 over the rows of X with running partial sums then leaves one tuple
-comparison per candidate.  Constraint-guided enumeration and family
-materialization live here too; their outputs are canonically sorted so
-theorem-versus-oracle comparisons are plain set comparisons.
+comparison per candidate.
+
+Constraint-guided enumeration and family materialization live here too;
+their outputs are canonically sorted so theorem-versus-oracle comparisons
+are plain set comparisons.  They carry members as entry tuples and build
+one matrix per member at the end.  Block-sum constraints are scaled once
+to integers (by the lcm of their denominators), so each profile of block
+sums is checked in integer arithmetic; the fillings of a block with a
+given sum are the memoized fillings of its two halves, concatenated; a
+member's entries are its concatenated block fillings under one fixed
+permutation (an ``itemgetter``), and one sort gives odometer order.  The
+rank-one families evaluate each factor's forms once per factor vector.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain, compress, product
-from operator import mul, sub
-from typing import Iterable, Iterator, Optional
+from fractions import Fraction
+from itertools import chain, compress, cycle, groupby, product
+from math import lcm
+from operator import attrgetter, itemgetter, mul, sub
+from typing import Iterator, Optional
 
 from .families import (
     ColumnScaledFamily,
@@ -34,9 +45,9 @@ from .matrices import (
     IntMatrix,
     TernaryMatrix,
     _product_rows,
-    exact_rank,
+    _row_rank,
+    _unchecked_matrices,
     normalize_spec,
-    serialize_matrix,
 )
 
 DEFAULT_CELL_BUDGET = 16
@@ -74,6 +85,19 @@ class Population:
 TERNARY = Population()
 
 
+class _RowText(dict):
+    """Row tuple -> its line in the matrix text format plus ``end``, made
+    on first use."""
+
+    def __init__(self, end: str):
+        super().__init__()
+        self.end = end
+
+    def __missing__(self, row: tuple[int, ...]) -> str:
+        text = self[row] = " ".join(map(str, row)) + self.end
+        return text
+
+
 @dataclass(frozen=True)
 class EnumerationResult:
     """An ordered stream of matrices plus its exact count.
@@ -100,12 +124,20 @@ class EnumerationResult:
 
     def serialize(self) -> str:
         """Stream in the matrix text format, blank-line separated, with a
-        trailing count record."""
+        trailing count record.
+
+        Each member reads as ``serialize_matrix`` writes it.  The text of a
+        row is made once per distinct row of the stream, and the last row
+        of a member carries the blank line after it.
+        """
         parts = []
-        if self.matrices is not None:
-            parts.extend(serialize_matrix(m) for m in self.matrices)
+        row_text, last_row_text = _RowText("\n"), _RowText("\n\n")
+        for (rows, cols), run in groupby(self.matrices or (), attrgetter("rows", "cols")):
+            flat = chain.from_iterable(map(attrgetter("entries"), run))
+            texts = cycle([row_text] * (rows - 1) + [last_row_text])
+            parts += map(dict.__getitem__, texts, zip(*[flat] * cols))
         parts.append(f"count: {self.count}\n")
-        return "\n".join(parts)
+        return "".join(parts)
 
     def to_json(self) -> dict:
         payload: dict = {"count": self.count}
@@ -160,28 +192,19 @@ def brute_force_inverses(
         hits = _outer_hits(rows, ra)
     if "2" in spec:
         hits = (idx for idx in hits if _outer_holds(idx, rows, ra))
-    if count_only and rank_filter is None:
+    if rank_filter is not None:
+        # X and the scanned rows (X or X^T) have the same rank
+        hits = (idx for idx in hits if _row_rank([rows[i] for i in idx]) == rank_filter)
+    if count_only:
         return EnumerationResult(None, sum(1 for _ in hits))
-
     if flip:
         # row j of X is column j of the scanned X^T
-        found = (
+        found = sorted(  # odometer order again
             tuple(chain.from_iterable(zip(*[rows[i] for i in idx]))) for idx in hits
         )
-        if not count_only:
-            found = sorted(found)  # odometer order again
     else:
-        found = (tuple(chain.from_iterable([rows[i] for i in idx])) for idx in hits)
-    matches: list[IntMatrix] = []
-    count = 0
-    for ent in found:
-        x = IntMatrix(a.cols, a.rows, ent)
-        if rank_filter is not None and exact_rank(x) != rank_filter:
-            continue
-        count += 1
-        if not count_only:
-            matches.append(x)
-    return EnumerationResult(None if count_only else tuple(matches), count)
+        found = [tuple(chain.from_iterable([rows[i] for i in idx])) for idx in hits]
+    return EnumerationResult(_unchecked_matrices(a.cols, a.rows, found), len(found))
 
 
 def _nested_scan(n, size, start, step, leaf) -> Iterator[tuple[int, ...]]:
@@ -294,18 +317,12 @@ def _sum_counts(cells: int, values: tuple[int, ...]) -> list[dict[int, int]]:
     return table
 
 
-def _fillings(
-    cells: int, target: int, values: tuple[int, ...], table
-) -> Iterator[tuple[int, ...]]:
-    """All cell fillings with the given sum, in odometer order."""
-    if cells == 0:
-        if target == 0:
-            yield ()
-        return
-    for v in values:
-        if table[cells - 1].get(target - v):
-            for rest in _fillings(cells - 1, target - v, values, table):
-                yield (v,) + rest
+def _concat_product(lists: list[list[tuple[int, ...]]]) -> list[tuple[int, ...]]:
+    """Every concatenation of one tuple from each list, in product order."""
+    out = lists[0]
+    for nxt in lists[1:]:
+        out = [a + b for a in out for b in nxt]
+    return out
 
 
 def _block_groups(system: SumConstraintSystem):
@@ -344,6 +361,23 @@ def _block_groups(system: SumConstraintSystem):
     return groups, constraint_of, unsatisfiable
 
 
+def _integer_checks(constraints, group_blocks) -> list[tuple[tuple[int, ...], int]]:
+    """Each constraint scaled by the lcm of its denominators, as (integer
+    coefficient per block of the group, integer right-hand side).  Block
+    sums are integers, so a rhs of 1/2 becomes 2 s = 1 and stays
+    unsatisfiable."""
+    position = {b: k for k, b in enumerate(group_blocks)}
+    checks = []
+    for con in constraints:
+        scale = lcm(Fraction(con.rhs).denominator,
+                    *(Fraction(c).denominator for c, _ in con.terms))
+        coeffs = [0] * len(group_blocks)
+        for c, b in con.terms:
+            coeffs[position[b]] += int(c * scale)
+        checks.append((tuple(coeffs), int(con.rhs * scale)))
+    return checks
+
+
 def _group_solutions(
     system: SumConstraintSystem,
     group_blocks: list[tuple[int, int]],
@@ -353,41 +387,84 @@ def _group_solutions(
 ):
     """Solutions for one connected block group.
 
-    Enumerates per-block sum profiles first, prunes by the exact
-    constraints, then expands per-block fillings.  Returns either a count
-    or a list of {block: entries} assignments.
+    Enumerates per-block sum profiles first, keeps those meeting every
+    constraint in integer arithmetic, then expands per-block fillings.
+    Returns either a count or a list of entry tuples, each the group's
+    block fillings concatenated in ``group_blocks`` order.
     """
     part = system.partition
     values = population.values
-    sizes = [
-        (part.block_span(i, j)[1] - part.block_span(i, j)[0])
-        * (part.block_span(i, j)[3] - part.block_span(i, j)[2])
-        for (i, j) in group_blocks
-    ]
-    tables = [_sum_counts(k, values) for k in sizes]
-    sum_choices = [sorted(t[k].keys()) for t, k in zip(tables, sizes)]
+    sizes = []
+    for i, j in group_blocks:
+        r0, r1, c0, c1 = part.block_span(i, j)
+        sizes.append((r1 - r0) * (c1 - c0))
+    table = _sum_counts(max(sizes), values)
+    sum_choices = [sorted(table[k]) for k in sizes]
+    checks = _integer_checks(constraints, group_blocks)
+    fillings: dict[tuple[int, int], list[tuple[int, ...]]] = {}
+
+    def fill(k: int, s: int) -> list[tuple[int, ...]]:
+        """Fillings of k cells summing to s: those of the first half of the
+        cells joined to those of the second half, memoized per call."""
+        got = fillings.get((k, s))
+        if got is None:
+            if k == 1:
+                got = [(s,)]
+            else:
+                h = k // 2
+                rest = table[k - h]
+                got = [
+                    a + b
+                    for t in table[h]
+                    if s - t in rest
+                    for a in fill(h, t)
+                    for b in fill(k - h, s - t)
+                ]
+            fillings[(k, s)] = got
+        return got
 
     total = 0
-    assignments = []
+    solutions: list[tuple[int, ...]] = []
     for profile in product(*sum_choices):
-        sums = dict(zip(group_blocks, profile))
-        if any(con.evaluate(sums) != con.rhs for con in constraints):
-            continue
-        ways = 1
-        for t, k, s in zip(tables, sizes, profile):
-            ways *= t[k][s]
-        if count_only:
-            total += ways
-            continue
-        per_block = [
-            list(_fillings(k, s, values, t))
-            for t, k, s in zip(tables, sizes, profile)
-        ]
-        for combo in product(*per_block):
-            assignments.append(dict(zip(group_blocks, combo)))
-    if count_only:
-        return total
-    return assignments
+        for coeffs, rhs in checks:
+            if sum(map(mul, coeffs, profile)) != rhs:
+                break
+        else:
+            if count_only:
+                ways = 1
+                for k, s in zip(sizes, profile):
+                    ways *= table[k][s]
+                total += ways
+            else:
+                solutions += _concat_product(
+                    [fill(k, s) for k, s in zip(sizes, profile)]
+                )
+    return total if count_only else solutions
+
+
+def _sum_constrained_entries(
+    system: SumConstraintSystem, population: Population
+) -> list[tuple[int, ...]]:
+    """The entry tuples of ``enumerate_sum_constrained``, in odometer order."""
+    groups, constraint_of, unsatisfiable = _block_groups(system)
+    if unsatisfiable:
+        return []
+    part = system.partition
+    group_solutions = []
+    order = []  # the matrix cell of each position of the concatenation
+    for root, blocks in groups.items():
+        sols = _group_solutions(system, blocks, constraint_of[root], population, False)
+        if not sols:
+            return []
+        group_solutions.append(sols)
+        order += [cell for b in blocks for cell in part.block_cells(*b)]
+    m = system.shape[1]
+    perm = sorted(range(len(order)), key=lambda k: order[k][0] * m + order[k][1])
+    out = _concat_product(group_solutions)
+    if perm != list(range(len(perm))):
+        out = list(map(itemgetter(*perm), out))
+    out.sort()
+    return out
 
 
 def enumerate_sum_constrained(
@@ -399,100 +476,110 @@ def enumerate_sum_constrained(
 
     Works groupwise over the connected components of the constraint graph:
     blocks never sharing a constraint are filled independently, so counts
-    multiply and streams are Cartesian products, assembled and sorted into
-    odometer order.
+    multiply and streams are Cartesian products.  Within a group, each
+    per-block sum profile is checked against the constraints scaled once
+    to integers (by the lcm of their denominators), and the fillings of a
+    block with a given sum are built from those of its two halves,
+    memoized per (cells, sum).  The partition covers every cell once, so a
+    member's entries are one fixed permutation of its concatenated block
+    fillings: one precomputed ``itemgetter`` puts them in row-major order,
+    and a single sort puts the members in odometer order.
     """
-    groups, constraint_of, unsatisfiable = _block_groups(system)
-    part = system.partition
-    if unsatisfiable:
-        return EnumerationResult(None if count_only else (), 0)
     if count_only:
+        groups, constraint_of, unsatisfiable = _block_groups(system)
+        if unsatisfiable:
+            return EnumerationResult(None, 0)
         count = 1
         for root, blocks in groups.items():
             count *= _group_solutions(
                 system, blocks, constraint_of[root], population, True
             )
         return EnumerationResult(None, count)
-
-    group_assignments = []
-    for root, blocks in groups.items():
-        sols = _group_solutions(system, blocks, constraint_of[root], population, False)
-        if not sols:
-            return EnumerationResult((), 0)
-        group_assignments.append(sols)
-
+    entries = _sum_constrained_entries(system, population)
     n, m = system.shape
-    cells_of = {
-        (i, j): part.block_cells(i, j)
-        for i in range(part.n_row_blocks)
-        for j in range(part.n_col_blocks)
-    }
-    out = []
-    for combo in product(*group_assignments):
-        ent = [0] * (n * m)
-        for assignment in combo:
-            for block, filling in assignment.items():
-                for (r, c), v in zip(cells_of[block], filling):
-                    ent[r * m + c] = v
-        out.append(tuple(ent))
-    out.sort()
-    return EnumerationResult(
-        tuple(IntMatrix(n, m, e) for e in out), len(out)
-    )
+    return EnumerationResult(_unchecked_matrices(n, m, entries), len(entries))
 
 
 # ---------------------------------------------------------------------------
 # family materialization
 
-def _entries_ok(entries: Iterable[int], population: Population) -> bool:
-    vals = population.values
-    return all(e in vals for e in entries)
+def _by_form_values(forms, length: int) -> dict[tuple, list[tuple[int, ...]]]:
+    """Every ternary vector of the given length, grouped by the values of
+    the forms on it.  Integral coefficients are taken as ints, so only a
+    truly fractional one brings Fraction arithmetic in."""
+    spans = [
+        [
+            (int(c) if c.denominator == 1 else c, a, b)
+            for c, a, b in zip(f.coeffs, f.cuts, f.cuts[1:])
+            if c
+        ]
+        for f in forms
+    ]
+    groups: dict[tuple, list[tuple[int, ...]]] = {}
+    for vec in product(TERNARY.values, repeat=length):
+        key = tuple(sum(c * sum(vec[a:b]) for c, a, b in sp) for sp in spans)
+        groups.setdefault(key, []).append(vec)
+    return groups
+
+
+def _scaled_rows(vec: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
+    """(0 vec, vec, -vec), indexed by a ternary scalar."""
+    return (tuple(0 for _ in vec), vec, tuple(-e for e in vec))
 
 
 def _materialize_product(
     body: RankOneProductFamily, population: Population
 ) -> set[tuple[int, ...]]:
     # every ternary rank-one matrix is p q^T with ternary factors, whatever
-    # the population its entries are then filtered by
+    # the population its entries are then filtered by.  The forms are
+    # evaluated once per factor vector; the condition is then a dot
+    # product of the two value vectors, decided once per pair of distinct
+    # value vectors.
     n, m = body.shape
-    values = TERNARY.values
+    p_groups = _by_form_values([pf for _, pf in body.terms], n)
+    q_groups = _by_form_values([qf for qf, _ in body.terms], m)
     seen: set[tuple[int, ...]] = set()
-    for p in product(values, repeat=n):
-        for q in product(values, repeat=m):
-            if body.condition_value(p, q) != 1:
-                continue
-            ent = tuple(pi * qj for pi in p for qj in q)
-            if _entries_ok(ent, population):
-                seen.add(ent)
-    return seen
+    for qv, qs in q_groups.items():
+        rows = [_scaled_rows(q).__getitem__ for q in qs]
+        for pv, ps in p_groups.items():
+            if sum(map(mul, pv, qv)) == 1:
+                seen.update(
+                    tuple(chain.from_iterable(map(row, p))) for p in ps for row in rows
+                )
+    return set(filter(set(population.values).issuperset, seen))
 
 
 def _materialize_column_scaled(
     body: ColumnScaledFamily, population: Population
 ) -> set[tuple[int, ...]]:
-    # ternary first columns and scalars, as in _materialize_product
+    # ternary first columns and scalars, as in _materialize_product.  The
+    # dot products row_i . x1 are taken once per x1, and the scalars that
+    # meet the condition once per distinct tuple of them.
     n, m = body.shape
     values = TERNARY.values
+    all_lambdas = list(product(values, repeat=m - 1))
+    accepted: dict[tuple, list] = {}
     seen: set[tuple[int, ...]] = set()
     for x1 in product(values, repeat=n):
         if not any(x1):
             continue
-        for lambdas in product(values, repeat=m - 1):
-            if body.condition_value(x1, lambdas) != 1:
-                continue
-            scalars = (1,) + lambdas
-            ent = tuple(s * x1[i] for i in range(n) for s in scalars)
-            if _entries_ok(ent, population):
-                seen.add(ent)
-    return seen
+        dots = tuple(sum(map(mul, row, x1)) for row in body.row_forms)
+        scalars = accepted.get(dots)
+        if scalars is None:
+            scalars = accepted[dots] = [
+                _scaled_rows((1,) + lam) for lam in all_lambdas
+                if dots[0] + sum(map(mul, lam, dots[1:])) == 1
+            ]
+        for rows in scalars:
+            seen.add(tuple(chain.from_iterable(map(rows.__getitem__, x1))))
+    return set(filter(set(population.values).issuperset, seen))
 
 
-def _materialize_body(
-    body, population: Population, shape: tuple[int, int]
-) -> set[tuple[int, ...]]:
+def _materialize_body(body, population: Population, shape: tuple[int, int]):
+    """The body's members as entry tuples: a sorted list for a block-sum
+    system, a set otherwise."""
     if isinstance(body, SumConstraintSystem):
-        res = enumerate_sum_constrained(body, population)
-        return {m.entries for m in res.matrices or ()}
+        return _sum_constrained_entries(body, population)
     if isinstance(body, RankOneProductFamily):
         return _materialize_product(body, population)
     if isinstance(body, ColumnScaledFamily):
@@ -500,7 +587,7 @@ def _materialize_body(
     if isinstance(body, ExplicitUnion):
         out: set[tuple[int, ...]] = set()
         for comp in body.components:
-            out |= _materialize_body(comp.body, population, comp.shape)
+            out.update(_materialize_body(comp.body, population, comp.shape))
         if body.include_zero and 0 in population:
             out.add((0,) * (shape[0] * shape[1]))
         return out
@@ -513,10 +600,10 @@ def materialize_family(
     """The family's population-valued members, deduplicated and sorted into
     odometer order."""
     n, m = family.shape
-    entries = sorted(_materialize_body(family.body, population, family.shape))
-    return EnumerationResult(
-        tuple(IntMatrix(n, m, e) for e in entries), len(entries)
-    )
+    entries = _materialize_body(family.body, population, family.shape)
+    if isinstance(entries, set):
+        entries = sorted(entries)
+    return EnumerationResult(_unchecked_matrices(n, m, entries), len(entries))
 
 
 def count_family(family: InverseFamily, population: Population = TERNARY) -> int:

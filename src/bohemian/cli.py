@@ -13,6 +13,7 @@ import argparse
 import json
 import os
 import sys
+from functools import lru_cache
 from typing import Optional
 
 from . import census as cs
@@ -24,9 +25,9 @@ from .matrices import (
     DomainError,
     ParseError,
     TernaryMatrix,
+    _row_rank,
     exact_rank,
     parse_matrix,
-    serialize_matrix,
 )
 
 BUDGET_ENV = "BOHEMIAN_CELL_BUDGET"
@@ -173,13 +174,13 @@ def _cmd_inverses(args) -> int:
         else:
             result = selection.materialize(population)
             if args.rank is not None:
-                kept = tuple(m for m in result if exact_rank(m) == args.rank)
+                kept = tuple(
+                    m for m in result if _row_rank(m.row_tuples()) == args.rank
+                )
                 result = cs.EnumerationResult(kept, len(kept))
-    if not args.count_only and result.matrices is not None:
-        for m in result.matrices:
-            sys.stdout.write(serialize_matrix(m))
-            sys.stdout.write("\n")
-    print(f"count: {result.count}")
+    if args.count_only:
+        result = cs.EnumerationResult(None, result.count)
+    sys.stdout.write(result.serialize())
     return EXIT_OK
 
 
@@ -302,9 +303,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@lru_cache(maxsize=8)
+def _parser(budget_env: Optional[str]) -> argparse.ArgumentParser:
+    """``build_parser()`` for one value of the budget variable (None when
+    unset): the budget defaults are read from it when the parser is built,
+    so a changed environment gets a parser of its own."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser(os.environ.get(BUDGET_ENV)).parse_args(argv)
     try:
         return args.fn(args)
     except ParseError as exc:

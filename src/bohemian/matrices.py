@@ -91,9 +91,7 @@ class IntMatrix:
         return self.entries[j :: self.cols]
 
     def row_tuples(self) -> tuple[tuple[int, ...], ...]:
-        c = self.cols
-        e = self.entries
-        return tuple(e[i : i + c] for i in range(0, len(e), c))
+        return tuple(zip(*[iter(self.entries)] * self.cols))
 
     def to_lists(self) -> list[list[int]]:
         return [list(r) for r in self.row_tuples()]
@@ -388,6 +386,23 @@ def iter_signed_permutations(k: int) -> Iterator[SignedPermutation]:
             yield SignedPermutation(perm, signs)
 
 
+def _signed_index_map(
+    rows: int, cols: int, u: SignedPermutation, v: SignedPermutation
+):
+    """The entries of ``transform_inverse(X, u, v)`` as a function of the
+    entry tuple of a ``rows`` x ``cols`` X: each entry is one entry of X,
+    possibly negated, so one ``itemgetter`` over X's entries followed by
+    their negations moves a whole matrix."""
+    size = rows * cols
+    labels = transform_inverse(IntMatrix(rows, cols, tuple(range(1, size + 1))), u, v)
+    src = [e - 1 if e > 0 else size - e - 1 for e in labels.entries]
+    pick = operator.itemgetter(*src)
+    neg = operator.neg
+    if size == 1:  # itemgetter of one index returns the entry itself
+        return lambda entries: (pick(entries + tuple(map(neg, entries))),)
+    return lambda entries: pick(entries + tuple(map(neg, entries)))
+
+
 def transform_inverse(
     x: IntMatrix, u: SignedPermutation, v: SignedPermutation
 ) -> IntMatrix:
@@ -406,8 +421,14 @@ def transform_inverse(
 
 def exact_rank(a: IntMatrix) -> int:
     """Rank over the rationals via fraction-free (Bareiss) elimination."""
-    m = [list(r) for r in a.row_tuples()]
-    nr, nc = a.rows, a.cols
+    return _row_rank(a.row_tuples())
+
+
+def _row_rank(rows: Iterable[Sequence[int]]) -> int:
+    """``exact_rank`` of the matrix with these integer rows, for internal
+    paths that hold row tuples rather than an :class:`IntMatrix`."""
+    m = [list(r) for r in rows]
+    nr, nc = len(m), len(m[0])
     pr = 0
     prev = 1
     for pc in range(nc):
@@ -433,6 +454,22 @@ def exact_rank(a: IntMatrix) -> int:
         if pr == nr:
             break
     return pr
+
+
+def _unchecked_matrices(
+    rows: int, cols: int, entries: Iterable[tuple[int, ...]]
+) -> tuple[IntMatrix, ...]:
+    """One :class:`IntMatrix` per entry tuple, without the checks of the
+    public constructors.  Only for tuples of ``rows * cols`` integers that
+    the package computed itself from population values."""
+    new = object.__new__
+    out = []
+    for e in entries:
+        m = new(IntMatrix)
+        d = m.__dict__
+        d["rows"], d["cols"], d["entries"] = rows, cols, e
+        out.append(m)
+    return tuple(out)
 
 
 def parse_matrix(text: str) -> TernaryMatrix:

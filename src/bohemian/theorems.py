@@ -22,8 +22,9 @@ from .matrices import (
     ShapeError,
     SignedPermutation,
     TernaryMatrix,
+    _signed_index_map,
+    _unchecked_matrices,
     exact_rank,
-    transform_inverse,
 )
 
 
@@ -36,8 +37,9 @@ class TheoremSelection:
     """A selected family and the note printed with it.
 
     With a ``transport`` (U, V) the family describes the inverses of the
-    canonical core C of A = U C V, and its members are carried over to A by
-    :func:`~bohemian.matrices.transform_inverse`.
+    canonical core C of A = U C V, and its members are carried over to A as
+    :func:`~bohemian.matrices.transform_inverse` carries them, by one signed
+    index map on their entry tuples.
     """
 
     family: fam.InverseFamily
@@ -54,13 +56,13 @@ class TheoremSelection:
             return cs.materialize_family(self.family, population)
         # The transport flips signs, so members over a smaller population
         # come from core members over the whole ternary one.
-        u, v = self.transport
-        moved = [transform_inverse(x, u, v) for x in cs.materialize_family(self.family)]
+        n, m = self.family.shape
+        move = _signed_index_map(n, m, *self.transport)
+        moved = map(move, (x.entries for x in cs.materialize_family(self.family)))
         if population != cs.TERNARY:
-            allowed = set(population.values)
-            moved = [x for x in moved if allowed.issuperset(x.entries)]
-        moved.sort(key=lambda x: x.entries)
-        return cs.EnumerationResult(tuple(moved), len(moved))
+            moved = filter(set(population.values).issuperset, moved)
+        entries = sorted(moved)
+        return cs.EnumerationResult(_unchecked_matrices(n, m, entries), len(entries))
 
     def count_members(self, population: cs.Population = cs.TERNARY) -> int:
         if self.transport is None or population == cs.TERNARY:

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+from fractions import Fraction
 from itertools import product
 
 import pytest
@@ -290,3 +291,175 @@ class TestMaterializeAndCompare:
         fml = fam.outer_rank_one_general(tuple(zeta), rep)
         for m in cs.materialize_family(fml):
             assert all(e in (-1, 0, 1) for e in m.entries)
+
+
+TRITS = (-1, 0, 1)
+#: populations of theorem mode; each is a subset of TRITS, so one reference
+#: over TRITS serves them all
+SUB_POPULATIONS = [(-1, 0, 1), (0, 1), (-1, 0), (1,)]
+
+
+def _frac_system(shape, row_sizes, col_sizes, *constraints):
+    from bohemian.families import LinearConstraint, SumConstraintSystem
+    from bohemian.matrices import BlockPartition
+
+    part = BlockPartition.from_sizes(row_sizes, col_sizes)
+    return SumConstraintSystem(
+        shape,
+        part,
+        tuple(
+            LinearConstraint(tuple((Fraction(c), b) for c, b in terms), Fraction(rhs))
+            for terms, rhs in constraints
+        ),
+    )
+
+
+#: every sum-constraint family builder, on shapes of at most 9 cells
+SUM_FAMILIES = {
+    "typeI-1x1": fam.inner_full_type_I(1, 1),
+    "typeI-2x2-neg": fam.inner_full_type_I(2, 2, -1),
+    "typeI-3x3": fam.inner_full_type_I(3, 3),
+    "typeI-1x4": fam.inner_full_type_I(1, 4),
+    "typeII-1x2": fam.inner_full_type_II(1, 1, 1),
+    "typeII-2x3-neg": fam.inner_full_type_II(2, 1, 2, -1),
+    "typeII-3x3": fam.inner_full_type_II(3, 2, 1),
+    "typeIII-2x3-neg": fam.inner_full_type_III(2, 2, 1, -1),
+    "typeIII-3x3": fam.inner_full_type_III(3, 1, 2),
+    "typeIV-1x3": fam.inner_full_type_IV(1, 1, 1, 1),
+    "typeIV-2x4-neg": fam.inner_full_type_IV(2, 1, 1, 2, -1),
+    "rank1-core-2x2": fam.inner_rank_one_core(2, 2, 1, 1),
+    "rank1-core-3x3": fam.inner_rank_one_core(3, 3, 2, 1),
+    "rank1-core-2x4": fam.inner_rank_one_core(2, 4, 2, 0),
+    "S1-1-1-1": fam.inner_S1(1, 1, 1),
+    "S1-2-1-1": fam.inner_S1(2, 1, 1),
+    "S2-1-1-1-0": fam.inner_S2(1, 1, 1, 0),
+    "S2-1-1-1-1": fam.inner_S2(1, 1, 1, 1),
+    "S2-2-1-1-1": fam.inner_S2(2, 1, 1, 1),
+    "S3-1-1": fam.inner_S3(1, 1, (1, 1, 1, 1)),
+    "class3-2": fam.class3_inner_system([M([[1, 1, 0]]), M([[0, 0, 1]])]),
+    "class3-3": fam.class3_inner_system(
+        [M([[1, 1, 0], [-1, -1, 0]]), M([[1, -1, 0]])]
+    ),
+    "class3-signs": fam.class3_inner_system([M([[1, -1]]), M([[1, 1]])]),
+    "rank2-S1": fam.outer_rank2_class3("S1", (1,)),
+    "rank2-S2": fam.outer_rank2_class3("S2", (1, 1)),
+    "rank2-S3": fam.outer_rank2_class3("S3", (1, 1, 1, 1)),
+    "rank2-S4": fam.outer_rank2_class3("S4", (2, 2)),
+    "reflexive-2x4": fam.reflexive_full_row_rank([M([[1, 1, 0, 1]]), M([[0, 1, 1, 1]])]),
+    "reflexive-3x3": fam.reflexive_full_row_rank(
+        [M([[1, 0, 1]]), M([[0, 1, -1]]), M([[1, 1, 1]])]
+    ),
+    # s0 / 2 + s1 = 1: a fractional coefficient
+    "frac-coeff": fam.InverseFamily("FracCoeff", "{1}", (2, 3), _frac_system(
+        (2, 3), [2], [2, 1], ([("1/2", (0, 0)), (1, (0, 1))], 1),
+    )),
+    # s0 / 3 - s1 / 6 = 1/2, that is 2 s0 - s1 = 3: fractional rhs too
+    "frac-rhs": fam.InverseFamily("FracRhs", "{1}", (3, 2), _frac_system(
+        (3, 2), [1, 2], [2], ([("1/3", (0, 0)), ("-1/6", (1, 0))], "1/2"),
+    )),
+    # 2 s0 = 1 has no integer solution
+    "frac-rhs-empty": fam.InverseFamily("FracEmpty", "{1}", (1, 3), _frac_system(
+        (1, 3), [1], [1, 2], ([(2, (0, 0))], "1/2"), ([(1, (0, 1))], 0),
+    )),
+}
+
+
+def _members_over(values, ternary_members):
+    return [e for e in ternary_members if all(v in values for v in e)]
+
+
+class TestSumConstrainedMatchesFilter:
+    """Integer constraints, split fillings and the itemgetter assembly
+    against the literal filter, whose ``is_member`` works in Fraction."""
+
+    @pytest.mark.parametrize("name", sorted(SUM_FAMILIES))
+    def test_family(self, name):
+        family = SUM_FAMILIES[name]
+        body = family.body
+        n, m = body.shape
+        assert n * m <= 9
+        literal = [
+            x for x in product(TRITS, repeat=n * m)
+            if body.is_member(IntMatrix(n, m, x))
+        ]
+        for values in SUB_POPULATIONS:
+            population = cs.Population(values)
+            want = _members_over(values, literal)
+            got = cs.enumerate_sum_constrained(body, population)
+            assert [x.entries for x in got] == want, (name, values)
+            assert got.count == len(want)
+            quick = cs.enumerate_sum_constrained(body, population, count_only=True)
+            assert quick.matrices is None and quick.count == len(want)
+            assert [x.entries for x in cs.materialize_family(family, population)] == want
+
+
+def _product_reference(body, values):
+    n, m = body.shape
+    seen = set()
+    for p in product(TRITS, repeat=n):
+        for q in product(TRITS, repeat=m):
+            if body.condition_value(p, q) == 1:
+                seen.add(tuple(pi * qj for pi in p for qj in q))
+    return _members_over(values, sorted(seen))
+
+
+def _column_scaled_reference(body, values):
+    n, m = body.shape
+    seen = set()
+    for x1 in product(TRITS, repeat=n):
+        if not any(x1):
+            continue
+        for lambdas in product(TRITS, repeat=m - 1):
+            if body.condition_value(x1, lambdas) == 1:
+                scalars = (1,) + lambdas
+                seen.add(tuple(s * x1[i] for i in range(n) for s in scalars))
+    return _members_over(values, sorted(seen))
+
+
+PRODUCT_FAMILIES = {
+    "general": fam.outer_rank_one_general((1, -1), (1, 0, 1)),
+    "typeI": fam.outer_full_type_I(2, 3),
+    "typeIII": fam.outer_full_type_III(2, 1, 2),
+    "block-diagonal": fam.outer_rank1_block_diagonal(
+        [M([[1, 1]]), M([[1, 0], [0, 1]])]
+    ),
+    "row-partitioned": fam.outer_rank1_row_partitioned(
+        [M([[1, 1, 0]]), M([[1, -1, 1], [0, 1, 1]])]
+    ),
+    # (q1 + q2) / 2 * 2 (p1 + p2) = 1, in Fraction
+    "frac-coeff": fam.InverseFamily("FracProduct", "{2}_1", (2, 2), fam.RankOneProductFamily(
+        (2, 2), (0, 2), (0, 2),
+        ((fam.BlockForm((0, 2), (Fraction(1, 2),)), fam.BlockForm((0, 2), (Fraction(2),))),),
+    )),
+}
+
+COLUMN_SCALED_FAMILIES = {
+    "2x2": fam.outer_rank1_full_row_rank([(1, 0), (0, 1)]),
+    "2x3": fam.outer_rank1_full_row_rank([(1, 1, 0), (0, 1, 1)]),
+    "2x4": fam.outer_rank1_full_row_rank([(1, 1, 0, 1), (0, 1, -1, 1)]),
+    "3x3": fam.outer_rank1_full_row_rank([(1, 0, 1), (0, 1, -1), (1, 1, 1)]),
+}
+
+
+class TestFactorMaterializersMatchConditions:
+    """Form values taken once per factor vector, against ``condition_value``
+    on every pair of ternary factors."""
+
+    @pytest.mark.parametrize("name", sorted(PRODUCT_FAMILIES))
+    def test_product(self, name):
+        family = PRODUCT_FAMILIES[name]
+        for values in SUB_POPULATIONS:
+            population = cs.Population(values)
+            want = _product_reference(family.body, values)
+            assert sorted(cs._materialize_product(family.body, population)) == want
+            got = cs.materialize_family(family, population)
+            assert [x.entries for x in got] == want and got.count == len(want)
+
+    @pytest.mark.parametrize("name", sorted(COLUMN_SCALED_FAMILIES))
+    def test_column_scaled(self, name):
+        family = COLUMN_SCALED_FAMILIES[name]
+        for values in SUB_POPULATIONS:
+            population = cs.Population(values)
+            want = _column_scaled_reference(family.body, values)
+            got = cs._materialize_column_scaled(family.body, population)
+            assert sorted(got) == want, (name, values)

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from bohemian import census as cs
 from bohemian.cli import main
 from bohemian.matrices import parse_matrix, serialize_matrix
 
@@ -209,6 +210,33 @@ class TestInverses:
         _, orc, _ = run(capsys, "inverses", path, *pop)
         assert orc.endswith("count: 3\n")
         assert thm.split("\n", 2)[2] == orc
+
+    @pytest.mark.parametrize("population", ["-1,0", "0,1", "-1,0,1"])
+    @pytest.mark.parametrize("rank", [None, 1, 2])
+    def test_transported_stream_is_the_oracle_stream(
+        self, capsys, write, population, rank
+    ):
+        # a rank-one A behind signed permutations: the members are moved from
+        # the canonical core, filtered by population and rank, and written
+        # as serialize_matrix writes each oracle member
+        path = write("a.txt", "0 -1 1\n0 0 0\n0 1 -1\n")
+        argv = ["inverses", path, "--spec", "1", f"--population={population}"]
+        if rank is not None:
+            argv += ["--rank", str(rank)]
+        code, out, _ = run(capsys, *argv, "--mode", "theorem")
+        assert code == 0
+        assert out.startswith("theorem_id: RankOneInner\nnote: ")
+        oracle = cs.brute_force_inverses(
+            parse_matrix("0 -1 1\n0 0 0\n0 1 -1\n"), "1",
+            cs.Population(tuple(int(v) for v in population.split(","))), rank,
+        )
+        want = "".join(serialize_matrix(m) + "\n" for m in oracle)
+        want += f"count: {oracle.count}\n"
+        # compared member by member: a failing diff of the whole text is slow
+        assert out.split("\n", 2)[2].split("\n\n") == want.split("\n\n")
+        assert oracle.count > (0 if rank == 2 else 3)
+        _, oracle_out, _ = run(capsys, *argv)
+        assert oracle_out.split("\n\n") == want.split("\n\n")
 
     def test_theorem_mode_population_outside_ternary_exit_two(self, capsys, write):
         path = write("a.txt", "1 1\n")
@@ -482,6 +510,28 @@ class TestUsage:
         monkeypatch.setenv("BOHEMIAN_CELL_BUDGET", "6")
         code, out, _ = run(capsys, "inverses", path, "--spec", "1", "--count-only")
         assert code == 0
+
+    def test_each_env_budget_gets_its_own_parser(self, capsys, write, monkeypatch):
+        # the parser is built once per value of the variable, so calls in
+        # one process under different budgets each honour their own
+        path = write("a.txt", "1 1 1 1 1\n")
+        argv = ["inverses", path, "--spec", "1", "--count-only"]
+        for budget, want in (("4", 4), ("6", 0), ("4", 4), (None, 0), ("6", 0)):
+            if budget is None:
+                monkeypatch.delenv("BOHEMIAN_CELL_BUDGET", raising=False)
+            else:
+                monkeypatch.setenv("BOHEMIAN_CELL_BUDGET", budget)
+            code, out, err = run(capsys, *argv)
+            assert code == want, budget
+            if want == 4:
+                assert err.endswith("exceeds the budget of 4\n")
+            else:
+                assert out == "count: 45\n"
+        monkeypatch.setenv("BOHEMIAN_CELL_BUDGET", "abc")
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "must be a nonnegative integer, got 'abc'" in capsys.readouterr().err
 
     def test_theorem_count_only_fast_path(self, capsys, write):
         # count of a transported rank-one family without materialization
