@@ -21,7 +21,7 @@ sums is checked in integer arithmetic; the fillings of a block with a
 given sum are the memoized fillings of its two halves, concatenated; a
 member's entries are its concatenated block fillings under one fixed
 permutation (an ``itemgetter``), and one sort gives odometer order.  The
-rank-one families evaluate each factor's forms once per factor vector.
+rank-one family evaluates each factor's forms once per factor vector.
 """
 
 from __future__ import annotations
@@ -34,7 +34,6 @@ from operator import attrgetter, itemgetter, mul, sub
 from typing import Iterator, Optional
 
 from .families import (
-    ColumnScaledFamily,
     ExplicitUnion,
     InverseFamily,
     RankOneProductFamily,
@@ -503,10 +502,10 @@ def enumerate_sum_constrained(
 # ---------------------------------------------------------------------------
 # family materialization
 
-def _by_form_values(forms, length: int) -> dict[tuple, list[tuple[int, ...]]]:
-    """Every ternary vector of the given length, grouped by the values of
-    the forms on it.  Integral coefficients are taken as ints, so only a
-    truly fractional one brings Fraction arithmetic in."""
+def _by_form_values(forms, vectors) -> dict[tuple, list[tuple[int, ...]]]:
+    """The vectors grouped by the values of the forms on them.  Integral
+    coefficients are taken as ints, so only a truly fractional one brings
+    Fraction arithmetic in."""
     spans = [
         [
             (int(c) if c.denominator == 1 else c, a, b)
@@ -516,7 +515,7 @@ def _by_form_values(forms, length: int) -> dict[tuple, list[tuple[int, ...]]]:
         for f in forms
     ]
     groups: dict[tuple, list[tuple[int, ...]]] = {}
-    for vec in product(TERNARY.values, repeat=length):
+    for vec in vectors:
         key = tuple(sum(c * sum(vec[a:b]) for c, a, b in sp) for sp in spans)
         groups.setdefault(key, []).append(vec)
     return groups
@@ -531,13 +530,18 @@ def _materialize_product(
     body: RankOneProductFamily, population: Population
 ) -> set[tuple[int, ...]]:
     # every ternary rank-one matrix is p q^T with ternary factors, whatever
-    # the population its entries are then filtered by.  The forms are
-    # evaluated once per factor vector; the condition is then a dot
-    # product of the two value vectors, decided once per pair of distinct
-    # value vectors.
+    # the population its entries are then filtered by; a pinned q_1 = 1
+    # gives the same matrices as q_1 != 0, by (p, q) -> (-p, -q).  The
+    # forms are evaluated once per factor vector; the condition is then a
+    # dot product of the two value vectors, decided once per pair of
+    # distinct value vectors.
     n, m = body.shape
-    p_groups = _by_form_values([pf for _, pf in body.terms], n)
-    q_groups = _by_form_values([qf for qf, _ in body.terms], m)
+    values = TERNARY.values
+    lead = (1,) if body.pinned_lead else values
+    p_groups = _by_form_values([pf for _, pf in body.terms], product(values, repeat=n))
+    q_groups = _by_form_values(
+        [qf for qf, _ in body.terms], product(lead, *[values] * (m - 1))
+    )
     seen: set[tuple[int, ...]] = set()
     for qv, qs in q_groups.items():
         rows = [_scaled_rows(q).__getitem__ for q in qs]
@@ -549,32 +553,6 @@ def _materialize_product(
     return set(filter(set(population.values).issuperset, seen))
 
 
-def _materialize_column_scaled(
-    body: ColumnScaledFamily, population: Population
-) -> set[tuple[int, ...]]:
-    # ternary first columns and scalars, as in _materialize_product.  The
-    # dot products row_i . x1 are taken once per x1, and the scalars that
-    # meet the condition once per distinct tuple of them.
-    n, m = body.shape
-    values = TERNARY.values
-    all_lambdas = list(product(values, repeat=m - 1))
-    accepted: dict[tuple, list] = {}
-    seen: set[tuple[int, ...]] = set()
-    for x1 in product(values, repeat=n):
-        if not any(x1):
-            continue
-        dots = tuple(sum(map(mul, row, x1)) for row in body.row_forms)
-        scalars = accepted.get(dots)
-        if scalars is None:
-            scalars = accepted[dots] = [
-                _scaled_rows((1,) + lam) for lam in all_lambdas
-                if dots[0] + sum(map(mul, lam, dots[1:])) == 1
-            ]
-        for rows in scalars:
-            seen.add(tuple(chain.from_iterable(map(rows.__getitem__, x1))))
-    return set(filter(set(population.values).issuperset, seen))
-
-
 def _materialize_body(body, population: Population, shape: tuple[int, int]):
     """The body's members as entry tuples: a sorted list for a block-sum
     system, a set otherwise."""
@@ -582,8 +560,6 @@ def _materialize_body(body, population: Population, shape: tuple[int, int]):
         return _sum_constrained_entries(body, population)
     if isinstance(body, RankOneProductFamily):
         return _materialize_product(body, population)
-    if isinstance(body, ColumnScaledFamily):
-        return _materialize_column_scaled(body, population)
     if isinstance(body, ExplicitUnion):
         out: set[tuple[int, ...]] = set()
         for comp in body.components:
@@ -594,16 +570,22 @@ def _materialize_body(body, population: Population, shape: tuple[int, int]):
     raise DomainError(f"cannot materialize body of type {type(body).__name__}")
 
 
+def family_entries(
+    family: InverseFamily, population: Population = TERNARY
+) -> list[tuple[int, ...]]:
+    """The entry tuples of the family's population-valued members,
+    deduplicated and sorted into odometer order."""
+    entries = _materialize_body(family.body, population, family.shape)
+    return sorted(entries) if isinstance(entries, set) else entries
+
+
 def materialize_family(
     family: InverseFamily, population: Population = TERNARY
 ) -> EnumerationResult:
     """The family's population-valued members, deduplicated and sorted into
     odometer order."""
-    n, m = family.shape
-    entries = _materialize_body(family.body, population, family.shape)
-    if isinstance(entries, set):
-        entries = sorted(entries)
-    return EnumerationResult(_unchecked_matrices(n, m, entries), len(entries))
+    entries = family_entries(family, population)
+    return EnumerationResult(_unchecked_matrices(*family.shape, entries), len(entries))
 
 
 def count_family(family: InverseFamily, population: Population = TERNARY) -> int:

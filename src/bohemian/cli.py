@@ -25,7 +25,6 @@ from .matrices import (
     DomainError,
     ParseError,
     TernaryMatrix,
-    _row_rank,
     exact_rank,
     parse_matrix,
 )
@@ -172,12 +171,7 @@ def _cmd_inverses(args) -> int:
         if args.count_only and args.rank is None:
             result = cs.EnumerationResult(None, selection.count_members(population))
         else:
-            result = selection.materialize(population)
-            if args.rank is not None:
-                kept = tuple(
-                    m for m in result if _row_rank(m.row_tuples()) == args.rank
-                )
-                result = cs.EnumerationResult(kept, len(kept))
+            result = selection.materialize(population, args.rank)
     if args.count_only:
         result = cs.EnumerationResult(None, result.count)
     sys.stdout.write(result.serialize())

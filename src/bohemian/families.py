@@ -2,10 +2,10 @@
 
 Each characterized set is carried as data, not a closure: an
 :class:`InverseFamily` bundles a stable ``theorem_id``, the inverse shape,
-and one of four constraint payloads (block-sum linear systems, rank-one
-product conditions, column-scaled families, or explicit unions).  Families
-can be serialized, diffed, and materialized over a finite population, and
-every one is cross-checked against the brute-force census in the tests.
+and one of three constraint payloads (block-sum linear systems, rank-one
+product conditions, or explicit unions).  Families can be serialized,
+diffed, and materialized over a finite population, and every one is
+cross-checked against the brute-force census in the tests.
 
 All right-hand sides are exact rationals; a constraint like "block sum =
 1/2" is kept as stated, and its emptiness over integer populations is a
@@ -14,7 +14,7 @@ computed outcome rather than a special case.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Sequence, Union
@@ -30,7 +30,8 @@ from .matrices import (
     exact_rank,
 )
 
-#: Column-scaled families cannot express rank-one matrices whose first
+#: The paper's column-scaled rank-one family (a product family with its
+#: leading factor pinned) cannot express rank-one matrices whose first
 #: column vanishes, although such matrices can satisfy the defining outer
 #: equation; comparisons against the census report the difference.
 FIRST_COLUMN_GAP_NOTE = (
@@ -173,13 +174,16 @@ class RankOneProductFamily:
 
     ``terms`` pairs a form on q with a form on p; membership requires the
     sum of the paired products to be exactly 1.  The zero matrix is never a
-    member.
+    member.  With ``pinned_lead`` the leading factor entry is q_1 = 1, as in
+    the paper's column-scaled form (X1 | l_1 X1 | ... | l_{m-1} X1), so
+    every member has a nonzero first column.
     """
 
     shape: tuple[int, int]
     q_partition: tuple[int, ...]
     p_partition: tuple[int, ...]
     terms: tuple[tuple[BlockForm, BlockForm], ...]
+    pinned_lead: bool = False
 
     kind = "rank_one_product"
 
@@ -197,6 +201,8 @@ class RankOneProductFamily:
         will do)."""
         n, m = self.shape
         rows = _coerce_rows(x, (n, m))
+        if self.pinned_lead and not any(row[0] for row in rows):
+            return False  # q_1 = 1 makes the first column p, which is nonzero
         p = None
         for j in range(m):
             col = tuple(rows[i][j] for i in range(n))
@@ -214,7 +220,7 @@ class RankOneProductFamily:
         return self.is_member_vectors(p, q)
 
     def to_json(self) -> dict:
-        return {
+        out = {
             "q_partition": list(self.q_partition),
             "p_partition": list(self.p_partition),
             "terms": [
@@ -222,49 +228,9 @@ class RankOneProductFamily:
                 for qf, pf in self.terms
             ],
         }
-
-
-@dataclass(frozen=True)
-class ColumnScaledFamily:
-    """Candidates (X1 | l_1 X1 | ... | l_{m-1} X1) with a scalar-weighted
-    linear condition on X1 equal to 1.
-
-    ``row_forms`` are the rows of the matrix being inverted; the condition
-    reads sum of l_{i-1} * (row_i . X1) = 1 with l_0 = 1.
-    """
-
-    shape: tuple[int, int]
-    row_forms: tuple[tuple[int, ...], ...]
-    note: str = FIRST_COLUMN_GAP_NOTE
-
-    kind = "column_scaled"
-
-    def condition_value(self, x1, lambdas) -> Fraction:
-        total = Fraction(0)
-        scalars = (1,) + tuple(lambdas)
-        for lam, row in zip(scalars, self.row_forms):
-            total += _frac(lam) * sum(
-                (_frac(r) * _frac(v) for r, v in zip(row, x1)), start=Fraction(0)
-            )
-        return total
-
-    def contains(self, x) -> bool:
-        n, m = self.shape
-        rows = _coerce_rows(x, (n, m))
-        x1 = tuple(rows[i][0] for i in range(n))
-        if not any(x1):
-            return False
-        i0 = next(i for i in range(n) if x1[i])
-        lambdas = []
-        for j in range(1, m):
-            lam = _frac(rows[i0][j]) / _frac(x1[i0])
-            if any(_frac(rows[i][j]) != lam * _frac(x1[i]) for i in range(n)):
-                return False
-            lambdas.append(lam)
-        return self.condition_value(x1, lambdas) == 1
-
-    def to_json(self) -> dict:
-        return {"rows": [list(r) for r in self.row_forms], "note": self.note}
+        if self.pinned_lead:
+            out["pinned_lead"] = True
+        return out
 
 
 @dataclass(frozen=True)
@@ -283,7 +249,7 @@ class ExplicitUnion:
         }
 
 
-FamilyBody = Union[SumConstraintSystem, RankOneProductFamily, ColumnScaledFamily, ExplicitUnion]
+FamilyBody = Union[SumConstraintSystem, RankOneProductFamily, ExplicitUnion]
 
 
 @dataclass(frozen=True)
@@ -698,13 +664,16 @@ def outer_rank1_row_partitioned(blocks: Sequence[TernaryMatrix]) -> InverseFamil
 
 
 def outer_rank1_full_row_rank(rows: Sequence[Sequence[int]]) -> InverseFamily:
-    """Rank-one outer inverses of a full-row-rank matrix in column-scaled
-    form; see the recorded first-column restriction."""
-    row_tuples = tuple(tuple(r) for r in rows)
-    a = TernaryMatrix.from_rows(row_tuples)
+    """Rank-one outer inverses of a full-row-rank matrix in the paper's
+    column-scaled form (X1 | l_1 X1 | ... | l_{m-1} X1): X = p q^T with
+    p = X1 and q = (1, l), under q^T A p = 1.  That is the single-row-block
+    row-partitioned family with q_1 pinned to 1; see the recorded
+    first-column restriction."""
+    a = TernaryMatrix.from_rows(rows)
     if exact_rank(a) != a.rows:
         raise DomainError("rows must be linearly independent")
-    body = ColumnScaledFamily((a.cols, a.rows), row_tuples)
+    blocks = [TernaryMatrix.from_rows([r]) for r in a.row_tuples()]
+    body = replace(outer_rank1_row_partitioned(blocks).body, pinned_lead=True)
     return InverseFamily(
         "OuterRank1FullRowRank",
         "{2}_1",

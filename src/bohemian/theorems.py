@@ -22,6 +22,7 @@ from .matrices import (
     ShapeError,
     SignedPermutation,
     TernaryMatrix,
+    _row_rank,
     _signed_index_map,
     _unchecked_matrices,
     exact_rank,
@@ -50,18 +51,26 @@ class TheoremSelection:
     def theorem_id(self) -> str:
         return self.family.theorem_id
 
-    def materialize(self, population: cs.Population = cs.TERNARY) -> cs.EnumerationResult:
-        """Population-valued members, sorted into odometer order."""
-        if self.transport is None:
+    def materialize(
+        self, population: cs.Population = cs.TERNARY, rank: Optional[int] = None
+    ) -> cs.EnumerationResult:
+        """Population-valued members, of the given rank when one is given,
+        sorted into odometer order."""
+        if self.transport is None and rank is None:
             return cs.materialize_family(self.family, population)
-        # The transport flips signs, so members over a smaller population
-        # come from core members over the whole ternary one.
         n, m = self.family.shape
-        move = _signed_index_map(n, m, *self.transport)
-        moved = map(move, (x.entries for x in cs.materialize_family(self.family)))
-        if population != cs.TERNARY:
-            moved = filter(set(population.values).issuperset, moved)
-        entries = sorted(moved)
+        if self.transport is None:
+            entries = cs.family_entries(self.family, population)
+        else:
+            # The transport flips signs, so members over a smaller population
+            # come from core members over the whole ternary one.
+            move = _signed_index_map(n, m, *self.transport)
+            moved = map(move, cs.family_entries(self.family))
+            if population != cs.TERNARY:
+                moved = filter(set(population.values).issuperset, moved)
+            entries = sorted(moved)
+        if rank is not None:  # ranked on the n rows of m entries each
+            entries = [e for e in entries if _row_rank(zip(*[iter(e)] * m)) == rank]
         return cs.EnumerationResult(_unchecked_matrices(n, m, entries), len(entries))
 
     def count_members(self, population: cs.Population = cs.TERNARY) -> int:

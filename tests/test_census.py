@@ -403,15 +403,18 @@ def _product_reference(body, values):
     return _members_over(values, sorted(seen))
 
 
-def _column_scaled_reference(body, values):
-    n, m = body.shape
+def _column_scaled_reference(rows, values):
+    """The paper's (X1 | l_1 X1 | ... | l_{m-1} X1), X1 != 0, with
+    sum_i l_i (row_i . X1) = 1 and l_0 = 1."""
+    n, m = len(rows[0]), len(rows)
     seen = set()
     for x1 in product(TRITS, repeat=n):
         if not any(x1):
             continue
+        dots = [sum(r * v for r, v in zip(row, x1)) for row in rows]
         for lambdas in product(TRITS, repeat=m - 1):
-            if body.condition_value(x1, lambdas) == 1:
-                scalars = (1,) + lambdas
+            scalars = (1,) + lambdas
+            if sum(s * d for s, d in zip(scalars, dots)) == 1:
                 seen.add(tuple(s * x1[i] for i in range(n) for s in scalars))
     return _members_over(values, sorted(seen))
 
@@ -433,21 +436,24 @@ PRODUCT_FAMILIES = {
     )),
 }
 
-COLUMN_SCALED_FAMILIES = {
-    "2x2": fam.outer_rank1_full_row_rank([(1, 0), (0, 1)]),
-    "2x3": fam.outer_rank1_full_row_rank([(1, 1, 0), (0, 1, 1)]),
-    "2x4": fam.outer_rank1_full_row_rank([(1, 1, 0, 1), (0, 1, -1, 1)]),
-    "3x3": fam.outer_rank1_full_row_rank([(1, 0, 1), (0, 1, -1), (1, 1, 1)]),
+#: rows of full-row-rank A for ``outer_rank1_full_row_rank``
+COLUMN_SCALED_ROWS = {
+    "2x2": ((1, 0), (0, 1)),
+    "2x3": ((1, 1, 0), (0, 1, 1)),
+    "2x4": ((1, 1, 0, 1), (0, 1, -1, 1)),
+    "3x3": ((1, 0, 1), (0, 1, -1), (1, 1, 1)),
 }
 
 
 class TestFactorMaterializersMatchConditions:
     """Form values taken once per factor vector, against ``condition_value``
-    on every pair of ternary factors."""
+    on every pair of ternary factors; the pinned family against the paper's
+    column-scaled loop."""
 
     @pytest.mark.parametrize("name", sorted(PRODUCT_FAMILIES))
     def test_product(self, name):
         family = PRODUCT_FAMILIES[name]
+        assert not family.body.pinned_lead  # the reference draws every q
         for values in SUB_POPULATIONS:
             population = cs.Population(values)
             want = _product_reference(family.body, values)
@@ -455,11 +461,14 @@ class TestFactorMaterializersMatchConditions:
             got = cs.materialize_family(family, population)
             assert [x.entries for x in got] == want and got.count == len(want)
 
-    @pytest.mark.parametrize("name", sorted(COLUMN_SCALED_FAMILIES))
+    @pytest.mark.parametrize("name", sorted(COLUMN_SCALED_ROWS))
     def test_column_scaled(self, name):
-        family = COLUMN_SCALED_FAMILIES[name]
+        rows = COLUMN_SCALED_ROWS[name]
+        family = fam.outer_rank1_full_row_rank(rows)
+        assert family.body.pinned_lead
         for values in SUB_POPULATIONS:
             population = cs.Population(values)
-            want = _column_scaled_reference(family.body, values)
-            got = cs._materialize_column_scaled(family.body, population)
-            assert sorted(got) == want, (name, values)
+            want = _column_scaled_reference(rows, values)
+            got = cs.materialize_family(family, population)
+            assert [x.entries for x in got] == want, (name, values)
+            assert got.count == len(want)

@@ -444,6 +444,32 @@ class TestTheoremDispatch:
                 assert diff.equal, ent
 
 
+    def test_rank_filter_on_rectangular_shapes(self):
+        # entry tuples are ranked as n x m matrices; vectors and square
+        # shapes cannot tell rows from columns
+        from itertools import product
+
+        from bohemian import census as cs
+        from bohemian.matrices import TernaryMatrix, exact_rank
+        from bohemian.theorems import UnsupportedShape, select_theorem
+
+        checked = set()
+        for m, n in [(2, 3), (3, 2)]:
+            for ent in product((-1, 0, 1), repeat=m * n):
+                a = TernaryMatrix(m, n, ent)
+                for spec in ("1", "2"):
+                    try:
+                        sel = select_theorem(a, spec, None)
+                    except UnsupportedShape:
+                        continue
+                    for pop in (cs.TERNARY, cs.Population((0, 1))):
+                        got = sel.materialize(pop)
+                        for r in range(3):
+                            kept = [x for x in got if exact_rank(x) == r]
+                            assert list(sel.materialize(pop, rank=r)) == kept, (ent, spec, r)
+                    checked.add(sel.theorem_id)
+        assert {"RankOneInner", "Thm5.19", "OuterFullSetRank2"} <= checked
+
     def test_dispatch_matches_census_on_small_shapes(self):
         from itertools import product
 
@@ -475,6 +501,9 @@ class TestTheoremDispatch:
                         case = (ent, spec, rank, pop.values, sel.theorem_id)
                         got = sel.materialize(pop)
                         assert sel.count_members(pop) == got.count, case
+                        for r in range(min(m, n) + 1):
+                            kept = [x for x in got if exact_rank(x) == r]
+                            assert list(sel.materialize(pop, rank=r)) == kept, (case, r)
                         if rank is not None:
                             got = [x for x in got if exact_rank(x) == rank]
                         want = cs.brute_force_inverses(

@@ -13,13 +13,14 @@ from bohemian.matrices import (
     DomainError,
     IntMatrix,
     TernaryMatrix,
+    exact_rank,
     identity,
     ones,
     penrose_check,
     zeros,
 )
 
-from conftest import rational_inner_holds
+from conftest import all_ternary, rational_inner_holds
 
 M = TernaryMatrix.from_rows
 F = Fraction
@@ -282,10 +283,10 @@ class TestColumnScaled:
     def test_final_worked_example_condition(self):
         fml = fam.outer_rank1_full_row_rank([(1, 1, 0), (1, 0, 0)])
         body = fml.body
-        # y11 + y12 + lam*y11 = 1 with columns (y | lam*y)
-        assert body.condition_value((1, 0, 0), (0,)) == 1
-        assert body.condition_value((0, 1, -1), (1,)) == 1
-        assert body.condition_value((0, 0, 1), (0,)) == 0
+        # y11 + y12 + lam*y11 = 1 with columns (y | lam*y) = y (1, lam)^T
+        assert body.condition_value((1, 0, 0), (1,) + (0,)) == 1
+        assert body.condition_value((0, 1, -1), (1,) + (1,)) == 1
+        assert body.condition_value((0, 0, 1), (1,) + (0,)) == 0
 
     def test_requires_independent_rows(self):
         with pytest.raises(DomainError):
@@ -294,6 +295,24 @@ class TestColumnScaled:
     def test_note_records_restriction(self):
         fml = fam.outer_rank1_full_row_rank([(1, 0), (0, 1)])
         assert "first column" in fml.note
+
+    def test_contains_is_rank_one_outer_with_nonzero_first_column(self):
+        # every full-row-rank A of at most 5 cells against every ternary X
+        checked = 0
+        for m, n in [(1, 1), (1, 2), (1, 3), (1, 4), (1, 5), (2, 2)]:
+            xs = [
+                (x, exact_rank(x) == 1 and any(x.column(0)))
+                for x in all_ternary(n, m)
+            ]
+            for a in all_ternary(m, n):
+                if exact_rank(a) != m:
+                    continue
+                body = fam.outer_rank1_full_row_rank(a.row_tuples()).body
+                for x, shaped in xs:
+                    want = shaped and penrose_check(a, x).satisfies_2
+                    assert body.contains(x) == want, (a.entries, x.entries)
+                checked += 1
+        assert checked == 358 + 48
 
     def test_members_are_sound_with_nonzero_first_column(self):
         for rows in ([(1, 0), (0, 1)], [(1, 1, 0), (1, 0, 0)], [(1, 1), (1, -1)]):
@@ -408,9 +427,12 @@ class TestSerialization:
         assert data["kind"] == "union"
         assert data["include_zero"] is True
         kinds = {c["kind"] for c in data["components"]}
-        assert kinds == {"column_scaled", "sum_constraints"}
+        assert kinds == {"rank_one_product", "sum_constraints"}
+        rank1 = next(c for c in data["components"] if c["kind"] == "rank_one_product")
+        assert rank1["pinned_lead"] is True
 
     def test_product_payload(self):
         data = fam.outer_full_type_III(2, 1, 1).to_json()
         assert data["kind"] == "rank_one_product"
+        assert "pinned_lead" not in data
         assert data["shape"] == [2, 2]

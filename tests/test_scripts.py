@@ -1,0 +1,43 @@
+from __future__ import annotations
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def run_script(name, *argv):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(ROOT / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
+    )
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / name), *argv],
+        capture_output=True, text=True, env=env, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == ""
+    return proc.stdout
+
+
+class TestGapReport:
+    def test_max_n_4_rows(self):
+        out = run_script("gap_report.py", "--max-n", "4")
+        assert out == (
+            "n1,n2,formula,union_members,census,missing,all_zero_first_column\n"
+            "1,1,9,9,12,3,True\n"
+            "1,2,28,28,34,6,True\n"
+            "2,1,25,25,34,9,True\n"
+            "1,3,102,102,120,18,True\n"
+            "2,2,87,87,105,18,True\n"
+            "3,1,93,93,120,27,True\n"
+        )
+        header, *rows = out.splitlines()
+        assert len(rows) == 6
+        for row in rows:
+            n1, n2, formula, union, census, missing, structural = row.split(",")
+            assert union == formula
+            assert int(missing) == int(census) - int(union)
+            assert structural == "True"
