@@ -27,7 +27,7 @@ def main() -> int:
             return ""
         res = cs.brute_force_inverses(a, spec, cell_budget=cells)
         if nonzero:
-            return str(sum(1 for m in res if any(m.entries)))
+            return str(sum(map(any, res.matrices)))
         return str(res.count)
 
     for n in range(0, 13):

@@ -14,23 +14,26 @@ comparison per candidate.
 
 Constraint-guided enumeration and family materialization live here too;
 their outputs are canonically sorted so theorem-versus-oracle comparisons
-are plain set comparisons.  They carry members as entry tuples and build
-one matrix per member at the end.  Block-sum constraints are scaled once
-to integers (by the lcm of their denominators), so each profile of block
-sums is checked in integer arithmetic; the fillings of a block with a
-given sum are the memoized fillings of its two halves, concatenated; a
-member's entries are its concatenated block fillings under one fixed
-permutation (an ``itemgetter``), and one sort gives odometer order.  The
-rank-one family evaluates each factor's forms once per factor vector.
+are plain set comparisons.  Every producer carries members as row-major
+entry tuples, and an :class:`EnumerationResult` holds them so: a matrix is
+built, through the checked ``IntMatrix`` constructor, only where a caller
+iterates a result or asks for its set or JSON.  Block-sum constraints are
+scaled once to integers (by the lcm of their denominators), so each
+profile of block sums is checked in integer arithmetic; the fillings of a
+block with a given sum are the memoized fillings of its two halves,
+concatenated; a member's entries are its concatenated block fillings
+under one fixed permutation (an ``itemgetter``), and one sort gives
+odometer order.  The rank-one family evaluates each factor's forms once
+per factor vector.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain, compress, cycle, groupby, product
+from itertools import chain, compress, cycle, product
 from math import lcm
-from operator import attrgetter, itemgetter, mul, sub
+from operator import itemgetter, mul, sub
 from typing import Iterator, Optional
 
 from .families import (
@@ -45,7 +48,6 @@ from .matrices import (
     TernaryMatrix,
     _product_rows,
     _row_rank,
-    _unchecked_matrices,
     normalize_spec,
 )
 
@@ -99,27 +101,32 @@ class _RowText(dict):
 
 @dataclass(frozen=True)
 class EnumerationResult:
-    """An ordered stream of matrices plus its exact count.
+    """An ordered stream of ``shape`` matrices plus its exact count.
 
-    ``matrices`` is None for count-only runs; otherwise the count equals the
-    stream length.
+    ``matrices`` holds the row-major entry tuple of each member, or is None
+    for count-only runs; otherwise the count equals the stream length.
+    Iteration, ``as_set`` and ``to_json`` build the members as checked
+    :class:`IntMatrix` objects; ``serialize`` writes the tuples directly.
     """
 
-    matrices: Optional[tuple[IntMatrix, ...]]
+    shape: tuple[int, int]
+    matrices: Optional[tuple[tuple[int, ...], ...]]
     count: int
 
-    def __iter__(self) -> Iterator[IntMatrix]:
+    def _stream(self) -> tuple[tuple[int, ...], ...]:
         if self.matrices is None:
             raise DomainError("count-only result has no stream")
-        return iter(self.matrices)
+        return self.matrices
+
+    def __iter__(self) -> Iterator[IntMatrix]:
+        rows, cols = self.shape
+        return (IntMatrix(rows, cols, e) for e in self._stream())
 
     def __len__(self) -> int:
         return self.count
 
     def as_set(self) -> frozenset[IntMatrix]:
-        if self.matrices is None:
-            raise DomainError("count-only result has no stream")
-        return frozenset(self.matrices)
+        return frozenset(self)
 
     def serialize(self) -> str:
         """Stream in the matrix text format, blank-line separated, with a
@@ -129,19 +136,17 @@ class EnumerationResult:
         row is made once per distinct row of the stream, and the last row
         of a member carries the blank line after it.
         """
-        parts = []
-        row_text, last_row_text = _RowText("\n"), _RowText("\n\n")
-        for (rows, cols), run in groupby(self.matrices or (), attrgetter("rows", "cols")):
-            flat = chain.from_iterable(map(attrgetter("entries"), run))
-            texts = cycle([row_text] * (rows - 1) + [last_row_text])
-            parts += map(dict.__getitem__, texts, zip(*[flat] * cols))
+        rows, cols = self.shape
+        flat = chain.from_iterable(self.matrices or ())
+        texts = cycle([_RowText("\n")] * (rows - 1) + [_RowText("\n\n")])
+        parts = list(map(dict.__getitem__, texts, zip(*[flat] * cols)))
         parts.append(f"count: {self.count}\n")
         return "".join(parts)
 
     def to_json(self) -> dict:
         payload: dict = {"count": self.count}
         if self.matrices is not None:
-            payload["matrices"] = [m.to_lists() for m in self.matrices]
+            payload["matrices"] = [m.to_lists() for m in self]
         return payload
 
 
@@ -168,8 +173,8 @@ def brute_force_inverses(
     hits.  Only the per-row parts of the products are shared, tabulated
     once per A.  A taller-than-wide A is scanned as A^T, whose inverses
     are the transposes of A's with the same ranks, so every table has at
-    most |P|^min(m, n) rows.  Matrices are built, and ranks taken, for hits
-    only.
+    most |P|^min(m, n) rows.  Ranks are taken, and entry tuples made, for
+    hits only.
     """
     spec = normalize_spec(spec)
     cells = a.rows * a.cols
@@ -194,8 +199,9 @@ def brute_force_inverses(
     if rank_filter is not None:
         # X and the scanned rows (X or X^T) have the same rank
         hits = (idx for idx in hits if _row_rank([rows[i] for i in idx]) == rank_filter)
+    shape = (a.cols, a.rows)
     if count_only:
-        return EnumerationResult(None, sum(1 for _ in hits))
+        return EnumerationResult(shape, None, sum(1 for _ in hits))
     if flip:
         # row j of X is column j of the scanned X^T
         found = sorted(  # odometer order again
@@ -203,7 +209,7 @@ def brute_force_inverses(
         )
     else:
         found = [tuple(chain.from_iterable([rows[i] for i in idx])) for idx in hits]
-    return EnumerationResult(_unchecked_matrices(a.cols, a.rows, found), len(found))
+    return EnumerationResult(shape, tuple(found), len(found))
 
 
 def _nested_scan(n, size, start, step, leaf) -> Iterator[tuple[int, ...]]:
@@ -441,31 +447,6 @@ def _group_solutions(
     return total if count_only else solutions
 
 
-def _sum_constrained_entries(
-    system: SumConstraintSystem, population: Population
-) -> list[tuple[int, ...]]:
-    """The entry tuples of ``enumerate_sum_constrained``, in odometer order."""
-    groups, constraint_of, unsatisfiable = _block_groups(system)
-    if unsatisfiable:
-        return []
-    part = system.partition
-    group_solutions = []
-    order = []  # the matrix cell of each position of the concatenation
-    for root, blocks in groups.items():
-        sols = _group_solutions(system, blocks, constraint_of[root], population, False)
-        if not sols:
-            return []
-        group_solutions.append(sols)
-        order += [cell for b in blocks for cell in part.block_cells(*b)]
-    m = system.shape[1]
-    perm = sorted(range(len(order)), key=lambda k: order[k][0] * m + order[k][1])
-    out = _concat_product(group_solutions)
-    if perm != list(range(len(perm))):
-        out = list(map(itemgetter(*perm), out))
-    out.sort()
-    return out
-
-
 def enumerate_sum_constrained(
     system: SumConstraintSystem,
     population: Population = TERNARY,
@@ -484,19 +465,33 @@ def enumerate_sum_constrained(
     fillings: one precomputed ``itemgetter`` puts them in row-major order,
     and a single sort puts the members in odometer order.
     """
+    shape = system.shape
+    groups, constraint_of, unsatisfiable = _block_groups(system)
+    if unsatisfiable:
+        return EnumerationResult(shape, None if count_only else (), 0)
     if count_only:
-        groups, constraint_of, unsatisfiable = _block_groups(system)
-        if unsatisfiable:
-            return EnumerationResult(None, 0)
         count = 1
         for root, blocks in groups.items():
             count *= _group_solutions(
                 system, blocks, constraint_of[root], population, True
             )
-        return EnumerationResult(None, count)
-    entries = _sum_constrained_entries(system, population)
-    n, m = system.shape
-    return EnumerationResult(_unchecked_matrices(n, m, entries), len(entries))
+        return EnumerationResult(shape, None, count)
+    part = system.partition
+    group_solutions = []
+    order = []  # the matrix cell of each position of the concatenation
+    for root, blocks in groups.items():
+        sols = _group_solutions(system, blocks, constraint_of[root], population, False)
+        if not sols:
+            return EnumerationResult(shape, (), 0)
+        group_solutions.append(sols)
+        order += [cell for b in blocks for cell in part.block_cells(*b)]
+    m = shape[1]
+    perm = sorted(range(len(order)), key=lambda k: order[k][0] * m + order[k][1])
+    out = _concat_product(group_solutions)
+    if perm != list(range(len(perm))):
+        out = list(map(itemgetter(*perm), out))
+    out.sort()
+    return EnumerationResult(shape, tuple(out), len(out))
 
 
 # ---------------------------------------------------------------------------
@@ -554,10 +549,10 @@ def _materialize_product(
 
 
 def _materialize_body(body, population: Population, shape: tuple[int, int]):
-    """The body's members as entry tuples: a sorted list for a block-sum
+    """The body's members as entry tuples: a sorted tuple for a block-sum
     system, a set otherwise."""
     if isinstance(body, SumConstraintSystem):
-        return _sum_constrained_entries(body, population)
+        return enumerate_sum_constrained(body, population).matrices
     if isinstance(body, RankOneProductFamily):
         return _materialize_product(body, population)
     if isinstance(body, ExplicitUnion):
@@ -570,22 +565,15 @@ def _materialize_body(body, population: Population, shape: tuple[int, int]):
     raise DomainError(f"cannot materialize body of type {type(body).__name__}")
 
 
-def family_entries(
-    family: InverseFamily, population: Population = TERNARY
-) -> list[tuple[int, ...]]:
-    """The entry tuples of the family's population-valued members,
-    deduplicated and sorted into odometer order."""
-    entries = _materialize_body(family.body, population, family.shape)
-    return sorted(entries) if isinstance(entries, set) else entries
-
-
 def materialize_family(
     family: InverseFamily, population: Population = TERNARY
 ) -> EnumerationResult:
     """The family's population-valued members, deduplicated and sorted into
     odometer order."""
-    entries = family_entries(family, population)
-    return EnumerationResult(_unchecked_matrices(*family.shape, entries), len(entries))
+    entries = _materialize_body(family.body, population, family.shape)
+    if isinstance(entries, set):
+        entries = tuple(sorted(entries))
+    return EnumerationResult(family.shape, entries, len(entries))
 
 
 def count_family(family: InverseFamily, population: Population = TERNARY) -> int:
@@ -610,10 +598,23 @@ class SetComparison:
         }
 
 
+def _keys(stream) -> set[tuple[int, int, tuple[int, ...]]]:
+    """(rows, cols, entries) of each member of a result or of an iterable
+    of matrices."""
+    if isinstance(stream, EnumerationResult):
+        rows, cols = stream.shape
+        return {(rows, cols, e) for e in stream._stream()}
+    return {(m.rows, m.cols, m.entries) for m in stream}
+
+
+def _matrices_by_entries(keys) -> tuple[IntMatrix, ...]:
+    return tuple(IntMatrix(*k) for k in sorted(keys, key=itemgetter(2)))
+
+
 def set_equal(a, b) -> SetComparison:
-    """Set comparison of two streams, with the symmetric difference."""
-    sa = set(a.matrices if isinstance(a, EnumerationResult) else a)
-    sb = set(b.matrices if isinstance(b, EnumerationResult) else b)
-    only_a = tuple(sorted(sa - sb, key=lambda m: m.entries))
-    only_b = tuple(sorted(sb - sa, key=lambda m: m.entries))
+    """Set comparison of two streams, with the symmetric difference.  Only
+    the members in the difference are built as matrices."""
+    ka, kb = _keys(a), _keys(b)
+    only_a = _matrices_by_entries(ka - kb)
+    only_b = _matrices_by_entries(kb - ka)
     return SetComparison(not only_a and not only_b, only_a, only_b)

@@ -169,11 +169,13 @@ def _cmd_inverses(args) -> int:
         if selection.note:
             print(f"note: {selection.note}")
         if args.count_only and args.rank is None:
-            result = cs.EnumerationResult(None, selection.count_members(population))
+            result = cs.EnumerationResult(
+                selection.family.shape, None, selection.count_members(population)
+            )
         else:
             result = selection.materialize(population, args.rank)
     if args.count_only:
-        result = cs.EnumerationResult(None, result.count)
+        result = cs.EnumerationResult(result.shape, None, result.count)
     sys.stdout.write(result.serialize())
     return EXIT_OK
 

@@ -192,32 +192,27 @@ class RankOneProductFamily:
             (qf.value(q) * pf.value(p) for qf, pf in self.terms), start=Fraction(0)
         )
 
-    def is_member_vectors(self, p, q) -> bool:
-        return self.condition_value(p, q) == 1
-
     def contains(self, x) -> bool:
-        """Membership of a concrete matrix: rank <= 1 factorization followed
-        by the bilinear condition (scaling-invariant, so any factorization
-        will do)."""
-        n, m = self.shape
-        rows = _coerce_rows(x, (n, m))
+        """Membership of a concrete matrix: rank <= 1 followed by the
+        bilinear condition, without division.
+
+        With p the first nonzero column of x and i0 the first nonzero entry
+        of p, x = p q^T for q = x[i0] / p[i0] exactly when every
+        x[i][j] p[i0] equals p[i] x[i0][j].  The condition is linear in q,
+        so it equals 1 exactly when its value at (p, x[i0]) equals p[i0].
+        """
+        rows = _coerce_rows(x, self.shape)
         if self.pinned_lead and not any(row[0] for row in rows):
             return False  # q_1 = 1 makes the first column p, which is nonzero
-        p = None
-        for j in range(m):
-            col = tuple(rows[i][j] for i in range(n))
-            if any(col):
-                p = col
-                break
+        p = next((col for col in zip(*rows) if any(col)), None)
         if p is None:
             return False
-        i0 = next(i for i in range(n) if p[i])
-        q = tuple(_frac(rows[i0][j]) / _frac(p[i0]) for j in range(m))
-        for i in range(n):
-            for j in range(m):
-                if _frac(rows[i][j]) != _frac(p[i]) * q[j]:
-                    return False
-        return self.is_member_vectors(p, q)
+        i0 = next(i for i, e in enumerate(p) if e)
+        lead, top = p[i0], rows[i0]
+        for row, pi in zip(rows, p):
+            if any(e * lead != pi * t for e, t in zip(row, top)):
+                return False
+        return self.condition_value(p, top) == lead
 
     def to_json(self) -> dict:
         out = {

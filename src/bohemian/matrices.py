@@ -456,22 +456,6 @@ def _row_rank(rows: Iterable[Sequence[int]]) -> int:
     return pr
 
 
-def _unchecked_matrices(
-    rows: int, cols: int, entries: Iterable[tuple[int, ...]]
-) -> tuple[IntMatrix, ...]:
-    """One :class:`IntMatrix` per entry tuple, without the checks of the
-    public constructors.  Only for tuples of ``rows * cols`` integers that
-    the package computed itself from population values."""
-    new = object.__new__
-    out = []
-    for e in entries:
-        m = new(IntMatrix)
-        d = m.__dict__
-        d["rows"], d["cols"], d["entries"] = rows, cols, e
-        out.append(m)
-    return tuple(out)
-
-
 def parse_matrix(text: str) -> TernaryMatrix:
     """Parse the matrix text format: one row per line, entries -1, 0 or 1.
 

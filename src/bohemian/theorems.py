@@ -24,7 +24,6 @@ from .matrices import (
     TernaryMatrix,
     _row_rank,
     _signed_index_map,
-    _unchecked_matrices,
     exact_rank,
 )
 
@@ -56,22 +55,22 @@ class TheoremSelection:
     ) -> cs.EnumerationResult:
         """Population-valued members, of the given rank when one is given,
         sorted into odometer order."""
-        if self.transport is None and rank is None:
-            return cs.materialize_family(self.family, population)
-        n, m = self.family.shape
-        if self.transport is None:
-            entries = cs.family_entries(self.family, population)
-        else:
-            # The transport flips signs, so members over a smaller population
-            # come from core members over the whole ternary one.
+        shape = n, m = self.family.shape
+        # The transport flips signs, so members over a smaller population
+        # come from core members over the whole ternary one.
+        core_population = population if self.transport is None else cs.TERNARY
+        entries = cs.materialize_family(self.family, core_population).matrices
+        if self.transport is not None:
             move = _signed_index_map(n, m, *self.transport)
-            moved = map(move, cs.family_entries(self.family))
+            moved = map(move, entries)
             if population != cs.TERNARY:
                 moved = filter(set(population.values).issuperset, moved)
-            entries = sorted(moved)
+            entries = tuple(sorted(moved))
         if rank is not None:  # ranked on the n rows of m entries each
-            entries = [e for e in entries if _row_rank(zip(*[iter(e)] * m)) == rank]
-        return cs.EnumerationResult(_unchecked_matrices(n, m, entries), len(entries))
+            entries = tuple(
+                e for e in entries if _row_rank(zip(*[iter(e)] * m)) == rank
+            )
+        return cs.EnumerationResult(shape, entries, len(entries))
 
     def count_members(self, population: cs.Population = cs.TERNARY) -> int:
         if self.transport is None or population == cs.TERNARY:

@@ -162,8 +162,8 @@ def _oracle_nonzero(a, spec, rank_filter=None, budget=None):
     res = cs.brute_force_inverses(
         a, spec, rank_filter=rank_filter, cell_budget=budget or a.rows * a.cols
     )
-    kept = tuple(m for m in res.matrices if any(m.entries))
-    return cs.EnumerationResult(kept, len(kept))
+    kept = tuple(filter(any, res.matrices))
+    return cs.EnumerationResult(res.shape, kept, len(kept))
 
 
 # ---------------------------------------------------------------------------
@@ -182,9 +182,9 @@ def suite_core(budget: int) -> VerifyOutcome:
                 rep = penrose_check(a, x)
                 axa = _naive_mul(_naive_mul(a, x), a)
                 xax = _naive_mul(_naive_mul(x, a), x)
-                if rep.satisfies_1 != (axa == IntMatrix(m, n, a.entries)):
+                if rep.satisfies_1 != (axa == a):
                     bad += 1
-                elif rep.satisfies_2 != (xax == IntMatrix(n, m, x.entries)):
+                elif rep.satisfies_2 != (xax == x):
                     bad += 1
         if bad:
             out.fail("PenroseDefinition", f"shape {m}x{n}", bad, 0)
@@ -204,7 +204,7 @@ def suite_core(budget: int) -> VerifyOutcome:
                 for u in us:
                     ua = u.apply_left(a)
                     for v in vs:
-                        uav = IntMatrix.from_rows(v.apply_right(ua).row_tuples())
+                        uav = v.apply_right(ua)
                         moved = penrose_check(uav, transform_inverse(x, u, v))
                         if (
                             moved.satisfies_1 != base.satisfies_1
@@ -398,7 +398,7 @@ def suite_inner(budget: int) -> VerifyOutcome:
                 a_, b_, c_ - 1, d_,
             )
         )
-    if {m.entries for m in members} == expected:
+    if set(members.matrices) == expected:
         out.record(True)
     else:
         out.fail("Thm5.16", "star graph incidence transpose", members.count, len(expected))
@@ -542,10 +542,10 @@ def suite_outer(budget: int) -> VerifyOutcome:
         a = TernaryMatrix.from_rows([r + (0,) for r in b.row_tuples()])
         if a.rows * a.cols > budget:
             break
-        for x in cs.brute_force_inverses(a, "2", cell_budget=budget):
-            xr = x.row_tuples()
-            x1 = IntMatrix.from_rows(xr[:2])
-            x2 = IntMatrix.from_rows(xr[2:])
+        for x in cs.brute_force_inverses(a, "2", cell_budget=budget).matrices:
+            # X is 3x2: rows 1-2 are X1, row 3 is X2
+            x1 = IntMatrix(2, 2, x[:4])
+            x2 = IntMatrix(1, 2, x[4:])
             checked += 1
             if multiply(multiply(x1, b), x1) != x1:
                 bad += 1

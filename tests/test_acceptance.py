@@ -56,8 +56,8 @@ def oracle(a, spec, **kw):
 
 def oracle_nonzero(a, spec, **kw):
     res = oracle(a, spec, **kw)
-    kept = tuple(m for m in res if any(m.entries))
-    return cs.EnumerationResult(kept, len(kept))
+    kept = tuple(filter(any, res.matrices))
+    return cs.EnumerationResult(res.shape, kept, len(kept))
 
 
 def type_ii(m, n1, n2, sign=1):

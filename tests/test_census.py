@@ -11,6 +11,7 @@ from bohemian import families as fam
 from bohemian.matrices import (
     DomainError,
     IntMatrix,
+    ShapeError,
     TernaryMatrix,
     exact_rank,
     identity,
@@ -125,10 +126,12 @@ def _assert_scan_matches(
             )
             got = cs.brute_force_inverses(a, spec, population, rank)
             if serialized:
-                want_text = cs.EnumerationResult(want, len(want)).serialize()
+                want_text = cs.EnumerationResult(
+                    (a.cols, a.rows), tuple(x.entries for x in want), len(want)
+                ).serialize()
                 assert got.serialize() == want_text, (a, spec, population, rank)
             else:
-                assert got.matrices == want and got.count == len(want), (
+                assert tuple(got) == want and got.count == len(want), (
                     a, spec, population, rank,
                 )
             if rank in count_ranks:
@@ -251,6 +254,49 @@ class TestSumConstrained:
         assert entries == sorted(entries)
 
 
+class TestResultBoundary:
+    """Results hold entry tuples; members are built, and checked, only
+    where a caller iterates a result or asks for its set or JSON."""
+
+    def test_members_are_entry_tuples(self):
+        res = cs.brute_force_inverses(M([[1, -1]]), "1")
+        assert res.shape == (2, 1)
+        assert res.matrices == ((0, -1), (1, 0))
+        assert list(res) == [IntMatrix(2, 1, (0, -1)), IntMatrix(2, 1, (1, 0))]
+        assert res.as_set() == frozenset(res)
+        assert res.to_json() == {"count": 2, "matrices": [[[0], [-1]], [[1], [0]]]}
+
+    def test_non_integer_entry_raises_on_iteration(self):
+        res = cs.EnumerationResult((1, 2), ((1, 0), (0, 0.5)), 2)
+        with pytest.raises(DomainError):
+            list(res)
+        with pytest.raises(DomainError):
+            res.as_set()
+
+    def test_wrong_length_entry_tuple_raises_on_iteration(self):
+        res = cs.EnumerationResult((2, 2), ((1, 0, 0, 1), (1, 0, 1)), 2)
+        with pytest.raises(ShapeError):
+            list(res)
+        with pytest.raises(ShapeError):
+            res.to_json()
+
+    def test_count_only_result(self):
+        res = cs.brute_force_inverses(ones(2, 2), "1", count_only=True)
+        assert res.matrices is None and res.shape == (2, 2)
+        with pytest.raises(DomainError):
+            iter(res)
+        with pytest.raises(DomainError):
+            res.as_set()
+        assert res.serialize() == f"count: {res.count}\n"
+        assert res.to_json() == {"count": res.count}
+
+    def test_empty_stream_serializes_to_count_zero(self):
+        res = cs.brute_force_inverses(ones(1, 2), "1", population=cs.Population((0,)))
+        assert res.matrices == () and res.count == 0
+        assert res.serialize() == "count: 0\n"
+        assert cs.EnumerationResult((3, 2), (), 0).serialize() == "count: 0\n"
+
+
 class TestMaterializeAndCompare:
     def test_family_matches_oracle(self):
         fml = fam.inner_full_type_I(2, 2)
@@ -271,6 +317,17 @@ class TestMaterializeAndCompare:
         text = res.serialize()
         assert text.endswith("count: 2\n")
         assert text.count("\n\n") == 2
+
+    def test_set_equal_takes_a_result_and_a_list_together(self):
+        res = cs.brute_force_inverses(M([[1, -1]]), "1")
+        assert cs.set_equal(res, list(res)).equal
+        assert cs.set_equal(list(res), res).equal
+        cmpres = cs.set_equal(res, [M([[1], [0]]), M([[1], [1]])])
+        assert cmpres.only_in_a == (IntMatrix(2, 1, (0, -1)),)
+        assert cmpres.only_in_b == (IntMatrix(2, 1, (1, 1)),)
+        assert cmpres.to_json() == {
+            "equal": False, "only_in_a": [[[0], [-1]]], "only_in_b": [[[1], [1]]],
+        }
 
     @given(ternary_matrices(max_rows=2, max_cols=2))
     @settings(max_examples=30)

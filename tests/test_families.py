@@ -36,8 +36,8 @@ def oracle(a, spec, **kw):
 
 def oracle_nonzero(a, spec, **kw):
     res = oracle(a, spec, **kw)
-    kept = tuple(m for m in res if any(m.entries))
-    return cs.EnumerationResult(kept, len(kept))
+    kept = tuple(filter(any, res.matrices))
+    return cs.EnumerationResult(res.shape, kept, len(kept))
 
 
 class TestInnerTypeI:
@@ -52,7 +52,7 @@ class TestInnerTypeI:
 
     def test_one_by_two(self):
         got = members(fam.inner_full_type_I(1, 2))
-        assert got.matrices[0].shape == (2, 1)
+        assert next(iter(got)).shape == (2, 1)
         assert {m.entries for m in got} == {(1, 0), (0, 1)}
 
 

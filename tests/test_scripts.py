@@ -41,3 +41,15 @@ class TestGapReport:
             assert union == formula
             assert int(missing) == int(census) - int(union)
             assert structural == "True"
+
+
+class TestStreamDigest:
+    def test_max_cells_4_digests(self):
+        # every `bohemian inverses` output on inputs of at most 4 cells, in
+        # oracle and theorem mode, pinned byte for byte through its sha256
+        out = run_script("stream_digest.py", "--max-cells", "4")
+        assert out == (
+            "cases: 6820\n"
+            "oracle: 735a01642e487c63a66ec5c3020c1d9df8f2c382350c0fa5f54d62b9f342774c\n"
+            "theorem: 7a3820d5a8b90240c2e8a0eb627a68c3d2d5d6d6b2e3daf58850f6dbaf1a518b\n"
+        )
