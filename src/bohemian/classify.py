@@ -147,13 +147,7 @@ class RankOneFactorization:
 
     def v_factor(self) -> SignedPermutation:
         """D2 @ P2 as a single signed permutation."""
-        k = len(self.p2)
-        perm = [0] * k
-        signs = [1] * k
-        for t, (c, s) in enumerate(zip(self.p2, self.d2)):
-            perm[c] = t
-            signs[c] = s
-        return SignedPermutation(tuple(perm), tuple(signs))
+        return SignedPermutation(self.p2, self.d2).transpose()
 
     def reassemble(self) -> TernaryMatrix:
         m, n = len(self.p1), len(self.p2)

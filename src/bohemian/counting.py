@@ -157,18 +157,10 @@ class CardinalityReport:
 
 #: formula id -> (parameter names, evaluator); the CLI dispatches on this.
 FORMULAS = {
-    "count_sum_t": (("n", "t"), lambda n, t: count_sum_t(n, t)),
+    "count_sum_t": (("n", "t"), count_sum_t),
     "inner_type_I": (("m", "n"), inner_count_full_type_I),
-    "outer_type_I": (
-        ("m", "n", "include_zero"),
-        lambda m, n, include_zero=False: outer_count_full_type_I(m, n, include_zero),
-    ),
-    "outer_type_III": (
-        ("m", "n1", "n2", "include_zero"),
-        lambda m, n1, n2, include_zero=False: outer_count_full_type_III(
-            m, n1, n2, include_zero
-        ),
-    ),
+    "outer_type_I": (("m", "n", "include_zero"), outer_count_full_type_I),
+    "outer_type_III": (("m", "n1", "n2", "include_zero"), outer_count_full_type_III),
     "natural_pop": (
         ("m", "n", "zero_in_pop"),
         lambda m, n, zero_in_pop=False: outer_count_natural_pop(m, n, zero_in_pop),

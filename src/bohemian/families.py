@@ -17,6 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache
+from itertools import accumulate
 from typing import Iterable, Sequence, Union
 
 from .classify import _row_classes
@@ -580,44 +581,47 @@ def _padded(vec: Sequence[int], offset: int, total: int) -> tuple[int, ...]:
     return tuple(out)
 
 
+def _rank_one_terms(
+    blocks: Sequence[TernaryMatrix], col_offsets: Sequence[int], n: int
+) -> tuple:
+    """Terms of a rank-one outer family over stacked row blocks, block i
+    sitting at column col_offsets[i] of n: a rank-one block gives one padded
+    (u, v) term, any other block one unit term per row."""
+    m = sum(b.rows for b in blocks)
+    terms = []
+    roff = 0
+    for b, coff in zip(blocks, col_offsets):
+        try:
+            u, v = _rank_one_uv(b)
+            pairs = [(_padded(u, roff, m), v)]
+        except DomainError:
+            pairs = [
+                (_padded((1,), roff + r, m), row)
+                for r, row in enumerate(b.row_tuples())
+            ]
+        terms.extend(
+            (_form_from_vector(q), _form_from_vector(_padded(p, coff, n)))
+            for q, p in pairs
+        )
+        roff += b.rows
+    return tuple(terms)
+
+
 def outer_rank1_block_diagonal(blocks: Sequence[TernaryMatrix]) -> InverseFamily:
     """Rank-one outer inverses of a block-diagonal matrix: the per-block
     bilinear contributions sum to one."""
     if not blocks:
         raise DomainError("at least one block required")
-    ms = [b.rows for b in blocks]
-    ns = [b.cols for b in blocks]
-    m, n = sum(ms), sum(ns)
-    terms = []
-    roff = 0
-    coff = 0
-    for b in blocks:
-        if not any(b.entries):
-            raise DomainError("blocks must be nonzero")
-        try:
-            u, v = _rank_one_uv(b)
-            terms.append(
-                (
-                    _form_from_vector(_padded(u, roff, m)),
-                    _form_from_vector(_padded(v, coff, n)),
-                )
-            )
-        except DomainError:
-            for r, row in enumerate(b.row_tuples()):
-                unit = _padded((1,), roff + r, m)
-                terms.append(
-                    (
-                        _form_from_vector(unit),
-                        _form_from_vector(_padded(row, coff, n)),
-                    )
-                )
-        roff += b.rows
-        coff += b.cols
+    if not all(any(b.entries) for b in blocks):
+        raise DomainError("blocks must be nonzero")
+    row_bounds = tuple(accumulate((b.rows for b in blocks), initial=0))
+    col_bounds = tuple(accumulate((b.cols for b in blocks), initial=0))
+    m, n = row_bounds[-1], col_bounds[-1]
     body = RankOneProductFamily(
         (n, m),
-        q_partition=tuple([0] + [sum(ms[: i + 1]) for i in range(len(ms))]),
-        p_partition=tuple([0] + [sum(ns[: i + 1]) for i in range(len(ns))]),
-        terms=tuple(terms),
+        q_partition=row_bounds,
+        p_partition=col_bounds,
+        terms=_rank_one_terms(blocks, col_bounds, n),
     )
     return InverseFamily("Thm5.10", "{2}_1", (n, m), body)
 
@@ -630,30 +634,13 @@ def outer_rank1_row_partitioned(blocks: Sequence[TernaryMatrix]) -> InverseFamil
     n = blocks[0].cols
     if any(b.cols != n for b in blocks):
         raise ShapeError("blocks must share their column count")
-    ms = [b.rows for b in blocks]
-    m = sum(ms)
-    terms = []
-    roff = 0
-    for b in blocks:
-        try:
-            u, v = _rank_one_uv(b)
-            terms.append(
-                (_form_from_vector(_padded(u, roff, m)), _form_from_vector(v))
-            )
-        except DomainError:
-            for r, row in enumerate(b.row_tuples()):
-                terms.append(
-                    (
-                        _form_from_vector(_padded((1,), roff + r, m)),
-                        _form_from_vector(row),
-                    )
-                )
-        roff += b.rows
+    row_bounds = tuple(accumulate((b.rows for b in blocks), initial=0))
+    m = row_bounds[-1]
     body = RankOneProductFamily(
         (n, m),
-        q_partition=tuple([0] + [sum(ms[: i + 1]) for i in range(len(ms))]),
+        q_partition=row_bounds,
         p_partition=(0, n),
-        terms=tuple(terms),
+        terms=_rank_one_terms(blocks, [0] * len(blocks), n),
     )
     return InverseFamily("OuterRank1RowBlocks", "{2}_1", (n, m), body)
 

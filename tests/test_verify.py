@@ -1,0 +1,105 @@
+"""Pinned `bohemian verify` output.
+
+Each row records the exit code and the sha256 of stdout of
+``bohemian verify --suite SUITE --budget BUDGET [--allow-known-gaps]``.
+Any change to which cases run, how they are labelled, or what they find
+changes a digest; a deliberate change re-records the table.
+"""
+
+from __future__ import annotations
+
+import hashlib
+
+import pytest
+
+from bohemian.cli import main
+
+# suite budget allow_known_gaps exit_code sha256(stdout)
+PINNED = """
+core 0 0 0 71f77e4da0637ea4aeb0a4393be2a3f48ff5615603f39c2f671d529f9933c8e0
+core 0 1 0 dfb9ade4eca2786c43f5fff1274e30759e95ef7e010bc3cb1a74873fa7a8555e
+core 1 0 0 2b4f6023d74cedb62d20012ef9b65fa972687597a45beb412f355df325bfaa3f
+core 1 1 0 5b4e148b078d3a5fe96eb7d686e7884bd08a12f9318e5eb00b1349a9629f26d6
+core 2 0 0 4f5a6f840255bb2d5db3a29c6247b1ffbc3d631e46f3ad255838467d0adcbbe8
+core 2 1 0 b973357556df3ea0dc5152bb1f6de869f1397e2141b55134cb9b7a261c9a838d
+core 3 0 0 aabfbe0f726a3e24778cc3dcf70fcb96e883251e57f0adfac9c0528a8feb6cbc
+core 3 1 0 4be825a800edab10f4caa006e5fd7c7ea3d2552936edf134d6d8b4c3d7ab3160
+core 4 0 0 fda00f4312a63c698e8bf2dd9e135c5ee47fbebb856d298c390f98c797935df8
+core 4 1 0 9f91f6bb3276ce744dcaa640ca401619c374f42bde1025324a702cfce54f706c
+core 5 0 0 ba866bf8046aff8b62212cc192125aee60cf0004487f7bfb54e45d2d65e9effd
+core 5 1 0 9fbcf084dd9b650e86f2c912e9105cb80fbca14e8b2e21438f2f1495e20c645b
+core 6 0 0 04eca0d87db80cbda98f7465495d963ac0324ea9080a1c732b5a9c4cd23fea93
+core 6 1 0 8441c8049044c6c5238ebcac107f99e8f8d5a825763d00416d6841141dc625f8
+core 7 0 0 820b27ea77b827217d35ae45fde929d57d6c91b43e3e464bcb11cf563b0d547f
+core 7 1 0 ba85f08aca338ee4c85689b85242ad9b3f91655acbd7ca32081fcf8170b6adbd
+counts 0 0 0 5a8dcdd9428241ae83b02de59c9f2144e430d11a1eab6ed2c3758c02d5f0ee97
+counts 0 1 0 0cb255a08b2a9e0e15c54efcf15cdd97d787606543700f74da4b29965b261077
+counts 1 0 0 c70a628cba1aa6842cc54d8403b003b98b32ce5857268e0a0b3b87c80373c5df
+counts 1 1 0 edb0c10ba4c4220544fca15ee13479a1720adb495125c3ffb5f033378c65d6cc
+counts 2 0 0 cb76fa0f1f9480d518c640c7eed6aa66da35f447dce2a8387c5fbfa1f1eddf93
+counts 2 1 0 4071c0e5fe6480eebc51446a2284d6c987bfc156e7dbcce5b178fee89406a42c
+counts 3 0 0 6e53ec65fb755743c3de61b233e38780e0b8f35adac2c553a69be938177e90be
+counts 3 1 0 3b50f5a4611ee528a4fa0dc08d7237fa58b8286219b584027d8bc0d28bdc3a9f
+counts 4 0 0 a2bbf432189521f1d4e22d7eee6c42fa8e69b8f972dc7fe77f1d9039b526e516
+counts 4 1 0 379f20edcc0c2aa1a1db9c87b7be93e49a4605f44cfc7767affdea3598354751
+counts 5 0 0 0d1665283f287ae495f00383284c723468388c976304c91dfaa22459db13cd42
+counts 5 1 0 d130a880271f77be3494a80fa1f4f240da8d8a6a1be71f5e6ce9db9d38d73cab
+counts 6 0 0 173bde2223e8b912b411658d470968eb13af4873a40056e8a79166aaa13caa22
+counts 6 1 0 3c760ee46dcc8bc52ff286cb517490d0ce677ccee4d9a89a13e287d3bc50dddb
+counts 7 0 0 e03b38c5f7d0ad90f1dc9506eb0285c931f78352c2f47b3ad4d3e4e1e337ffbf
+counts 7 1 0 d2640f35fa5cc68fcb2b56154c20dc5277d2c335402d9d79227623bbb113cbf2
+inner 0 0 0 2bc35c556f1ad87de3c82a02c450d87cb8536f2deb35afae1a15de3ecb807819
+inner 0 1 0 47b21f9f66a1e049ba0617341c226118f9a58b1db625c6316d261ed8bdcae6df
+inner 1 0 0 0744b4b674f7ad03b45444b51e8ea4ed9fc4690a2360e3a7b4ca0983ca82b36a
+inner 1 1 0 25d2e51bc5d86fde0c1f08952a5a15aa407c26a191209ca4ec1d2c4e88cd0e3f
+inner 2 0 0 7d5e0dbcd02f968d25282b02d972600cd97dd2b963ad9b40e8bd82e74d02fc45
+inner 2 1 0 b624551c5164d89c21a8e615d60ee8216536ff522ef087f8b168be2d2f6439d0
+inner 3 0 0 84e91f992b000e9933383a9ea7087492b385042cfac57325a43c363fe63b7103
+inner 3 1 0 5d0b5247d1b1b85758d2768e5ce99c64b418a38de68dd7f615f54d014447937a
+inner 4 0 0 e274451fe60a1848d210cd170c384c986ffc2a8a56c6b00da66c5ab0c98e2012
+inner 4 1 0 76065b2bd66ae44499b6134cd976f744816c898432133d16f9fdc74efc8f7eb1
+inner 5 0 0 9f5a26c8d572b12d6fdaba832a9a5cbe7ba0417188894f0ee8e3a25651b49158
+inner 5 1 0 fa1a043a0f3dd06ae902ad641ad3df18233d8f82f6bc630d50a94484d96071d6
+inner 6 0 0 3f59dac4041aadf072d72f58fb84a364a153cb0d906662843701923743352e44
+inner 6 1 0 5fabeea372c6f7bf35d9ca1b3f881952f8174c9013660fa8cb888f083f2a155d
+inner 7 0 0 2d6728d7253ea9bfa6a57e8dbc1da46643d0915956af9c09718fd23ff9a2ed75
+inner 7 1 0 05cd0c3b72b29556e8aa03f872258542297ec27e2b5ef7fb9f94984bc519ce43
+outer 0 0 1 99ed89e5a624d12167adc1020f4d6bab7aa5408282873a43c70d1a6cf95a7ef4
+outer 0 1 0 8c218cadc938a467a4ce1e5f19a4a68405dbf2650a36486c55e3a2715e3eca5f
+outer 1 0 1 723c0f2f7b2d1991716f96ad9339a7964fbfc16ae16f380f1298652f6344a003
+outer 1 1 0 6bcd5d3978bf0dc41b98f861c673d78d2493af5f93700eea187b930f5415c901
+outer 2 0 1 9b1d97e4ab4335a477b7782605eb3d816bdd82da7278465395e18ad26f4e0d0b
+outer 2 1 0 5b3442991b301aa4ab18df3ee5823df948f26699257d5cccef7bca6cc98c0b6d
+outer 3 0 1 4ab2f3125a1496a1f810a83148fa1ea1f1c3b94a1c2bb7ec6b6377987cd0a6e5
+outer 3 1 0 ff6d22422289f597b240ea3a8292a72249563e47bae100ffce725dba64a2d218
+outer 4 0 1 b7a6055670ec9c7f7fd154f6924bedc5eb6c05b1085b22d400e94aaf6d277a0b
+outer 4 1 0 97bca322bec68b67c5752f5300d0466774661f26398369c1d256b050fca0373c
+outer 5 0 1 e797171931dc5e3bdb61c5f39d04f52176c68a3ad8331f9953f289dbcd7bb2cb
+outer 5 1 0 c08dc9e018cdc1bea15e1803fadbb23182685ffe0f2a86d0c617c74d04572757
+outer 6 0 1 7f4d111197552f586682784c0b6f81910d508194a072c24e242c9b5c2c9bcc89
+outer 6 1 0 b34c75cc865e7a41e1650c0efb5d52079ed9f9590ffa4b43e4d11fdcbb034db1
+outer 7 0 1 9a4c56a8578fdd1fdc1bd9a5d79368822761ebea49c6a17e80d91fb6707a754c
+outer 7 1 0 e0ac3dc14ff05bb6c21ea73cf83058eb7f2f62dbe076a6fd63230cdd6e95d8f5
+"""
+
+ROWS = {}
+for _line in PINNED.split("\n"):
+    if _line:
+        _suite, _budget, _flag, _code, _digest = _line.split()
+        ROWS.setdefault((_suite, _flag == "1"), []).append(
+            (int(_budget), int(_code), _digest)
+        )
+
+
+@pytest.mark.parametrize("suite,allow_known_gaps", sorted(ROWS))
+def test_verify_output_pinned(capsys, suite, allow_known_gaps):
+    mismatched = []
+    for budget, code, digest in ROWS[suite, allow_known_gaps]:
+        argv = ["verify", "--suite", suite, "--budget", str(budget)]
+        if allow_known_gaps:
+            argv.append("--allow-known-gaps")
+        got_code = main(argv)
+        got = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+        if (got_code, got) != (code, digest):
+            mismatched.append(budget)
+    assert mismatched == []
