@@ -498,20 +498,10 @@ def enumerate_sum_constrained(
 # family materialization
 
 def _by_form_values(forms, vectors) -> dict[tuple, list[tuple[int, ...]]]:
-    """The vectors grouped by the values of the forms on them.  Integral
-    coefficients are taken as ints, so only a truly fractional one brings
-    Fraction arithmetic in."""
-    spans = [
-        [
-            (int(c) if c.denominator == 1 else c, a, b)
-            for c, a, b in zip(f.coeffs, f.cuts, f.cuts[1:])
-            if c
-        ]
-        for f in forms
-    ]
+    """The vectors grouped by their dot products with the forms."""
     groups: dict[tuple, list[tuple[int, ...]]] = {}
     for vec in vectors:
-        key = tuple(sum(c * sum(vec[a:b]) for c, a, b in sp) for sp in spans)
+        key = tuple(sum(map(mul, f, vec)) for f in forms)
         groups.setdefault(key, []).append(vec)
     return groups
 
@@ -527,15 +517,15 @@ def _materialize_product(
     # every ternary rank-one matrix is p q^T with ternary factors, whatever
     # the population its entries are then filtered by; a pinned q_1 = 1
     # gives the same matrices as q_1 != 0, by (p, q) -> (-p, -q).  The
-    # forms are evaluated once per factor vector; the condition is then a
-    # dot product of the two value vectors, decided once per pair of
-    # distinct value vectors.
+    # products q . u and p . v are taken once per factor vector; the
+    # condition is then a dot product of the two value vectors, decided
+    # once per pair of distinct value vectors.
     n, m = body.shape
     values = TERNARY.values
     lead = (1,) if body.pinned_lead else values
-    p_groups = _by_form_values([pf for _, pf in body.terms], product(values, repeat=n))
+    p_groups = _by_form_values([v for _, v in body.terms], product(values, repeat=n))
     q_groups = _by_form_values(
-        [qf for qf, _ in body.terms], product(lead, *[values] * (m - 1))
+        [u for u, _ in body.terms], product(lead, *[values] * (m - 1))
     )
     seen: set[tuple[int, ...]] = set()
     for qv, qs in q_groups.items():

@@ -18,9 +18,10 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate
+from operator import mul
 from typing import Iterable, Sequence, Union
 
-from .classify import _row_classes
+from .classify import _class_terms
 from .matrices import (
     BlockPartition,
     DomainError,
@@ -129,68 +130,26 @@ class SumConstraintSystem:
 
 
 @dataclass(frozen=True)
-class BlockForm:
-    """Linear form on a vector: coefficients applied to block sums."""
-
-    cuts: tuple[int, ...]
-    coeffs: tuple[Fraction, ...]
-
-    def __post_init__(self):
-        if len(self.coeffs) != len(self.cuts) - 1:
-            raise ShapeError("one coefficient per block required")
-
-    @property
-    def length(self) -> int:
-        return self.cuts[-1]
-
-    def value(self, vec) -> Fraction:
-        total = Fraction(0)
-        for c, a, b in zip(self.coeffs, self.cuts, self.cuts[1:]):
-            if c:
-                total += c * sum(vec[a:b])
-        return total
-
-    def to_json(self) -> dict:
-        return {"cuts": list(self.cuts), "coeffs": [_rat_json(c) for c in self.coeffs]}
-
-
-def _form_from_vector(vec: Sequence[int]) -> BlockForm:
-    """Block form whose value is the inner product with vec, with blocks
-    given by maximal constant runs."""
-    bounds = [0]
-    run_val = None
-    for v in vec:
-        if run_val is None or v != run_val:
-            bounds.append(bounds[-1] + 1)
-            run_val = v
-        else:
-            bounds[-1] += 1
-    coeffs = tuple(_frac(vec[a]) for a in bounds[:-1])
-    return BlockForm(tuple(bounds), coeffs)
-
-
-@dataclass(frozen=True)
 class RankOneProductFamily:
     """Rank-one candidates X = p q^T with a bilinear condition equal to 1.
 
-    ``terms`` pairs a form on q with a form on p; membership requires the
-    sum of the paired products to be exactly 1.  The zero matrix is never a
-    member.  With ``pinned_lead`` the leading factor entry is q_1 = 1, as in
-    the paper's column-scaled form (X1 | l_1 X1 | ... | l_{m-1} X1), so
+    ``terms`` holds integer vector pairs (u, v), u as long as q and v as
+    long as p; membership requires sum (q . u)(p . v) to be exactly 1, the
+    condition q^T A p = 1 for A = sum u v^T.  The zero matrix is never a
+    member.  With ``pinned_lead`` the leading factor entry is q_1 = 1, as
+    in the paper's column-scaled form (X1 | l_1 X1 | ... | l_{m-1} X1), so
     every member has a nonzero first column.
     """
 
     shape: tuple[int, int]
-    q_partition: tuple[int, ...]
-    p_partition: tuple[int, ...]
-    terms: tuple[tuple[BlockForm, BlockForm], ...]
+    terms: tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]
     pinned_lead: bool = False
 
     kind = "rank_one_product"
 
-    def condition_value(self, p, q) -> Fraction:
+    def condition_value(self, p, q):
         return sum(
-            (qf.value(q) * pf.value(p) for qf, pf in self.terms), start=Fraction(0)
+            sum(map(mul, q, u)) * sum(map(mul, p, v)) for u, v in self.terms
         )
 
     def contains(self, x) -> bool:
@@ -216,14 +175,7 @@ class RankOneProductFamily:
         return self.condition_value(p, top) == lead
 
     def to_json(self) -> dict:
-        out = {
-            "q_partition": list(self.q_partition),
-            "p_partition": list(self.p_partition),
-            "terms": [
-                {"q_form": qf.to_json(), "p_form": pf.to_json()}
-                for qf, pf in self.terms
-            ],
-        }
+        out = {"terms": [{"q": list(u), "p": list(v)} for u, v in self.terms]}
         if self.pinned_lead:
             out["pinned_lead"] = True
         return out
@@ -448,14 +400,10 @@ def inner_S3(m1: int, m2: int, widths: Sequence[int]) -> InverseFamily:
 def _rank_one_uv(block: TernaryMatrix) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """Ternary outer-product factors (u, v) of a rank-one block, with v the
     sign-normalized first nonzero row."""
-    classes, zero_rows = _row_classes(block.row_tuples())
-    if len(classes) != 1:
+    terms = _class_terms(block, 1)
+    if terms is None:
         raise DomainError("block is not rank one")
-    rep, members = classes[0]
-    u = [0] * block.rows
-    for idx, sign in members:
-        u[idx] = sign
-    return tuple(u), rep
+    return terms[0]
 
 
 @lru_cache(maxsize=256)
@@ -550,12 +498,7 @@ def outer_rank_one_general(
     if not any(zeta) or not any(eta):
         raise DomainError("outer-product factors must be nonzero")
     m, n = len(zeta), len(eta)
-    body = RankOneProductFamily(
-        (n, m),
-        q_partition=_form_from_vector(zeta).cuts,
-        p_partition=_form_from_vector(eta).cuts,
-        terms=((_form_from_vector(zeta), _form_from_vector(eta)),),
-    )
+    body = RankOneProductFamily((n, m), ((zeta, eta),))
     return InverseFamily("Thm5.1", "{2}_1", (n, m), body)
 
 
@@ -599,10 +542,7 @@ def _rank_one_terms(
                 (_padded((1,), roff + r, m), row)
                 for r, row in enumerate(b.row_tuples())
             ]
-        terms.extend(
-            (_form_from_vector(q), _form_from_vector(_padded(p, coff, n)))
-            for q, p in pairs
-        )
+        terms.extend((u, _padded(v, coff, n)) for u, v in pairs)
         roff += b.rows
     return tuple(terms)
 
@@ -614,15 +554,9 @@ def outer_rank1_block_diagonal(blocks: Sequence[TernaryMatrix]) -> InverseFamily
         raise DomainError("at least one block required")
     if not all(any(b.entries) for b in blocks):
         raise DomainError("blocks must be nonzero")
-    row_bounds = tuple(accumulate((b.rows for b in blocks), initial=0))
-    col_bounds = tuple(accumulate((b.cols for b in blocks), initial=0))
-    m, n = row_bounds[-1], col_bounds[-1]
-    body = RankOneProductFamily(
-        (n, m),
-        q_partition=row_bounds,
-        p_partition=col_bounds,
-        terms=_rank_one_terms(blocks, col_bounds, n),
-    )
+    col_offsets = tuple(accumulate((b.cols for b in blocks), initial=0))
+    m, n = sum(b.rows for b in blocks), col_offsets[-1]
+    body = RankOneProductFamily((n, m), _rank_one_terms(blocks, col_offsets, n))
     return InverseFamily("Thm5.10", "{2}_1", (n, m), body)
 
 
@@ -634,14 +568,8 @@ def outer_rank1_row_partitioned(blocks: Sequence[TernaryMatrix]) -> InverseFamil
     n = blocks[0].cols
     if any(b.cols != n for b in blocks):
         raise ShapeError("blocks must share their column count")
-    row_bounds = tuple(accumulate((b.rows for b in blocks), initial=0))
-    m = row_bounds[-1]
-    body = RankOneProductFamily(
-        (n, m),
-        q_partition=row_bounds,
-        p_partition=(0, n),
-        terms=_rank_one_terms(blocks, [0] * len(blocks), n),
-    )
+    m = sum(b.rows for b in blocks)
+    body = RankOneProductFamily((n, m), _rank_one_terms(blocks, [0] * len(blocks), n))
     return InverseFamily("OuterRank1RowBlocks", "{2}_1", (n, m), body)
 
 

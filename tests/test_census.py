@@ -486,10 +486,9 @@ PRODUCT_FAMILIES = {
     "row-partitioned": fam.outer_rank1_row_partitioned(
         [M([[1, 1, 0]]), M([[1, -1, 1], [0, 1, 1]])]
     ),
-    # (q1 + q2) / 2 * 2 (p1 + p2) = 1, in Fraction
-    "frac-coeff": fam.InverseFamily("FracProduct", "{2}_1", (2, 2), fam.RankOneProductFamily(
-        (2, 2), (0, 2), (0, 2),
-        ((fam.BlockForm((0, 2), (Fraction(1, 2),)), fam.BlockForm((0, 2), (Fraction(2),))),),
+    # (q1 + q2)(p1 + p2) - q1 p2 = 1: two terms, no builder's pairing
+    "two-term": fam.InverseFamily("TwoTermProduct", "{2}_1", (2, 2), fam.RankOneProductFamily(
+        (2, 2), (((1, 1), (1, 1)), ((-1, 0), (0, 1))),
     )),
 }
 

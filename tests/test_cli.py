@@ -1,10 +1,15 @@
 from __future__ import annotations
 
+import contextlib
+import io
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bohemian import census as cs
+from bohemian import counting as ct
 from bohemian.cli import main
 from bohemian.matrices import parse_matrix, serialize_matrix
 
@@ -614,3 +619,139 @@ class TestUsage:
     def test_round_trip_canonical_file(self, tmp_path, capsys):
         text = "1 -1 0\n0 1 1\n"
         assert serialize_matrix(parse_matrix(text)) == text
+
+
+# ---------------------------------------------------------------------------
+# fuzzed argv: any input gets an exit code, never a traceback
+
+TRIT = st.sampled_from(("-1", "0", "1"))
+BAD_TOKEN = st.sampled_from(("2", "-2", "x", "-", "1.5", "+1", "--1", "1/2"))
+
+
+@st.composite
+def _matrix_text(draw):
+    """Matrix file text: mostly valid, else malformed, ragged or empty."""
+    rows = draw(st.integers(1, 3))
+    cols = draw(st.integers(1, 3))
+    grid = [[draw(TRIT) for _ in range(cols)] for _ in range(rows)]
+    kind = draw(st.sampled_from(("valid",) * 9 + ("malformed", "ragged", "empty")))
+    if kind == "malformed":
+        grid[draw(st.integers(0, rows - 1))][draw(st.integers(0, cols - 1))] = draw(BAD_TOKEN)
+    elif kind == "ragged":
+        grid.append(grid[0] + ["0"])
+    elif kind == "empty":
+        return draw(st.sampled_from(("", "\n\n", "# comment only\n", "   \n")))
+    return "".join(" ".join(row) + "\n" for row in grid)
+
+
+#: (good values, bad values) of the flags; integers are kept small so that
+#: every valid run is quick (binomial_identity_check grows like (mn)^3)
+SIZE = (st.integers(0, 4).map(str), st.sampled_from(("-1", "x", "", "1.5")))
+SUM = (st.integers(-5, 5).map(str), st.sampled_from(("x", "", "1.5")))
+BUDGET = (st.integers(0, 9).map(str), st.sampled_from(("-1", "x", "")))
+POPULATION = (
+    st.sampled_from(("0,1", "-1,0", "-1,0,1", "1", "0", "-1,1")),
+    st.sampled_from(("1,1", "a,b", "", "2,3", "1,,0", "-2,0")),
+)
+DIMS = (
+    st.sampled_from(("1x2", "1x2,2x1", "2x2,1x1", "1x1")),
+    st.sampled_from(("0x1", "1x2x3", "axb", "", "1x")),
+)
+
+
+def _choice(good, bad):
+    return (st.sampled_from(good), st.sampled_from(bad))
+
+
+def _flags(draw, options):
+    """argv for the (flag, values, required) options: a required flag is
+    almost always given, another one half the time; its value is bad one
+    time in ten, and attached with '=' or given as the next word.  values
+    is None for a switch."""
+    argv = []
+    for flag, values, required in options:
+        if draw(st.integers(0, 9)) < (9 if required else 5):
+            if values is None:
+                argv.append(flag)
+                continue
+            good, bad = values
+            value = draw(bad if draw(st.integers(0, 9)) == 0 else good)
+            argv += [f"{flag}={value}"] if draw(st.booleans()) else [flag, value]
+    return argv
+
+
+@st.composite
+def _argv(draw, path_of):
+    command = draw(st.sampled_from(("classify", "decompose", "inverses", "count", "identity")))
+    argv = [command]
+    if command in ("classify", "decompose", "inverses"):
+        which = draw(st.integers(0, 19))
+        if which == 0:
+            argv.append(path_of(None))  # a file that does not exist
+        elif which > 1:  # which == 1 leaves the matrix argument out
+            argv.append(path_of(draw(_matrix_text())))
+    if command == "decompose":
+        argv += _flags(draw, [
+            ("--form", _choice(("auto", "rank1", "uw", "gws"), ("lu", "")), False),
+        ])
+    elif command == "inverses":
+        argv += _flags(draw, [
+            ("--spec", _choice(("1", "2", "12"), ("21", "3", "")), True),
+            ("--mode", _choice(("oracle", "theorem"), ("census", "")), False),
+            ("--rank", SIZE, False),
+            ("--count-only", None, False),
+            ("--population", POPULATION, False),
+            ("--budget", BUDGET, False),
+        ])
+    elif command == "count":
+        argv += _flags(draw, [
+            ("--formula", _choice(sorted(ct.FORMULAS), ("nope", "")), True),
+            ("--n", SIZE, True),
+            ("--t", SUM, True),
+            ("--m", SIZE, True),
+            ("--n1", SIZE, True),
+            ("--n2", SIZE, True),
+            ("--dims", DIMS, True),
+            ("--include-zero", None, False),
+            ("--zero-in-pop", None, False),
+            ("--json", None, False),
+        ])
+    elif command == "identity":
+        argv += _flags(draw, [(f, SIZE, True) for f in ("--m", "--n1", "--n2")])
+    if draw(st.integers(0, 19)) == 0:
+        argv.append("--bogus")
+    return argv
+
+
+@pytest.fixture(scope="module")
+def matrix_files(tmp_path_factory):
+    """path_of(text): a file holding text, one file per distinct text;
+    path_of(None) is a path that does not exist."""
+    root = tmp_path_factory.mktemp("fuzz")
+    paths = {}
+
+    def path_of(text):
+        if text is None:
+            return str(root / "missing" / "a.txt")
+        if text not in paths:
+            paths[text] = root / f"m{len(paths)}.txt"
+            paths[text].write_text(text)
+        return str(paths[text])
+
+    return path_of
+
+
+@given(data=st.data())
+@settings(max_examples=400, deadline=None)
+def test_fuzzed_argv_exits_cleanly(matrix_files, data):
+    argv = data.draw(_argv(matrix_files), label="argv")
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse rejects the argv
+            code = exc.code
+    assert code in (0, 2, 3, 4), (argv, code, err.getvalue())
+    assert "Traceback" not in err.getvalue()
+    if code == 2:
+        assert err.getvalue(), argv

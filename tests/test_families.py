@@ -265,6 +265,50 @@ class TestOuterBlockFamilies:
         ).equal
 
 
+#: (family, the rows of its A written out by hand); the block-diagonal,
+#: row-partitioned and full-row-rank cases each hold a block of rank two
+PRODUCT_CASES = {
+    "general": (
+        fam.outer_rank_one_general((1, -1, 0), (0, 1, -1)),
+        [[0, 1, -1], [0, -1, 1], [0, 0, 0]],
+    ),
+    "typeI": (fam.outer_full_type_I(2, 3), [[1, 1, 1], [1, 1, 1]]),
+    "typeIII": (fam.outer_full_type_III(2, 2, 1), [[1, 1, 0], [1, 1, 0]]),
+    "block-diagonal": (
+        fam.outer_rank1_block_diagonal(
+            [M([[1, -1]]), M([[1, 0], [1, 1], [0, 0]])]
+        ),
+        [[1, -1, 0, 0], [0, 0, 1, 0], [0, 0, 1, 1], [0, 0, 0, 0]],
+    ),
+    "row-partitioned": (
+        fam.outer_rank1_row_partitioned(
+            [M([[1, 1, 0], [-1, -1, 0]]), M([[1, -1, 1], [0, 1, 1]])]
+        ),
+        [[1, 1, 0], [-1, -1, 0], [1, -1, 1], [0, 1, 1]],
+    ),
+    "full-row-rank": (
+        fam.outer_rank1_full_row_rank([(1, 1, 0), (0, 1, -1)]),
+        [[1, 1, 0], [0, 1, -1]],
+    ),
+}
+
+
+class TestProductConditionIsQAP:
+    """The bilinear condition of every rank-one product builder is q^T A p
+    for the A it was built from, on every pair of ternary factors."""
+
+    @pytest.mark.parametrize("name", sorted(PRODUCT_CASES))
+    def test_condition_value(self, name):
+        family, a = PRODUCT_CASES[name]
+        m, n = len(a), len(a[0])
+        assert family.shape == (n, m)
+        for p in product((-1, 0, 1), repeat=n):
+            ap = [sum(row[j] * p[j] for j in range(n)) for row in a]
+            for q in product((-1, 0, 1), repeat=m):
+                want = sum(q[i] * ap[i] for i in range(m))
+                assert family.body.condition_value(p, q) == want, (p, q)
+
+
 class TestColumnScaled:
     def test_identity_has_seven_members(self):
         fml = fam.outer_rank1_full_row_rank([(1, 0), (0, 1)])
@@ -432,7 +476,10 @@ class TestSerialization:
         assert rank1["pinned_lead"] is True
 
     def test_product_payload(self):
-        data = fam.outer_full_type_III(2, 1, 1).to_json()
-        assert data["kind"] == "rank_one_product"
-        assert "pinned_lead" not in data
-        assert data["shape"] == [2, 2]
+        assert fam.outer_full_type_III(2, 1, 1).to_json() == {
+            "theorem_id": "Thm5.5",
+            "spec": "{2}_1",
+            "shape": [2, 2],
+            "kind": "rank_one_product",
+            "terms": [{"q": [1, 1], "p": [1, 0]}],
+        }

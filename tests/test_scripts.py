@@ -53,3 +53,20 @@ class TestStreamDigest:
             "oracle: 735a01642e487c63a66ec5c3020c1d9df8f2c382350c0fa5f54d62b9f342774c\n"
             "theorem: 7a3820d5a8b90240c2e8a0eb627a68c3d2d5d6d6b2e3daf58850f6dbaf1a518b\n"
         )
+
+
+class TestCountTables:
+    def test_census_column_matches_formulas(self):
+        # every census cell the 9-cell budget fills equals the formula value
+        out = run_script("count_tables.py", "--max-cells", "9")
+        header, *rows = out.splitlines()
+        assert header == "formula_id,params,value,method,census"
+        filled = []
+        for row in rows:
+            formula, params, value, method, census = row.split(",")
+            assert method == "closed_form"
+            if census:
+                filled.append((formula, params))
+                assert census == value, row
+        assert len(filled) == 49
+        assert {f for f, _ in filled} == {"inner_type_I", "outer_type_I", "outer_type_III"}

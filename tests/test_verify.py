@@ -12,6 +12,7 @@ import hashlib
 
 import pytest
 
+from bohemian import verify as vf
 from bohemian.cli import main
 
 # suite budget allow_known_gaps exit_code sha256(stdout)
@@ -64,18 +65,18 @@ inner 6 0 0 3f59dac4041aadf072d72f58fb84a364a153cb0d906662843701923743352e44
 inner 6 1 0 5fabeea372c6f7bf35d9ca1b3f881952f8174c9013660fa8cb888f083f2a155d
 inner 7 0 0 2d6728d7253ea9bfa6a57e8dbc1da46643d0915956af9c09718fd23ff9a2ed75
 inner 7 1 0 05cd0c3b72b29556e8aa03f872258542297ec27e2b5ef7fb9f94984bc519ce43
-outer 0 0 1 99ed89e5a624d12167adc1020f4d6bab7aa5408282873a43c70d1a6cf95a7ef4
-outer 0 1 0 8c218cadc938a467a4ce1e5f19a4a68405dbf2650a36486c55e3a2715e3eca5f
-outer 1 0 1 723c0f2f7b2d1991716f96ad9339a7964fbfc16ae16f380f1298652f6344a003
-outer 1 1 0 6bcd5d3978bf0dc41b98f861c673d78d2493af5f93700eea187b930f5415c901
-outer 2 0 1 9b1d97e4ab4335a477b7782605eb3d816bdd82da7278465395e18ad26f4e0d0b
-outer 2 1 0 5b3442991b301aa4ab18df3ee5823df948f26699257d5cccef7bca6cc98c0b6d
-outer 3 0 1 4ab2f3125a1496a1f810a83148fa1ea1f1c3b94a1c2bb7ec6b6377987cd0a6e5
-outer 3 1 0 ff6d22422289f597b240ea3a8292a72249563e47bae100ffce725dba64a2d218
-outer 4 0 1 b7a6055670ec9c7f7fd154f6924bedc5eb6c05b1085b22d400e94aaf6d277a0b
-outer 4 1 0 97bca322bec68b67c5752f5300d0466774661f26398369c1d256b050fca0373c
-outer 5 0 1 e797171931dc5e3bdb61c5f39d04f52176c68a3ad8331f9953f289dbcd7bb2cb
-outer 5 1 0 c08dc9e018cdc1bea15e1803fadbb23182685ffe0f2a86d0c617c74d04572757
+outer 0 0 1 efea8d8eb2cce9d8690ba203be2dde908414a7895805102066b11939db9c74ec
+outer 0 1 0 20eb54b3bef1bedf646dc58321f8ac043690b7f97ac5775cd51b3bb25b9e0a29
+outer 1 0 1 331c224950a0c7292c5a661c25124fb825e1df8851e3efba5e5838f8b2b5843d
+outer 1 1 0 68ea6de6a6b0188205350516e9a97c8922e9f4d8a2eec6a56d45cd615b82e241
+outer 2 0 1 0260c6304926cd395b13f8776351e0963235f15cc6e2b756e191c3d0279323a2
+outer 2 1 0 dcb90b446939010e2156c9169057225867b05a4b9c78ca5921091f3079e38426
+outer 3 0 1 e469dd889a77c9c31c04de1fb2954701c832121ac323f8881bbecd8c26870a9e
+outer 3 1 0 d6c2cb1c65776e47cf750468548d80cb40a337636e15f5ed9f5fbf7f3e9d2322
+outer 4 0 1 20f8e85686264994d7b8e9326324d34b5d52590c35b423b22f78dc759f74fd62
+outer 4 1 0 c03191b8aafca059c54966a745df96a5723d0a0d71967131f35529bb0f78565d
+outer 5 0 1 6043c5c968316f855baf244c13021eecc8cb0cc5e8b425b045805d47da22a65c
+outer 5 1 0 2ea02174b2d1b10b5d30395e0a9587594432278a3b6992934ff886de5adb0762
 outer 6 0 1 7f4d111197552f586682784c0b6f81910d508194a072c24e242c9b5c2c9bcc89
 outer 6 1 0 b34c75cc865e7a41e1650c0efb5d52079ed9f9590ffa4b43e4d11fdcbb034db1
 outer 7 0 1 9a4c56a8578fdd1fdc1bd9a5d79368822761ebea49c6a17e80d91fb6707a754c
@@ -103,3 +104,13 @@ def test_verify_output_pinned(capsys, suite, allow_known_gaps):
         if (got_code, got) != (code, digest):
             mismatched.append(budget)
     assert mismatched == []
+
+
+def test_outer_skips_lemma_2_4_below_its_cells():
+    # the 2x3 zero-column stacks of Lemma 2.4 need 6 cells of budget;
+    # below that only the two known-gap cases run
+    out = vf.suite_outer(0)
+    assert out.cases_run == 2
+    assert [d.theorem_id for d in out.discrepancies] == [
+        "OuterRank1FullRowRank", "Thm5.19",
+    ]
