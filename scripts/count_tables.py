@@ -13,7 +13,7 @@ from bohemian.matrices import TernaryMatrix, ones
 
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__)
-    ap.add_argument("--max-cells", type=int, default=12,
+    ap.add_argument("--max-cells", type=int, default=16,
                     help="census cell budget for the cross-check column")
     ap.add_argument("--no-census", action="store_true",
                     help="skip the census column (formulas only)")
@@ -25,7 +25,9 @@ def main() -> int:
         cells = a.rows * a.cols
         if args.no_census or cells > args.max_cells:
             return ""
-        res = cs.brute_force_inverses(a, spec, cell_budget=cells)
+        res = cs.brute_force_inverses(
+            a, spec, cell_budget=cells, count_only=not nonzero
+        )
         if nonzero:
             return str(sum(map(any, res.matrices)))
         return str(res.count)
@@ -37,7 +39,7 @@ def main() -> int:
 
     inner_grid = [(m, n) for m in range(1, 10) for n in range(1, 10) if m * n <= 9]
     inner_grid += [
-        (m, n) for m in range(1, 13) for n in range(1, 13) if 9 < m * n <= 12
+        (m, n) for m in range(1, 17) for n in range(1, 17) if 9 < m * n <= 16
     ]
     for m, n in inner_grid:
         rep = ct.evaluate_formula("inner_type_I", m=m, n=n)

@@ -5,12 +5,16 @@ equations for every candidate matrix by exact integer comparison, in a
 fixed odometer order (row-major, last entry varying fastest, population
 values ascending), so identical tasks always produce identical streams.
 It uses only the ``matrices`` kernel, never the characterized families it
-checks.  The scan shares work across candidates only through row tables
-built once per A: every population row x and its product x A, and for
-AXA = A the per-row terms A[:, k] (x A), of which there are |P|^min(m, n)
-each because a taller-than-wide A is scanned as its transpose.  Nesting
-over the rows of X with running partial sums then leaves one tuple
-comparison per candidate.
+checks.  The scan shares work across candidates only through tables built
+once per A: every population row x and its product x A, and for AXA = A
+the per-row terms A[:, k] (x A), of which there are |P|^min(m, n) each
+because a taller-than-wide A is scanned as its transpose.  AXA = A is the
+sum of one term per row of X, so it is decided by a hash join: the sums
+of the terms of the last half of the rows are tabulated with the index
+tuples giving them, and each choice of the first half, walked with
+running partial sums, is one lookup of what is left of vec(A).  XAX = X
+is decided on one row by a lookup of the last row in an index of the
+scaled rows, then row by row.
 
 Constraint-guided enumeration and family materialization live here too;
 their outputs are canonically sorted so theorem-versus-oracle comparisons
@@ -31,9 +35,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain, compress, cycle, product
+from itertools import chain, compress, cycle, product, repeat
 from math import lcm
-from operator import itemgetter, mul, sub
+from operator import add, itemgetter, mul, sub
 from typing import Iterator, Optional
 
 from .families import (
@@ -45,6 +49,7 @@ from .families import (
 from .matrices import (
     DomainError,
     IntMatrix,
+    ResourceLimitError,
     TernaryMatrix,
     _product_rows,
     _row_rank,
@@ -52,10 +57,6 @@ from .matrices import (
 )
 
 DEFAULT_CELL_BUDGET = 16
-
-
-class ResourceLimitError(RuntimeError):
-    """An enumeration would exceed the configured cell budget."""
 
 
 @dataclass(frozen=True)
@@ -165,16 +166,20 @@ def brute_force_inverses(
     both), optionally restricted to an exact rank, in odometer order.
     Refuses scans beyond the cell budget instead of truncating.
 
-    Every candidate meets an exact comparison of integer tuples computed
-    from its own entries: for AXA = A that comparison is the whole
-    equation (``_inner_hits``); for XAX = X it is one row of it
-    (``_outer_hits``), and the candidates passing it are checked row by
-    row (``_outer_holds``).  Spec 12 runs the XAX = X check on the AXA = A
-    hits.  Only the per-row parts of the products are shared, tabulated
-    once per A.  A taller-than-wide A is scanned as A^T, whose inverses
-    are the transposes of A's with the same ranks, so every table has at
-    most |P|^min(m, n) rows.  Ranks are taken, and entry tuples made, for
-    hits only.
+    AXA = A is a sum of one term per row of X, and ``_inner_hits``
+    decides it by a hash join: the term sums of the last half of the rows
+    are tabulated once, and each first half is one dictionary lookup of
+    vec(A) minus its own sum, which yields every completing last half in
+    odometer order; a count-only run without a rank filter adds up the
+    sizes of those buckets.  For XAX = X, ``_outer_hits`` decides one row
+    of the equation by a lookup of the last row of X in an index of the
+    scaled rows, and the candidates passing it are checked row by row
+    (``_outer_holds``).  Spec 12 runs the XAX = X check on the AXA = A
+    hits.  Only per-row parts of the products are shared, tabulated once
+    per A.  A taller-than-wide A is scanned as A^T, whose inverses are the
+    transposes of A's with the same ranks, so every table of rows has at
+    most |P|^min(m, n) entries.  Ranks are taken, and entry tuples made,
+    for hits only.
     """
     spec = normalize_spec(spec)
     cells = a.rows * a.cols
@@ -190,6 +195,9 @@ def brute_force_inverses(
         ar = tuple(zip(*ar))
     rows = tuple(product(population.values, repeat=len(ar)))
     ra = _product_rows(rows, ar)
+    shape = (a.cols, a.rows)
+    if spec == "1" and rank_filter is None and count_only:
+        return EnumerationResult(shape, None, sum(_inner_hits(ar, ra, count_only=True)))
     if "1" in spec:
         hits = _inner_hits(ar, ra)
     else:
@@ -199,7 +207,6 @@ def brute_force_inverses(
     if rank_filter is not None:
         # X and the scanned rows (X or X^T) have the same rank
         hits = (idx for idx in hits if _row_rank([rows[i] for i in idx]) == rank_filter)
-    shape = (a.cols, a.rows)
     if count_only:
         return EnumerationResult(shape, None, sum(1 for _ in hits))
     if flip:
@@ -212,50 +219,76 @@ def brute_force_inverses(
     return EnumerationResult(shape, tuple(found), len(found))
 
 
-def _nested_scan(n, size, start, step, leaf) -> Iterator[tuple[int, ...]]:
-    """Index tuples (r_0, ..., r_{n-1}) into a row table of ``size`` rows,
-    in odometer order, one nesting depth per row of X.
+def _nested_scan(n, size, start, step, leaf) -> Iterator:
+    """What ``leaf(prefix, state)`` yields for every index tuple ``prefix``
+    = (r_0, ..., r_{n-2}) into a row table of ``size`` rows, in odometer
+    order, one nesting depth per row of X before the last.
 
-    ``step(state, depth, r)`` carries a state past row ``depth``;
-    ``leaf(state)`` yields the last-row indices that pass, given the state
-    after all earlier rows.
+    ``step(state, depth, r)`` carries a state past row ``depth``; the leaf
+    decides row n - 1 and whatever follows it, given the state after all
+    earlier rows.
     """
     indices = range(size)
     if n == 1:
-        return ((r,) for r in leaf(start))
+        return leaf((), start)
 
     def descend(depth, state, prefix):
         for r in indices:
             nxt = step(state, depth, r)
             if depth == n - 2:
-                for last in leaf(nxt):
-                    yield prefix + (r, last)
+                yield from leaf(prefix + (r,), nxt)
             else:
                 yield from descend(depth + 1, nxt, prefix + (r,))
 
     return descend(0, start, ())
 
 
-def _inner_hits(ar, ra) -> Iterator[tuple[int, ...]]:
-    """Row-table indices of the X with AXA = A, for an m x n A with m <= n.
+def _inner_hits(ar, ra, count_only=False) -> Iterator:
+    """Row-table indices of the X with AXA = A, for an m x n A with m <= n,
+    or with ``count_only`` the number of them, as a stream of partial
+    counts.
 
-    AXA = sum_k A[:, k] (x_k A), one term per row x_k of X.  The terms are
-    tabulated per row index and subtracted from vec(A) depth by depth, so
-    at the last row each candidate is one tuple comparison of its term
-    with what is left of vec(A).
+    AXA = sum_k A[:, k] (x_k A), one term per row x_k of X, tabulated per
+    row index.  The sums of the terms of the last n // 2 rows are
+    tabulated once, each with the index tuples that give it in odometer
+    order; the first n - n // 2 rows are walked with vec(A) minus their
+    running sum, so each prefix of X is one lookup of what is left.
     """
     n = len(ar[0])
     cols = tuple(zip(*ar))
     terms = [[tuple(c * e for c in cols[k] for e in xa) for xa in ra] for k in range(n)]
-    indices = range(len(ra))
+    target = tuple(chain.from_iterable(ar))  # vec(A)
+    head = n - n // 2
+    sums = [((), (0,) * len(target))]
+    for k in range(head, n):
+        sums = [(t + (r,), tuple(map(add, s, term)))
+                for t, s in sums for r, term in enumerate(terms[k])]
+    suffixes: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
+    for t, s in sums:
+        suffixes.setdefault(s, []).append(t)
+    get = suffixes.get
+    last = terms[head - 1]
+    no_suffix = repeat(())
 
     def step(rest, depth, r):
         return tuple(map(sub, rest, terms[depth][r]))
 
-    def leaf(rest):
-        return compress(indices, map(rest.__eq__, terms[-1]))
+    def buckets(rest):
+        # the suffixes completing each choice of row head - 1
+        return list(map(get, map(tuple, map(map, repeat(sub), repeat(rest), last)),
+                        no_suffix))
 
-    return _nested_scan(n, len(ra), tuple(e for row in ar for e in row), step, leaf)
+    def leaf(prefix, rest):
+        found = buckets(rest)
+        for r, bucket in compress(enumerate(found), found):
+            lead = prefix + (r,)
+            for t in bucket:
+                yield lead + t
+
+    def count_leaf(prefix, rest):
+        yield sum(map(len, buckets(rest)))
+
+    return _nested_scan(head, len(ra), target, step, count_leaf if count_only else leaf)
 
 
 def _outer_hits(rows, ra) -> Iterator[tuple[int, ...]]:
@@ -264,21 +297,30 @@ def _outer_hits(rows, ra) -> Iterator[tuple[int, ...]]:
 
     The row checked is x_p, the first nonzero row of X before the last:
     row p of XAX is sum_k (x_p A)_k x_k.  The sum over all but the last
-    row is carried as x_p minus the partial sum, so at the last row each
-    candidate is one comparison of (x_p A)_{n-1} x_{n-1} with it.  A zero
-    x_p would pass every candidate, so zero rows are skipped; when all rows
-    before the last are zero, each candidate is left whole to
-    ``_outer_holds``.
+    row is carried as x_p minus the partial sum, so the last rows that
+    pass are those with (x_p A)_{n-1} x_{n-1} equal to it: one lookup in
+    an index of the rows scaled by (x_p A)_{n-1}.  A zero x_p would pass
+    every candidate, so zero rows are skipped; when all rows before the
+    last are zero, each candidate is left whole to ``_outer_holds``.
     """
     n = len(ra[0])
-    indices = range(len(rows))
+    every = [(r,) for r in range(len(rows))]
     scaled: dict[int, list[tuple[int, ...]]] = {}
+    indexed: dict[int, dict[tuple[int, ...], list[tuple[int]]]] = {}
 
     def scale(s):
         table = scaled.get(s)
         if table is None:
             table = scaled[s] = [tuple(s * e for e in row) for row in rows]
         return table
+
+    def index(s):
+        found = indexed.get(s)
+        if found is None:
+            found = indexed[s] = {}
+            for one, row in zip(every, scale(s)):
+                found.setdefault(row, []).append(one)
+        return found
 
     def step(state, depth, r):
         if state is not None:
@@ -288,11 +330,13 @@ def _outer_hits(rows, ra) -> Iterator[tuple[int, ...]]:
             return ra[r], tuple(map(sub, rows[r], scale(ra[r][depth])[r]))
         return None
 
-    def leaf(state):
+    def leaf(prefix, state):
         if state is None:
-            return indices
-        xpa, rest = state
-        return compress(indices, map(rest.__eq__, scale(xpa[n - 1])))
+            found = every
+        else:
+            xpa, rest = state
+            found = index(xpa[n - 1]).get(rest, ())
+        return map(prefix.__add__, found)
 
     return _nested_scan(n, len(rows), None, step, leaf)
 

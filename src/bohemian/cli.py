@@ -4,7 +4,7 @@ Subcommands: classify, decompose, inverses, count, identity, verify.
 Matrices are read in the text format (one row per line, entries -1, 0 or
 1); reports are JSON; streams use the text format with a trailing count
 record.  Exit codes: 0 success, 2 usage or parse errors, 3 unsupported
-shape in theorem mode, 4 resource budget exceeded.
+shape in theorem mode, 4 census budget or term limit exceeded.
 """
 
 from __future__ import annotations

@@ -4,7 +4,7 @@ Every formula here has an independent exhaustive counterpart in the census
 module; the verify harness and the test suite cross-check them on desk-scale
 grids.  Binomial coefficients are taken to be zero whenever out of range,
 and all sums run over full rectangular index ranges relying on that
-convention.
+convention.  Every sum is refused past ``TERM_LIMIT`` terms.
 """
 
 from __future__ import annotations
@@ -12,6 +12,20 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import comb
 from typing import NamedTuple, Sequence
+
+from .matrices import ResourceLimitError
+
+#: the most binomial-product terms one sum may take; count_sum_t near it
+#: takes about 16 s on a 2-vCPU VM, and its cost grows faster than the
+#: square of its length
+TERM_LIMIT = 10_000
+
+
+def _check_terms(what: str, terms: int) -> None:
+    if terms > TERM_LIMIT:
+        raise ResourceLimitError(
+            f"{what} sums {terms} terms, which exceeds the limit of {TERM_LIMIT}"
+        )
 
 
 def binom(a: int, b: int) -> int:
@@ -28,6 +42,7 @@ def count_sum_t(n: int, t: int) -> int:
     """
     if n < 0:
         raise ValueError("length must be nonnegative")
+    _check_terms(f"count_sum_t(n={n}, t={t})", n + 1)
     t = abs(t)
     return sum(binom(n, s) * binom(n - s, s + t) for s in range(n + 1))
 
@@ -111,6 +126,10 @@ def binomial_identity_check(m: int, n1: int, n2: int) -> IdentityCheck:
     """
     n = n1 + n2
     nm = n * m
+    _check_terms(
+        f"the identity check at m={m}, n1={n1}, n2={n2}",
+        (nm - 1) // 2 + 1 + (n2 * m + 1) ** 2 * (n1 * m + 1),
+    )
     lhs = sum(
         binom(nm, s1) * binom(nm - s1, s1 + 1) for s1 in range((nm - 1) // 2 + 1)
     )

@@ -31,6 +31,11 @@ class DomainError(ValueError):
     """An input lies outside the operation's stated domain."""
 
 
+class ResourceLimitError(RuntimeError):
+    """A computation would exceed a fixed budget: the cells of a census or
+    the terms of a closed-form sum."""
+
+
 class ParseError(ValueError):
     """Malformed matrix text; carries the 1-based line and column."""
 

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 
 from bohemian import census as cs
+from bohemian import counting as ct
 from bohemian import families as fam
 from bohemian.matrices import (
     DomainError,
@@ -93,6 +94,17 @@ class TestBruteForce:
         )
         assert res.count == 3
 
+    @pytest.mark.parametrize(
+        "shape, budget, count",
+        [((4, 4), 16, 4_969_152), ((2, 8), 16, 4_969_152), ((4, 5), 20, 363_985_680)],
+        ids=["4x4", "2x8", "4x5"],
+    )
+    def test_inner_count_reach(self, shape, budget, count):
+        # spec-1 counts past 12 cells, against the closed form
+        res = cs.brute_force_inverses(ones(*shape), "1", cell_budget=budget,
+                                      count_only=True)
+        assert res.count == count == ct.inner_count_full_type_I(*shape)
+
 
 SCAN_POPULATIONS = [(-1, 0, 1), (0, 1), (-1, 0), (1,), (-2, -1, 0, 1, 2)]
 
@@ -162,20 +174,27 @@ class TestScanMatchesReference:
                         _assert_scan_matches(a, population, checked, ranks)
 
     @pytest.mark.parametrize(
-        "a",
+        "a, reflexive",
         [
-            ones(4, 1),
-            ones(1, 4),
-            M([[1, 1], [1, 1], [1, 0], [0, 0]]),
-            M([[1, 0, -1, 1], [0, 1, 1, 0]]),
+            (ones(4, 1), 16),
+            (ones(1, 4), 16),
+            (M([[1, 1], [1, 1], [1, 0], [0, 0]]), 54),
+            (M([[1, 0, -1, 1], [0, 1, 1, 0]]), 30),
+            # a zero column: every row of X facing it is free, so each
+            # AXA = A bucket holds 27 suffixes and spec 12 keeps a third
+            (M([[1, 1, 0], [0, 1, 0], [1, -1, 0]]), 36),
+            # one row of X: the walk before the lookup is empty
+            (M([[1]]), 1),
         ],
-        ids=["4x1", "1x4", "4x2", "2x4"],
+        ids=["4x1", "1x4", "4x2", "2x4", "3x3-zero-column", "1x1"],
     )
-    def test_transposed_and_wide_scans(self, a):
+    def test_transposed_and_wide_scans(self, a, reflexive):
+        # count-only runs are checked at every rank against the streams,
+        # so the summed bucket sizes of each split shape are too
         checked = _reference(a, cs.TERNARY.values)
         ranks = (None, 0, 1, 2)
         _assert_scan_matches(a, cs.TERNARY, checked, ranks, ranks, serialized=True)
-        assert cs.brute_force_inverses(a, "12").count > 10
+        assert cs.brute_force_inverses(a, "12").count == reflexive
 
 
 class TestLemma24Consistency:

@@ -329,6 +329,28 @@ class TestCountAndIdentity:
         )
         assert out.strip() == "2 2 equal"
 
+    def test_count_past_term_limit_exit_four(self, capsys):
+        code, out, err = run(
+            capsys, "count", "--formula", "count_sum_t", "--n", "999999999999",
+            "--t", "0",
+        )
+        assert code == 4 and out == ""
+        assert err == (
+            "count_sum_t(n=999999999999, t=0) sums 1000000000000 terms, which "
+            f"exceeds the limit of {ct.TERM_LIMIT}\n"
+        )
+
+    def test_identity_past_term_limit_exit_four(self, capsys):
+        code, out, err = run(
+            capsys, "identity", "--m", "999999999999", "--n1", "1", "--n2", "1"
+        )
+        assert code == 4 and out == ""
+        terms = (2 * 999999999999 - 1) // 2 + 1 + (999999999999 + 1) ** 3
+        assert err == (
+            f"the identity check at m=999999999999, n1=1, n2=1 sums {terms} "
+            f"terms, which exceeds the limit of {ct.TERM_LIMIT}\n"
+        )
+
 
 class TestVerifyCommand:
     def test_small_budget_all(self, capsys):
