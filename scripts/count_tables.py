@@ -25,12 +25,14 @@ def main() -> int:
         cells = a.rows * a.cols
         if args.no_census or cells > args.max_cells:
             return ""
-        res = cs.brute_force_inverses(
-            a, spec, cell_budget=cells, count_only=not nonzero
-        )
-        if nonzero:
-            return str(sum(map(any, res.matrices)))
-        return str(res.count)
+
+        def count(rank=None):
+            return cs.brute_force_inverses(
+                a, spec, rank_filter=rank, cell_budget=cells, count_only=True
+            ).count
+
+        # the members of rank 0 are the zero matrix, if it is one
+        return str(count() - count(0) if nonzero else count())
 
     for n in range(0, 13):
         for t in (0, 1):
@@ -45,19 +47,28 @@ def main() -> int:
         rep = ct.evaluate_formula("inner_type_I", m=m, n=n)
         print(f"{rep.csv_row()},{census_or_blank(ones(m, n), '1')}")
 
-    for m in range(1, 4):
-        for n in range(1, 4):
-            rep = ct.evaluate_formula("outer_type_I", m=m, n=n, include_zero=False)
-            print(f"{rep.csv_row()},{census_or_blank(ones(m, n), '2', nonzero=True)}")
+    outer_grid = [(m, n) for m in range(1, 4) for n in range(1, 4)]
+    outer_grid += [
+        (m, n) for m in range(1, 17) for n in range(1, 17) if 9 < m * n <= 16
+    ]
+    for m, n in outer_grid:
+        rep = ct.evaluate_formula("outer_type_I", m=m, n=n, include_zero=False)
+        print(f"{rep.csv_row()},{census_or_blank(ones(m, n), '2', nonzero=True)}")
 
-    for m in range(1, 3):
-        for n1 in range(1, 4):
-            for n2 in range(0, 3):
-                rep = ct.evaluate_formula(
-                    "outer_type_III", m=m, n1=n1, n2=n2, include_zero=False
-                )
-                a = TernaryMatrix.from_rows([(1,) * n1 + (0,) * n2] * m)
-                print(f"{rep.csv_row()},{census_or_blank(a, '2', nonzero=True)}")
+    zeros_grid = [
+        (m, n1, n2) for m in range(1, 3) for n1 in range(1, 4) for n2 in range(0, 3)
+    ]
+    zeros_grid += [
+        (m, n1, n2)
+        for m in range(1, 5) for n1 in range(1, 16) for n2 in range(1, 3)
+        if 10 < m * (n1 + n2) <= 16
+    ]
+    for m, n1, n2 in zeros_grid:
+        rep = ct.evaluate_formula(
+            "outer_type_III", m=m, n1=n1, n2=n2, include_zero=False
+        )
+        a = TernaryMatrix.from_rows([(1,) * n1 + (0,) * n2] * m)
+        print(f"{rep.csv_row()},{census_or_blank(a, '2', nonzero=True)}")
 
     for n1 in range(1, 5):
         for n2 in range(1, 5):

@@ -6,15 +6,20 @@ fixed odometer order (row-major, last entry varying fastest, population
 values ascending), so identical tasks always produce identical streams.
 It uses only the ``matrices`` kernel, never the characterized families it
 checks.  The scan shares work across candidates only through tables built
-once per A: every population row x and its product x A, and for AXA = A
-the per-row terms A[:, k] (x A), of which there are |P|^min(m, n) each
-because a taller-than-wide A is scanned as its transpose.  AXA = A is the
-sum of one term per row of X, so it is decided by a hash join: the sums
-of the terms of the last half of the rows are tabulated with the index
-tuples giving them, and each choice of the first half, walked with
-running partial sums, is one lookup of what is left of vec(A).  XAX = X
-is decided on one row by a lookup of the last row in an index of the
-scaled rows, then row by row.
+once per A: every population row x and its product x A, |P|^min(m, n)
+of each because a taller-than-wide A is scanned as its transpose.  Both
+equations are decided by one hash join.  AXA = A is the sum of one term
+per row x_k of X, A[:, k] (x_k A): the sums of the terms of the last half
+of the rows are tabulated with the index tuples giving them, and each
+choice of the first half, walked with running partial sums, is one lookup
+of what is left of A.  XAX = X is decided per row space W spanned by
+population rows: for a basis B of W made of population rows, the X with
+rows in W, XAX = X and rowspace(X) = W are those with B A X = B, again a
+sum of one term per row of X, so each W is one join over the rows in W
+(the lemma and its proof are in ``brute_force_inverses``).  The row
+spaces of each population are built once per row length and memoized.
+Join terms are vectors written as single integers in a radix that bounds
+their entries, so a sum or a lookup is one integer operation.
 
 Constraint-guided enumeration and family materialization live here too;
 their outputs are canonically sorted so theorem-versus-oracle comparisons
@@ -33,12 +38,14 @@ per factor vector.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from itertools import chain, compress, cycle, product, repeat
-from math import lcm
-from operator import add, itemgetter, mul, sub
-from typing import Iterator, Optional
+from math import gcd, lcm
+from operator import itemgetter, mul
+from typing import Iterator, NamedTuple, Optional
 
 from .families import (
     ExplicitUnion,
@@ -166,17 +173,37 @@ def brute_force_inverses(
     both), optionally restricted to an exact rank, in odometer order.
     Refuses scans beyond the cell budget instead of truncating.
 
-    AXA = A is a sum of one term per row of X, and ``_inner_hits``
-    decides it by a hash join: the term sums of the last half of the rows
-    are tabulated once, and each first half is one dictionary lookup of
-    vec(A) minus its own sum, which yields every completing last half in
-    odometer order; a count-only run without a rank filter adds up the
-    sizes of those buckets.  For XAX = X, ``_outer_hits`` decides one row
-    of the equation by a lookup of the last row of X in an index of the
-    scaled rows, and the candidates passing it are checked row by row
-    (``_outer_holds``).  Spec 12 runs the XAX = X check on the AXA = A
-    hits.  Only per-row parts of the products are shared, tabulated once
-    per A.  A taller-than-wide A is scanned as A^T, whose inverses are the
+    AXA = A is a sum of one term per row of X, A[:, k] (x_k A), and
+    ``_join`` decides it by a hash join: the term sums of the last half of
+    the rows are tabulated once, and each first half is one dictionary
+    lookup of A minus its own sum, which yields every completing last half
+    in odometer order; a count-only run without a rank filter adds up the
+    sizes of those buckets.  Spec 12 keeps the AXA = A hits that pass the
+    row-by-row XAX = X check (``_outer_holds``).
+
+    XAX = X is decided one row space at a time, by this lemma.  Let A be
+    the scanned m x n matrix (m <= n), X an n x m matrix whose rows lie in
+    a subspace W of dimension r, and B an r x m basis of W.  Then XAX = X
+    and rowspace(X) = W if and only if B A X = B.
+
+    Proof.  Write X = C B.  If B A X = B, then B A C B = B, and B has
+    full row rank, so B A C = I; hence XAX = C (B A C) B = X, and
+    W = rowspace(B A X) lies in rowspace(X), which lies in W.  Conversely,
+    if XAX = X and rowspace(X) = W, then C has rank r, and
+    C (B A C - I) B = 0 forces B A C = I, so B A X = B.
+
+    The X with XAX = X therefore split into disjoint parts, one per
+    subspace W spanned by population rows (``_subspaces``), and each part
+    holds the X with rows in W and sum_k (B A)[:, k] x_k = B: one join
+    over the population rows in W, with B made of population rows so that
+    B A is read from the table of products x A.  A part of dimension r
+    holds rank-r matrices only, so a rank filter picks parts instead of
+    ranking hits, and a W with rank(B A) < r holds none.  The parts'
+    streams are merged back into odometer order, and each streamed hit is
+    still checked on XAX = X row by row.
+
+    Only per-row parts of the products are shared, tabulated once per A.
+    A taller-than-wide A is scanned as A^T, whose inverses are the
     transposes of A's with the same ranks, so every table of rows has at
     most |P|^min(m, n) entries.  Ranks are taken, and entry tuples made,
     for hits only.
@@ -196,17 +223,22 @@ def brute_force_inverses(
     rows = tuple(product(population.values, repeat=len(ar)))
     ra = _product_rows(rows, ar)
     shape = (a.cols, a.rows)
-    if spec == "1" and rank_filter is None and count_only:
-        return EnumerationResult(shape, None, sum(_inner_hits(ar, ra, count_only=True)))
-    if "1" in spec:
-        hits = _inner_hits(ar, ra)
+    if spec == "2":
+        joins = _outer_joins(ar, rows, ra, population.values, rank_filter, count_only)
+        if count_only:
+            return EnumerationResult(shape, None, sum(chain.from_iterable(joins)))
+        hits = sorted(chain.from_iterable(joins))  # one odometer order again
     else:
-        hits = _outer_hits(rows, ra)
+        tally = count_only and rank_filter is None and spec == "1"
+        hits = _inner_join(ar, ra, tally)
+        if tally:
+            return EnumerationResult(shape, None, sum(hits))
+        if rank_filter is not None:
+            # X and the scanned rows (X or X^T) have the same rank
+            hits = (idx for idx in hits
+                    if _row_rank([rows[i] for i in idx]) == rank_filter)
     if "2" in spec:
         hits = (idx for idx in hits if _outer_holds(idx, rows, ra))
-    if rank_filter is not None:
-        # X and the scanned rows (X or X^T) have the same rank
-        hits = (idx for idx in hits if _row_rank([rows[i] for i in idx]) == rank_filter)
     if count_only:
         return EnumerationResult(shape, None, sum(1 for _ in hits))
     if flip:
@@ -219,126 +251,104 @@ def brute_force_inverses(
     return EnumerationResult(shape, tuple(found), len(found))
 
 
-def _nested_scan(n, size, start, step, leaf) -> Iterator:
-    """What ``leaf(prefix, state)`` yields for every index tuple ``prefix``
-    = (r_0, ..., r_{n-2}) into a row table of ``size`` rows, in odometer
-    order, one nesting depth per row of X before the last.
+def _powers(bound: int, count: int) -> list[int]:
+    """R^0, ..., R^(count - 1) for the radix R = 2 bound + 1.
 
-    ``step(state, depth, r)`` carries a state past row ``depth``; the leaf
-    decides row n - 1 and whatever follows it, given the state after all
-    earlier rows.
+    The code of an integer vector v is sum_l v_l R^l.  Two vectors whose
+    difference has every entry in [-bound, bound] have equal codes only if
+    they are equal, because a number has one base-R expansion with digits
+    in that range.
     """
-    indices = range(size)
-    if n == 1:
-        return leaf((), start)
-
-    def descend(depth, state, prefix):
-        for r in indices:
-            nxt = step(state, depth, r)
-            if depth == n - 2:
-                yield from leaf(prefix + (r,), nxt)
-            else:
-                yield from descend(depth + 1, nxt, prefix + (r,))
-
-    return descend(0, start, ())
+    radix = 2 * bound + 1
+    return [radix**e for e in range(count)]
 
 
-def _inner_hits(ar, ra, count_only=False) -> Iterator:
-    """Row-table indices of the X with AXA = A, for an m x n A with m <= n,
-    or with ``count_only`` the number of them, as a stream of partial
-    counts.
+def _join(coeffs, vecs, target, index, count_only=False) -> Iterator:
+    """The index tuples (i_0, ..., i_{n-1}) over ``index`` whose terms
+    coeffs[k] * vecs[i_k] add up to ``target``, in odometer order, where
+    n = len(coeffs) and ``vecs`` is aligned with ``index``; with
+    ``count_only``, the number of them, as a stream of partial counts.
 
-    AXA = sum_k A[:, k] (x_k A), one term per row x_k of X, tabulated per
-    row index.  The sums of the terms of the last n // 2 rows are
-    tabulated once, each with the index tuples that give it in odometer
-    order; the first n - n // 2 rows are walked with vec(A) minus their
-    running sum, so each prefix of X is one lookup of what is left.
+    The terms are codes (``_powers``) of integer vectors, so a sum of
+    terms is the code of the sum of the vectors, and equal codes mean
+    equal vectors as long as the caller's radix bounds the entries of the
+    target minus any sum of n terms.  The sums of the terms of the last
+    n // 2 positions are tabulated once, each with the index tuples that
+    give it in odometer order; the first n - n // 2 positions are walked
+    with the target minus their running sum, so each choice of them is
+    one lookup of what is left.
     """
-    n = len(ar[0])
-    cols = tuple(zip(*ar))
-    terms = [[tuple(c * e for c in cols[k] for e in xa) for xa in ra] for k in range(n)]
-    target = tuple(chain.from_iterable(ar))  # vec(A)
+    n = len(coeffs)
+    terms = [[c * v for v in vecs] for c in coeffs]
     head = n - n // 2
-    sums = [((), (0,) * len(target))]
+    last = terms[head - 1]
+    rests = [target]
+    for k in range(head - 1):
+        rests = [rest - term for rest in rests for term in terms[k]]
+    sums = [0]
     for k in range(head, n):
-        sums = [(t + (r,), tuple(map(add, s, term)))
-                for t, s in sums for r, term in enumerate(terms[k])]
-    suffixes: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
-    for t, s in sums:
+        sums = [s + term for s in sums for term in terms[k]]
+    if count_only:
+        get = dict(Counter(sums)).get
+        zeros = repeat(0)
+        return (sum(map(get, map(rest.__sub__, last), zeros)) for rest in rests)
+    suffixes: dict[int, list[tuple[int, ...]]] = {}
+    for s, t in zip(sums, product(index, repeat=n - head)):
         suffixes.setdefault(s, []).append(t)
     get = suffixes.get
-    last = terms[head - 1]
     no_suffix = repeat(())
 
-    def step(rest, depth, r):
-        return tuple(map(sub, rest, terms[depth][r]))
+    def hits():
+        for prefix, rest in zip(product(index, repeat=head - 1), rests):
+            found = list(map(get, map(rest.__sub__, last), no_suffix))
+            for i, bucket in compress(zip(index, found), found):
+                lead = prefix + (i,)
+                for t in bucket:
+                    yield lead + t
 
-    def buckets(rest):
-        # the suffixes completing each choice of row head - 1
-        return list(map(get, map(tuple, map(map, repeat(sub), repeat(rest), last)),
-                        no_suffix))
-
-    def leaf(prefix, rest):
-        found = buckets(rest)
-        for r, bucket in compress(enumerate(found), found):
-            lead = prefix + (r,)
-            for t in bucket:
-                yield lead + t
-
-    def count_leaf(prefix, rest):
-        yield sum(map(len, buckets(rest)))
-
-    return _nested_scan(head, len(ra), target, step, count_leaf if count_only else leaf)
+    return hits()
 
 
-def _outer_hits(rows, ra) -> Iterator[tuple[int, ...]]:
-    """Row-table indices of the X passing one row of XAX = X, for an
-    m x n A with m <= n; ``_outer_holds`` checks every row.
+def _inner_join(ar, ra, count_only=False) -> Iterator:
+    """``_join`` for AXA = A, for an m x n A with m <= n: the terms are
+    A[:, k] (x_k A) and the target is A."""
+    n = len(ar[0])
+    top = max(map(abs, chain.from_iterable(ra)))
+    big = max(map(abs, chain.from_iterable(ar)))
+    # an entry of A is at most big, and one of a term big * top
+    digits = _powers(big + n * big * top, len(ar) * n)
+    vecs = [sum(map(mul, xa, digits)) for xa in ra]
+    blocks = digits[::n]  # R^(j n): row j of a term
+    coeffs = [sum(map(mul, col, blocks)) for col in zip(*ar)]
+    target = sum(map(mul, chain.from_iterable(ar), digits))
+    return _join(coeffs, vecs, target, range(len(ra)), count_only)
 
-    The row checked is x_p, the first nonzero row of X before the last:
-    row p of XAX is sum_k (x_p A)_k x_k.  The sum over all but the last
-    row is carried as x_p minus the partial sum, so the last rows that
-    pass are those with (x_p A)_{n-1} x_{n-1} equal to it: one lookup in
-    an index of the rows scaled by (x_p A)_{n-1}.  A zero x_p would pass
-    every candidate, so zero rows are skipped; when all rows before the
-    last are zero, each candidate is left whole to ``_outer_holds``.
-    """
-    n = len(ra[0])
-    every = [(r,) for r in range(len(rows))]
-    scaled: dict[int, list[tuple[int, ...]]] = {}
-    indexed: dict[int, dict[tuple[int, ...], list[tuple[int]]]] = {}
 
-    def scale(s):
-        table = scaled.get(s)
-        if table is None:
-            table = scaled[s] = [tuple(s * e for e in row) for row in rows]
-        return table
-
-    def index(s):
-        found = indexed.get(s)
-        if found is None:
-            found = indexed[s] = {}
-            for one, row in zip(every, scale(s)):
-                found.setdefault(row, []).append(one)
-        return found
-
-    def step(state, depth, r):
-        if state is not None:
-            xpa, rest = state
-            return xpa, tuple(map(sub, rest, scale(xpa[depth])[r]))
-        if any(rows[r]):
-            return ra[r], tuple(map(sub, rows[r], scale(ra[r][depth])[r]))
-        return None
-
-    def leaf(prefix, state):
-        if state is None:
-            found = every
-        else:
-            xpa, rest = state
-            found = index(xpa[n - 1]).get(rest, ())
-        return map(prefix.__add__, found)
-
-    return _nested_scan(n, len(rows), None, step, leaf)
+def _outer_joins(ar, rows, ra, values, rank_filter, count_only) -> Iterator[Iterator]:
+    """For XAX = X, for an m x n A with m <= n: one ``_join`` per
+    subspace W spanned by population rows, of dimension ``rank_filter`` if
+    given, with basis B and rank(B A) = dim W.  Its terms are
+    (B A)[:, k] x_k over the rows x_k in W and its target is B."""
+    m, n = len(ar), len(ar[0])
+    top = max(map(abs, chain.from_iterable(ra)))
+    big = max(map(abs, values))
+    # an entry of B is at most big, and one of a term top * big
+    digits = _powers(big + n * top * big, m * m)
+    codes = [sum(map(mul, row, digits)) for row in rows]
+    blocks = digits[::m]  # R^(j m): row j of a term
+    injective = _row_rank(ar) == m  # then rank(B A) = rank(B) always
+    for space in _subspaces(m, values):
+        r = len(space.basis)
+        if rank_filter not in (None, r):
+            continue
+        ba = [ra[b] for b in space.basis]
+        if r and not injective and _row_rank(ba) < r:
+            continue
+        columns = zip(*ba) if r else repeat((), n)  # (B A)[:, k]
+        coeffs = [sum(map(mul, col, blocks)) for col in columns]
+        target = sum(map(mul, [codes[b] for b in space.basis], blocks))
+        yield _join(coeffs, [codes[i] for i in space.members], target,
+                    space.members, count_only)
 
 
 def _outer_holds(idx, rows, ra) -> bool:
@@ -348,6 +358,87 @@ def _outer_holds(idx, rows, ra) -> bool:
     return all(
         tuple(sum(map(mul, ra[i], col)) for col in x_cols) == rows[i] for i in idx
     )
+
+
+class _Subspace(NamedTuple):
+    """A subspace W spanned by rows of a population table."""
+
+    #: row indices of a basis of W
+    basis: tuple[int, ...]
+    #: the indices of every row in W, ascending
+    members: tuple[int, ...]
+
+
+def _normal_basis(rows: list[tuple[int, ...]], m: int) -> list[tuple[int, ...]]:
+    """Integer vectors spanning the vectors orthogonal to the independent
+    integer ``rows`` of length m, one per non-pivot column of their
+    reduced echelon form, which is made by integer row operations."""
+    echelon = [list(r) for r in rows]
+    pivots = []
+    for i in range(len(echelon)):
+        prow = echelon[i]
+        pc = next(c for c, e in enumerate(prow) if e)
+        pivots.append(pc)
+        for j, row in enumerate(echelon):
+            f = row[pc]
+            if j != i and f:
+                row = [prow[pc] * e - f * p for e, p in zip(row, prow)]
+                g = gcd(*row)
+                echelon[j] = [e // g for e in row]
+    scale = lcm(*(row[pc] for row, pc in zip(echelon, pivots)))
+    normal = []
+    for free in range(m):
+        if free not in pivots:
+            y = [0] * m
+            y[free] = scale
+            for row, pc in zip(echelon, pivots):
+                y[pc] = -row[free] * scale // row[pc]
+            g = gcd(*y)
+            normal.append(tuple(e // g for e in y))
+    return normal
+
+
+@lru_cache(maxsize=16)
+def _subspaces(m: int, values: tuple[int, ...]) -> tuple[_Subspace, ...]:
+    """Every subspace spanned by rows of the population table
+    ``product(values, repeat=m)``, by dimension, in integer arithmetic.
+
+    Built level by level from the zero subspace.  Given a subspace S, the
+    rows v outside S are grouped by the primitive, sign-normalized image
+    N v under an integer normal basis N of S: span(S, v) = span(S, v')
+    exactly when N v and N v' are proportional, so each group, with the
+    members of S, is the member set of one subspace a dimension up, and
+    the same subspace reached from several S is kept once by its member
+    set.  The levels stop below dimension m; the whole space, when the
+    rows span it, is added once, from any hyperplane and a row outside it.
+    """
+    rows = tuple(product(values, repeat=m))
+    level = {tuple(i for i, row in enumerate(rows) if not any(row)): ()}
+    spaces = dict(level)  # member set -> basis
+    for _ in range(m - 1):
+        grown: dict[tuple[int, ...], tuple[int, ...]] = {}
+        for members, basis in level.items():
+            normal = _normal_basis([rows[b] for b in basis], m)
+            lines: dict[tuple[int, ...], list[int]] = {}
+            for i, row in enumerate(rows):
+                image = [sum(map(mul, y, row)) for y in normal]
+                g = gcd(*image)
+                if g:
+                    if next(filter(None, image)) < 0:
+                        g = -g
+                    lines.setdefault(tuple(e // g for e in image), []).append(i)
+            for line in lines.values():
+                key = tuple(sorted(members + tuple(line)))
+                if key not in grown:
+                    grown[key] = basis + (line[0],)
+        spaces.update(grown)
+        level = grown
+    for members, basis in list(level.items())[:1]:  # one hyperplane
+        inside = set(members)
+        outside = [i for i in range(len(rows)) if i not in inside]
+        if outside:
+            spaces[tuple(range(len(rows)))] = basis + (outside[0],)
+    return tuple(_Subspace(basis, members) for members, basis in spaces.items())
 
 
 # ---------------------------------------------------------------------------

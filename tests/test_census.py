@@ -105,6 +105,22 @@ class TestBruteForce:
                                       count_only=True)
         assert res.count == count == ct.inner_count_full_type_I(*shape)
 
+    @pytest.mark.parametrize(
+        "a, budget, count, closed_form",
+        [
+            (ones(4, 4), 16, 257, ct.outer_count_full_type_I(4, 4, include_zero=True)),
+            (ones(2, 8), 16, 2_033, ct.outer_count_full_type_I(2, 8, include_zero=True)),
+            (ones(4, 5), 20, 721, ct.outer_count_full_type_I(4, 5, include_zero=True)),
+            (M([[1] * 4 + [0] * 4] * 2), 16, 2_593,
+             ct.outer_count_full_type_III(2, 4, 4, include_zero=True)),
+        ],
+        ids=["4x4", "2x8", "4x5", "2x8-ones-zeros"],
+    )
+    def test_outer_count_reach(self, a, budget, count, closed_form):
+        # spec-2 counts past 12 cells, against the closed forms
+        res = cs.brute_force_inverses(a, "2", cell_budget=budget, count_only=True)
+        assert res.count == count == closed_form
+
 
 SCAN_POPULATIONS = [(-1, 0, 1), (0, 1), (-1, 0), (1,), (-2, -1, 0, 1, 2)]
 
@@ -195,6 +211,57 @@ class TestScanMatchesReference:
         ranks = (None, 0, 1, 2)
         _assert_scan_matches(a, cs.TERNARY, checked, ranks, ranks, serialized=True)
         assert cs.brute_force_inverses(a, "12").count == reflexive
+
+    @pytest.mark.parametrize(
+        "a",
+        [
+            M([[1, 0, 1], [0, 1, -1], [1, 1, 1]]),
+            # row 3 = row 1 + row 2: some row spaces W have rank(B A) < dim W
+            M([[1, 0, 1], [0, 1, -1], [1, 1, 0]]),
+        ],
+        ids=["3x3-full-rank", "3x3-rank-2"],
+    )
+    def test_outer_scans_over_wide_populations(self, a):
+        # XAX = X by one join per row space, on populations without 0, of
+        # one value, and of four values, streamed and counted at every rank
+        checked = _reference(a, (-1, 0, 1, 2))
+        ranks = (None, 0, 1, 2, 3)
+        for values in [(-1, 1), (1,), (-1, 0, 1, 2)]:
+            _assert_scan_matches(a, cs.Population(values), checked, ranks, ranks)
+
+
+class TestSubspaces:
+    """The row spaces of a population table, one XAX = X join each."""
+
+    @pytest.mark.parametrize(
+        "m, values, count",
+        [(1, (-1, 0, 1), 2), (2, (-1, 0, 1), 6), (3, (-1, 0, 1), 40),
+         (4, (-1, 0, 1), 1_084), (4, (0, 1), 117)],
+    )
+    def test_counts(self, m, values, count):
+        assert len(cs._subspaces(m, values)) == count
+
+    @pytest.mark.parametrize(
+        "m, values",
+        [(m, v) for m in (1, 2, 3) for v in [(-1, 0, 1), (0, 1), (-1, 1), (1,), (0,)]]
+        + [(2, (-1, 0, 1, 2)), (3, (-1, 0, 1, 2))],
+    )
+    def test_member_sets(self, m, values):
+        # each member set is every row x with rank(basis + x) = dim W, and
+        # no two row spaces share one
+        rows = list(product(values, repeat=m))
+        spaces = cs._subspaces(m, values)
+        assert len({s.members for s in spaces}) == len(spaces)
+        assert [len(s.basis) for s in spaces] == sorted(len(s.basis) for s in spaces)
+        for space in spaces:
+            basis = [rows[b] for b in space.basis]
+            r = len(basis)
+            assert r == 0 or exact_rank(IntMatrix.from_rows(basis)) == r
+            want = tuple(
+                i for i, x in enumerate(rows)
+                if exact_rank(IntMatrix.from_rows(basis + [x])) == r
+            )
+            assert space.members == want, (values, space)
 
 
 class TestLemma24Consistency:

@@ -40,6 +40,15 @@ class TestCountSumT:
             for t in range(-n, n + 1):
                 assert ct.count_sum_t(n, t) == tally.get(t, 0)
 
+    def test_incremental_sum_matches_binomials(self):
+        # each term is the previous one times a ratio of small integers
+        for n in range(0, 61):
+            for t in range(-3, 4):
+                want = sum(
+                    ct.binom(n, s) * ct.binom(n - s, s + abs(t)) for s in range(n + 1)
+                )
+                assert ct.count_sum_t(n, t) == want, (n, t)
+
     def test_big_values_are_exact_ints(self):
         v = ct.count_sum_t(60, 1)
         assert isinstance(v, int)
