@@ -18,8 +18,12 @@ rows in W, XAX = X and rowspace(X) = W are those with B A X = B, again a
 sum of one term per row of X, so each W is one join over the rows in W
 (the lemma and its proof are in ``brute_force_inverses``).  The row
 spaces of each population are built once per row length and memoized.
-Join terms are vectors written as single integers in a radix that bounds
-their entries, so a sum or a lookup is one integer operation.
+Both equations hold exactly when XAX = X and rank(X) = rank(A), so the
+reflexive inverses are the row spaces of dimension rank(A) and have no
+scan of their own.  Join terms are vectors written as single integers in
+a radix that bounds their entries, so a sum or a lookup is one integer
+operation, and each streamed hit is confirmed on its equations by sums
+of the same codes.
 
 Constraint-guided enumeration and family materialization live here too;
 their outputs are canonically sorted so theorem-versus-oracle comparisons
@@ -178,8 +182,7 @@ def brute_force_inverses(
     the rows are tabulated once, and each first half is one dictionary
     lookup of A minus its own sum, which yields every completing last half
     in odometer order; a count-only run without a rank filter adds up the
-    sizes of those buckets.  Spec 12 keeps the AXA = A hits that pass the
-    row-by-row XAX = X check (``_outer_holds``).
+    sizes of those buckets.
 
     XAX = X is decided one row space at a time, by this lemma.  Let A be
     the scanned m x n matrix (m <= n), X an n x m matrix whose rows lie in
@@ -199,8 +202,23 @@ def brute_force_inverses(
     B A is read from the table of products x A.  A part of dimension r
     holds rank-r matrices only, so a rank filter picks parts instead of
     ranking hits, and a W with rank(B A) < r holds none.  The parts'
-    streams are merged back into odometer order, and each streamed hit is
-    still checked on XAX = X row by row.
+    streams are merged back into odometer order.
+
+    Spec 12 is the part of dimension rank(A), by this lemma (Ben-Israel
+    and Greville, *Generalized Inverses*, ch. 1): AXA = A and XAX = X if
+    and only if XAX = X and rank(X) = rank(A).
+
+    Proof.  If XAX = X, then X = X (A X) gives rank(AX) = rank(X), and
+    AX is idempotent, since AXAX = A (XAX) = AX.  If also
+    rank(X) = rank(A), the range of AX lies in the range of A and has
+    its dimension, so the two are equal; an idempotent is the identity
+    on its range, so AXA = A.  Conversely, AXA = A gives
+    rank(A) <= rank(X) and XAX = X gives rank(X) <= rank(A).
+
+    So spec 12 runs the XAX = X joins of the subspaces of dimension
+    rank(A) only, and is empty under any other rank filter.  Each streamed
+    hit is still confirmed on XAX = X, and a spec-12 hit on AXA = A too,
+    each by sums of the same integer codes that the joins use.
 
     Only per-row parts of the products are shared, tabulated once per A.
     A taller-than-wide A is scanned as A^T, whose inverses are the
@@ -220,27 +238,36 @@ def brute_force_inverses(
     flip = a.rows > a.cols
     if flip:
         ar = tuple(zip(*ar))
+    shape = (a.cols, a.rows)
+    if "2" in spec:
+        rank = _row_rank(ar)  # the rank of A and of A^T
+        if spec == "12":  # the outer inverses of rank rank(A)
+            if rank_filter not in (None, rank):
+                return EnumerationResult(shape, None if count_only else (), 0)
+            rank_filter = rank
     rows = tuple(product(population.values, repeat=len(ar)))
     ra = _product_rows(rows, ar)
-    shape = (a.cols, a.rows)
-    if spec == "2":
-        joins = _outer_joins(ar, rows, ra, population.values, rank_filter, count_only)
-        if count_only:
-            return EnumerationResult(shape, None, sum(chain.from_iterable(joins)))
-        hits = sorted(chain.from_iterable(joins))  # one odometer order again
-    else:
-        tally = count_only and rank_filter is None and spec == "1"
-        hits = _inner_join(ar, ra, tally)
+    if spec == "1":
+        tally = count_only and rank_filter is None
+        hits = _join(*_inner_codes(ar, ra), range(len(rows)), tally)
         if tally:
             return EnumerationResult(shape, None, sum(hits))
         if rank_filter is not None:
             # X and the scanned rows (X or X^T) have the same rank
             hits = (idx for idx in hits
                     if _row_rank([rows[i] for i in idx]) == rank_filter)
-    if "2" in spec:
-        hits = (idx for idx in hits if _outer_holds(idx, rows, ra))
-    if count_only:
-        return EnumerationResult(shape, None, sum(1 for _ in hits))
+        if count_only:
+            return EnumerationResult(shape, None, sum(1 for _ in hits))
+    else:
+        joins = _outer_joins(ar, rows, ra, population.values, rank, rank_filter,
+                             count_only)
+        if count_only:
+            return EnumerationResult(shape, None, sum(chain.from_iterable(joins)))
+        hits = sorted(chain.from_iterable(joins))  # one odometer order again
+        if spec == "12":  # confirm AXA = A as well
+            coeffs, vecs, target = _inner_codes(ar, ra)
+            hits = [idx for idx in hits
+                    if sum(map(mul, coeffs, map(vecs.__getitem__, idx))) == target]
     if flip:
         # row j of X is column j of the scanned X^T
         found = sorted(  # odometer order again
@@ -309,9 +336,11 @@ def _join(coeffs, vecs, target, index, count_only=False) -> Iterator:
     return hits()
 
 
-def _inner_join(ar, ra, count_only=False) -> Iterator:
-    """``_join`` for AXA = A, for an m x n A with m <= n: the terms are
-    A[:, k] (x_k A) and the target is A."""
+def _inner_codes(ar, ra) -> tuple[list[int], list[int], int]:
+    """AXA = A as codes, for an m x n A with m <= n: (coeffs, vecs,
+    target) with sum_k coeffs[k] * vecs[i_k] = target exactly when the
+    rows i_0, ..., i_{n-1} of the table make an X with AXA = A.  The term
+    of position k and row x is A[:, k] (x A); the target is A."""
     n = len(ar[0])
     top = max(map(abs, chain.from_iterable(ra)))
     big = max(map(abs, chain.from_iterable(ar)))
@@ -321,14 +350,20 @@ def _inner_join(ar, ra, count_only=False) -> Iterator:
     blocks = digits[::n]  # R^(j n): row j of a term
     coeffs = [sum(map(mul, col, blocks)) for col in zip(*ar)]
     target = sum(map(mul, chain.from_iterable(ar), digits))
-    return _join(coeffs, vecs, target, range(len(ra)), count_only)
+    return coeffs, vecs, target
 
 
-def _outer_joins(ar, rows, ra, values, rank_filter, count_only) -> Iterator[Iterator]:
-    """For XAX = X, for an m x n A with m <= n: one ``_join`` per
-    subspace W spanned by population rows, of dimension ``rank_filter`` if
-    given, with basis B and rank(B A) = dim W.  Its terms are
-    (B A)[:, k] x_k over the rows x_k in W and its target is B."""
+def _outer_joins(
+    ar, rows, ra, values, rank, rank_filter, count_only
+) -> Iterator[Iterator]:
+    """For XAX = X, for an m x n A of the given rank with m <= n: one
+    ``_join`` per subspace W spanned by population rows, of dimension
+    ``rank_filter`` if given, with basis B and rank(B A) = dim W.  Its
+    terms are (B A)[:, k] x_k over the rows x_k in W and its target is B.
+    A streamed hit is kept only if XAX = X holds: row i of XAX is
+    sum_k (x_i A)_k x_k, so its code is one dot product of x_i A with the
+    codes of the rows of X, and the radix bounds its difference from the
+    code of x_i as it bounds a join's."""
     m, n = len(ar), len(ar[0])
     top = max(map(abs, chain.from_iterable(ra)))
     big = max(map(abs, values))
@@ -336,7 +371,12 @@ def _outer_joins(ar, rows, ra, values, rank_filter, count_only) -> Iterator[Iter
     digits = _powers(big + n * top * big, m * m)
     codes = [sum(map(mul, row, digits)) for row in rows]
     blocks = digits[::m]  # R^(j m): row j of a term
-    injective = _row_rank(ar) == m  # then rank(B A) = rank(B) always
+    injective = rank == m  # then rank(B A) = rank(B) always
+
+    def holds(idx):
+        xs = list(map(codes.__getitem__, idx))
+        return all(sum(map(mul, ra[i], xs)) == code for i, code in zip(idx, xs))
+
     for space in _subspaces(m, values):
         r = len(space.basis)
         if rank_filter not in (None, r):
@@ -347,17 +387,9 @@ def _outer_joins(ar, rows, ra, values, rank_filter, count_only) -> Iterator[Iter
         columns = zip(*ba) if r else repeat((), n)  # (B A)[:, k]
         coeffs = [sum(map(mul, col, blocks)) for col in columns]
         target = sum(map(mul, [codes[b] for b in space.basis], blocks))
-        yield _join(coeffs, [codes[i] for i in space.members], target,
-                    space.members, count_only)
-
-
-def _outer_holds(idx, rows, ra) -> bool:
-    """XAX = X, row by row: row i of XAX is (x_i A) X, with x_i A read
-    from the row table."""
-    x_cols = tuple(zip(*[rows[i] for i in idx]))
-    return all(
-        tuple(sum(map(mul, ra[i], col)) for col in x_cols) == rows[i] for i in idx
-    )
+        found = _join(coeffs, [codes[i] for i in space.members], target,
+                      space.members, count_only)
+        yield found if count_only else filter(holds, found)
 
 
 class _Subspace(NamedTuple):

@@ -117,9 +117,13 @@ class TestBruteForce:
         ids=["4x4", "2x8", "4x5", "2x8-ones-zeros"],
     )
     def test_outer_count_reach(self, a, budget, count, closed_form):
-        # spec-2 counts past 12 cells, against the closed forms
+        # spec-2 and spec-12 counts past 12 cells, against the closed forms
         res = cs.brute_force_inverses(a, "2", cell_budget=budget, count_only=True)
         assert res.count == count == closed_form
+        # each A has rank one, and the zero matrix is its only rank-0 outer
+        # inverse, so every other one is reflexive
+        both = cs.brute_force_inverses(a, "12", cell_budget=budget, count_only=True)
+        assert both.count == count - 1
 
 
 SCAN_POPULATIONS = [(-1, 0, 1), (0, 1), (-1, 0), (1,), (-2, -1, 0, 1, 2)]
