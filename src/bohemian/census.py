@@ -17,7 +17,8 @@ population rows: for a basis B of W made of population rows, the X with
 rows in W, XAX = X and rowspace(X) = W are those with B A X = B, again a
 sum of one term per row of X, so each W is one join over the rows in W
 (the lemma and its proof are in ``brute_force_inverses``).  The row
-spaces of each population are built once per row length and memoized.
+spaces of each population are built once per row length and top
+dimension, up to the dimension the scan can reach, and memoized.
 Both equations hold exactly when XAX = X and rank(X) = rank(A), so the
 reflexive inverses are the row spaces of dimension rank(A) and have no
 scan of their own.  Join terms are vectors written as single integers in
@@ -201,7 +202,8 @@ def brute_force_inverses(
     over the population rows in W, with B made of population rows so that
     B A is read from the table of products x A.  A part of dimension r
     holds rank-r matrices only, so a rank filter picks parts instead of
-    ranking hits, and a W with rank(B A) < r holds none.  The parts'
+    ranking hits, and no W of higher dimension is built; a W with
+    rank(B A) < r holds none.  The parts'
     streams are merged back into odometer order.
 
     Spec 12 is the part of dimension rank(A), by this lemma (Ben-Israel
@@ -377,7 +379,8 @@ def _outer_joins(
         xs = list(map(codes.__getitem__, idx))
         return all(sum(map(mul, ra[i], xs)) == code for i, code in zip(idx, xs))
 
-    for space in _subspaces(m, values):
+    top = m if rank_filter is None else min(rank_filter, m)
+    for space in _subspaces(m, values, top):
         r = len(space.basis)
         if rank_filter not in (None, r):
             continue
@@ -431,9 +434,10 @@ def _normal_basis(rows: list[tuple[int, ...]], m: int) -> list[tuple[int, ...]]:
 
 
 @lru_cache(maxsize=16)
-def _subspaces(m: int, values: tuple[int, ...]) -> tuple[_Subspace, ...]:
-    """Every subspace spanned by rows of the population table
-    ``product(values, repeat=m)``, by dimension, in integer arithmetic.
+def _subspaces(m: int, values: tuple[int, ...], top: int) -> tuple[_Subspace, ...]:
+    """Every subspace of dimension at most ``top`` spanned by rows of the
+    population table ``product(values, repeat=m)``, by dimension, in
+    integer arithmetic.
 
     Built level by level from the zero subspace.  Given a subspace S, the
     rows v outside S are grouped by the primitive, sign-normalized image
@@ -441,13 +445,14 @@ def _subspaces(m: int, values: tuple[int, ...]) -> tuple[_Subspace, ...]:
     exactly when N v and N v' are proportional, so each group, with the
     members of S, is the member set of one subspace a dimension up, and
     the same subspace reached from several S is kept once by its member
-    set.  The levels stop below dimension m; the whole space, when the
-    rows span it, is added once, from any hyperplane and a row outside it.
+    set.  The levels stop at dimension min(top, m - 1); when top >= m, the
+    whole space, if the rows span it, is added once, from any hyperplane
+    and a row outside it.
     """
     rows = tuple(product(values, repeat=m))
     level = {tuple(i for i, row in enumerate(rows) if not any(row)): ()}
     spaces = dict(level)  # member set -> basis
-    for _ in range(m - 1):
+    for _ in range(min(top, m - 1)):
         grown: dict[tuple[int, ...], tuple[int, ...]] = {}
         for members, basis in level.items():
             normal = _normal_basis([rows[b] for b in basis], m)
@@ -465,11 +470,12 @@ def _subspaces(m: int, values: tuple[int, ...]) -> tuple[_Subspace, ...]:
                     grown[key] = basis + (line[0],)
         spaces.update(grown)
         level = grown
-    for members, basis in list(level.items())[:1]:  # one hyperplane
-        inside = set(members)
-        outside = [i for i in range(len(rows)) if i not in inside]
-        if outside:
-            spaces[tuple(range(len(rows)))] = basis + (outside[0],)
+    if top >= m:
+        for members, basis in list(level.items())[:1]:  # one hyperplane
+            inside = set(members)
+            outside = [i for i in range(len(rows)) if i not in inside]
+            if outside:
+                spaces[tuple(range(len(rows)))] = basis + (outside[0],)
     return tuple(_Subspace(basis, members) for members, basis in spaces.items())
 
 

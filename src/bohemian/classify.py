@@ -6,11 +6,38 @@ structure, and places matrices in the Class I / II / III hierarchy of
 sums of disjoint rank-one terms.  All constructions are deterministic:
 ties are broken by lowest original index, and sign ambiguity is resolved
 by forcing the first nonzero entry of each representative vector to +1.
+
+Every structural test reads one grouping of the nonzero rows of A into
+classes of +- equal rows (``_row_classes``), by this lemma: two nonzero
+ternary rows v and w are linearly dependent only when w = +-v.
+
+Proof.  If w = c v, take j with v_j != 0.  Then w_j = c v_j is nonzero
+too, so c = w_j / v_j is a ratio of two entries in {-1, 1}: c = +-1.
+
+Hence, with the classes' representatives written v_1, ..., v_k:
+
+- rank(A) = 1 exactly when k = 1, since rows of two classes are
+  independent.
+- A is generalized well-settled (GWS: permutation-equivalent to a block
+  diagonal of rank-one blocks) exactly when the supports of v_1, ..., v_k
+  are pairwise disjoint.  If they are, each class, on its
+  representative's support columns, is a rank-one block, and no two
+  blocks share a row or a column.  If two supports share column j, then
+  in any block-diagonal form the rows of both classes meet column j in
+  the same block, which then holds two independent rows and has rank at
+  least 2.
+- Disjointly supported nonzero representatives are independent, so a GWS
+  A has rank k and is Class II.  Class I (Class II with disjointly
+  supported representatives) is therefore the same as GWS.
+- A is well-settled (WS: the blocks are full, so each has literally
+  equal rows and no zero rows are left over) exactly when it is GWS, has
+  no zero row, and every class has a single sign.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import mul
 from typing import Optional, Sequence
 
 from .matrices import (
@@ -25,8 +52,6 @@ TYPE_I = "TypeI"
 TYPE_II = "TypeII"
 TYPE_III = "TypeIII"
 TYPE_IV = "TypeIV"
-
-STRUCTURES = ("S1", "S2", "S3", "S4")
 
 
 @dataclass(frozen=True)
@@ -97,30 +122,33 @@ def full_form(a: TernaryMatrix) -> Optional[FullForm]:
 
 
 def _row_classes(rows):
-    """Group nonzero rows into +- equality classes.
+    """Group nonzero ternary rows into +- equality classes.
 
     Returns (classes, zero_rows) where classes is a list of
     (representative, [(row_index, sign), ...]) in first-appearance order and
     each representative has its first nonzero entry equal to +1.
     """
-    classes: list[tuple[tuple[int, ...], list[tuple[int, int]]]] = []
+    classes: dict[tuple[int, ...], list[tuple[int, int]]] = {}
     zero_rows: list[int] = []
     for i, r in enumerate(rows):
-        lead = next((e for e in r if e), 0)
+        lead = next(filter(None, r), 0)
         if lead == 0:
             zero_rows.append(i)
-            continue
-        if lead > 0:
-            rep, sign = r, 1
+        elif lead > 0:
+            classes.setdefault(tuple(r), []).append((i, 1))
         else:
-            rep, sign = tuple(-e for e in r), -1
-        for existing, members in classes:
-            if existing == rep:
-                members.append((i, sign))
-                break
-        else:
-            classes.append((rep, [(i, sign)]))
-    return classes, zero_rows
+            classes.setdefault(tuple(-e for e in r), []).append((i, -1))
+    return list(classes.items()), zero_rows
+
+
+def _disjoint(reps) -> bool:
+    """True when no column is nonzero in two of the representatives."""
+    return all(sum(map(bool, col)) <= 1 for col in zip(*reps))
+
+
+def _single_signed(classes) -> bool:
+    """True when the rows of each class are literally equal."""
+    return all(len({s for _, s in members}) == 1 for _, members in classes)
 
 
 @dataclass(frozen=True)
@@ -179,10 +207,9 @@ def rank_one_factorize(a: TernaryMatrix) -> RankOneFactorization:
     zero rows sink to the bottom preserving order, support columns come
     first preserving order, and D2 makes the core's nonzero block all +1.
     """
-    if exact_rank(a) != 1:
+    classes, zero_rows = _row_classes(a.row_tuples())
+    if len(classes) != 1:
         raise DomainError("rank-one factorization requires a rank-1 matrix")
-    rows = a.row_tuples()
-    classes, zero_rows = _row_classes(rows)
     rep, members = classes[0]
 
     p1 = tuple(i for i, _ in members) + tuple(zero_rows)
@@ -246,89 +273,40 @@ class GwsDecomposition:
         }
 
 
-def _support_components(a: TernaryMatrix):
-    """Connected components of the bipartite row/column support graph.
-
-    Returns (components, zero_rows, zero_cols); each component is a pair of
-    sorted row and column index lists, ordered by smallest row index.
-    """
-    rows = a.row_tuples()
-    m, n = a.rows, a.cols
-    parent = list(range(m + n))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    def union(x, y):
-        rx, ry = find(x), find(y)
-        if rx != ry:
-            parent[ry] = rx
-
-    for i in range(m):
-        for j in range(n):
-            if rows[i][j]:
-                union(i, m + j)
-
-    groups: dict[int, tuple[list[int], list[int]]] = {}
-    for i in range(m):
-        if any(rows[i]):
-            groups.setdefault(find(i), ([], []))[0].append(i)
-    for j in range(n):
-        if any(rows[i][j] for i in range(m)):
-            groups.setdefault(find(m + j), ([], []))[1].append(j)
-
-    components = sorted(groups.values(), key=lambda g: g[0][0])
-    zero_rows = [i for i in range(m) if not any(rows[i])]
-    zero_cols = [j for j in range(n) if not any(rows[i][j] for i in range(m))]
-    return components, zero_rows, zero_cols
-
-
 def gws_detect(a: TernaryMatrix) -> Optional[GwsDecomposition]:
     """Block-diagonal form with rank-one blocks, or None.
 
-    Succeeds exactly when every connected component of the support graph
-    induces a rank-one submatrix; zero rows and columns are parked in a
-    trailing zero block.
+    Succeeds exactly when the row classes' representatives are disjointly
+    supported (see the module docstring).  Each class is one block, on its
+    representative's support columns, in first-appearance order with rows
+    and columns ascending; zero rows and columns are parked in a trailing
+    zero block.
     """
-    components, zero_rows, zero_cols = _support_components(a)
     rows = a.row_tuples()
+    classes, zero_rows = _row_classes(rows)
+    if not _disjoint([rep for rep, _ in classes]):
+        return None
     row_perm: list[int] = []
     col_perm: list[int] = []
     blocks: list[GwsBlock] = []
-    for comp_rows, comp_cols in components:
+    for rep, members in classes:
+        block_rows = [i for i, _ in members]
+        block_cols = [j for j, e in enumerate(rep) if e]
         sub = TernaryMatrix.from_rows(
-            tuple(rows[r][c] for c in comp_cols) for r in comp_rows
+            tuple(rows[r][c] for c in block_cols) for r in block_rows
         )
-        if exact_rank(sub) > 1:
-            return None
         blocks.append(
             GwsBlock(
-                (len(row_perm), len(row_perm) + len(comp_rows)),
-                (len(col_perm), len(col_perm) + len(comp_cols)),
+                (len(row_perm), len(row_perm) + len(block_rows)),
+                (len(col_perm), len(col_perm) + len(block_cols)),
                 sub,
             )
         )
-        row_perm.extend(comp_rows)
-        col_perm.extend(comp_cols)
+        row_perm.extend(block_rows)
+        col_perm.extend(block_cols)
     row_perm.extend(zero_rows)
-    col_perm.extend(zero_cols)
+    col_perm.extend(j for j, col in enumerate(zip(*rows)) if not any(col))
     return GwsDecomposition(tuple(row_perm), tuple(col_perm), tuple(blocks))
-
-
-def _ws_from_decomposition(a: TernaryMatrix, dec: Optional[GwsDecomposition]) -> bool:
-    if dec is None:
-        return False
-    total_block_rows = sum(b.row_span[1] - b.row_span[0] for b in dec.blocks)
-    if total_block_rows != a.rows:
-        return False
-    for b in dec.blocks:
-        rs = b.matrix.row_tuples()
-        if any(r != rs[0] for r in rs[1:]):
-            return False
-    return True
 
 
 def ws_detect(a: TernaryMatrix) -> bool:
@@ -338,7 +316,12 @@ def ws_detect(a: TernaryMatrix) -> bool:
     not available under plain permutations) and no zero rows; zero columns
     can always be absorbed as a block's trailing zero columns.
     """
-    return _ws_from_decomposition(a, gws_detect(a))
+    classes, zero_rows = _row_classes(a.row_tuples())
+    return (
+        not zero_rows
+        and _disjoint([rep for rep, _ in classes])
+        and _single_signed(classes)
+    )
 
 
 @dataclass(frozen=True)
@@ -379,18 +362,32 @@ class ClassReport:
         }
 
 
+def _terms(classes, m: int):
+    """The rank-one terms (u, v) of the row classes of an m-row matrix."""
+    terms = []
+    for rep, members in classes:
+        u = [0] * m
+        for idx, sign in members:
+            u[idx] = sign
+        terms.append((tuple(u), rep))
+    return tuple(terms)
+
+
 def _class_terms(a: TernaryMatrix, rank: int):
     """Row-wise Class II witness terms, or None when the grouping fails."""
     classes, _ = _row_classes(a.row_tuples())
     if len(classes) != rank:
         return None
-    terms = []
-    for rep, members in classes:
-        u = [0] * a.rows
-        for idx, sign in members:
-            u[idx] = sign
-        terms.append((tuple(u), rep))
-    return tuple(terms)
+    return _terms(classes, a.rows)
+
+
+def _orthogonal(reps) -> bool:
+    """True when the representatives are pairwise orthogonal."""
+    return all(
+        sum(map(mul, reps[i], reps[j])) == 0
+        for i in range(len(reps))
+        for j in range(i + 1, len(reps))
+    )
 
 
 def _structure_from_reps(reps: Sequence[tuple[int, ...]]) -> Optional[str]:
@@ -424,43 +421,30 @@ def class_membership(a: TernaryMatrix) -> ClassReport:
 
     A is Class II row-wise when its nonzero rows group into exactly rank(A)
     classes of +- equal rows; Class III additionally needs orthogonal class
-    representatives, Class I disjointly supported ones.  The column-wise
+    representatives, Class I disjointly supported ones.  GWS and WS are
+    read off the same classes (see the module docstring).  The column-wise
     reading is reported as a separate flag.
     """
+    rows = a.row_tuples()
     rank = exact_rank(a)
-    terms = _class_terms(a, rank)
-    col_terms = _class_terms(a.transpose(), rank)
-    is_class_ii = terms is not None
-    is_class_iii = False
-    is_class_i = False
-    s_structure = None
-    if is_class_ii:
-        reps = [v for _, v in terms]
-        is_class_iii = all(
-            sum(x * y for x, y in zip(reps[i], reps[j])) == 0
-            for i in range(len(reps))
-            for j in range(i + 1, len(reps))
-        )
-        is_class_i = all(
-            all(x == 0 or y == 0 for x, y in zip(reps[i], reps[j]))
-            for i in range(len(reps))
-            for j in range(i + 1, len(reps))
-        )
-        if is_class_iii and rank == 2:
-            s_structure = _structure_from_reps(reps)
-    dec = gws_detect(a)
+    classes, zero_rows = _row_classes(rows)
+    col_classes, _ = _row_classes(zip(*rows))
+    reps = [rep for rep, _ in classes]
+    is_class_ii = len(classes) == rank
+    is_class_iii = is_class_ii and _orthogonal(reps)
+    disjoint = _disjoint(reps)  # then Class II holds too
     return ClassReport(
         rank=rank,
         full_form=full_form(a),
         is_rank_one=rank == 1,
-        is_well_settled=_ws_from_decomposition(a, dec),
-        is_generalized_well_settled=dec is not None,
-        is_class_I=is_class_i,
+        is_well_settled=disjoint and not zero_rows and _single_signed(classes),
+        is_generalized_well_settled=disjoint,
+        is_class_I=disjoint,
         is_class_II=is_class_ii,
         is_class_III=is_class_iii,
-        is_class_II_columnwise=col_terms is not None,
-        terms=terms if terms is not None else (),
-        s_structure=s_structure,
+        is_class_II_columnwise=len(col_classes) == rank,
+        terms=_terms(classes, a.rows) if is_class_ii else (),
+        s_structure=_structure_from_reps(reps) if is_class_iii and rank == 2 else None,
     )
 
 
@@ -468,12 +452,14 @@ def rank2_class3_structure(a: TernaryMatrix) -> Optional[str]:
     """Which of the four canonical rank-two layouts A matches, signs and
     permutations removed; None when the rank is not 2 or a fully zero
     column falls outside every canonical layout."""
-    report = class_membership(a)
-    if not report.is_class_III:
+    classes, _ = _row_classes(a.row_tuples())
+    reps = [rep for rep, _ in classes]
+    rank = exact_rank(a)
+    if len(reps) != rank or not _orthogonal(reps):
         raise DomainError("structure detection requires a Class III matrix")
-    if report.rank != 2:
+    if rank != 2:
         return None
-    return _structure_from_reps([v for _, v in report.terms])
+    return _structure_from_reps(reps)
 
 
 @dataclass(frozen=True)
@@ -500,11 +486,9 @@ class UwDecomposition:
 def uw_decompose(a: TernaryMatrix) -> UwDecomposition:
     """Split a row-wise Class II matrix as a signed permutation times a
     stack of constant-row blocks, zero rows parked in a trailing block."""
-    rank = exact_rank(a)
-    terms = _class_terms(a, rank)
-    if terms is None:
-        raise DomainError("UW decomposition requires a row-wise Class II matrix")
     classes, zero_rows = _row_classes(a.row_tuples())
+    if len(classes) != exact_rank(a):
+        raise DomainError("UW decomposition requires a row-wise Class II matrix")
     w_rows: list[tuple[int, ...]] = []
     perm: list[int] = []
     signs: list[int] = []

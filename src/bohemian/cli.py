@@ -94,11 +94,12 @@ def _cmd_decompose(args) -> int:
     a = _load_matrix(args.matrix)
     form = args.form
     if form == "auto":
-        if exact_rank(a) == 1:
+        rank = exact_rank(a)
+        if rank == 1:
             form = "rank1"
         elif cl.gws_detect(a) is not None:
             form = "gws"
-        elif cl.class_membership(a).is_class_II:
+        elif cl._class_terms(a, rank) is not None:
             form = "uw"
         else:
             print("no decomposition applies: not rank one, block-diagonal, "

@@ -125,6 +125,13 @@ class TestBruteForce:
         both = cs.brute_force_inverses(a, "12", cell_budget=budget, count_only=True)
         assert both.count == count - 1
 
+    def test_reflexive_count_reach(self):
+        # spec 12 builds the row spaces of dimension rank(A) = 1 only, so the
+        # 25-cell all-ones count needs no m = 5 lattice
+        res = cs.brute_force_inverses(ones(5, 5), "12", cell_budget=25,
+                                      count_only=True)
+        assert res.count == 2_025 == ct.outer_count_full_type_I(5, 5)
+
 
 SCAN_POPULATIONS = [(-1, 0, 1), (0, 1), (-1, 0), (1,), (-2, -1, 0, 1, 2)]
 
@@ -234,6 +241,15 @@ class TestScanMatchesReference:
             _assert_scan_matches(a, cs.Population(values), checked, ranks, ranks)
 
 
+def _assert_capped_prefixes(m, values, spaces):
+    """The lattice capped at dimension r is the dimension-<= r part of the
+    whole one, for every r."""
+    for r in range(m + 1):
+        assert cs._subspaces(m, values, r) == tuple(
+            s for s in spaces if len(s.basis) <= r
+        )
+
+
 class TestSubspaces:
     """The row spaces of a population table, one XAX = X join each."""
 
@@ -243,7 +259,9 @@ class TestSubspaces:
          (4, (-1, 0, 1), 1_084), (4, (0, 1), 117)],
     )
     def test_counts(self, m, values, count):
-        assert len(cs._subspaces(m, values)) == count
+        spaces = cs._subspaces(m, values, m)
+        assert len(spaces) == count
+        _assert_capped_prefixes(m, values, spaces)
 
     @pytest.mark.parametrize(
         "m, values",
@@ -254,7 +272,8 @@ class TestSubspaces:
         # each member set is every row x with rank(basis + x) = dim W, and
         # no two row spaces share one
         rows = list(product(values, repeat=m))
-        spaces = cs._subspaces(m, values)
+        spaces = cs._subspaces(m, values, m)
+        _assert_capped_prefixes(m, values, spaces)
         assert len({s.members for s in spaces}) == len(spaces)
         assert [len(s.basis) for s in spaces] == sorted(len(s.basis) for s in spaces)
         for space in spaces:

@@ -151,6 +151,25 @@ class TestGws:
     def test_zero_column_does_not_break_ws(self):
         assert ws_detect(M([[1, 0]]))
 
+    def test_detection_matches_definition_exhaustive_small(self):
+        # None exactly when two nonzero rows meet in a column without being
+        # +- equal, which forces a block of rank >= 2; otherwise one rank-one
+        # block per independent direction
+        shapes = [(m, n) for m in range(1, 4) for n in range(1, 4)] + [(2, 4), (4, 2)]
+        for m, n in shapes:
+            for a in all_ternary(m, n):
+                rows = [r for r in a.row_tuples() if any(r)]
+                clash = any(
+                    any(x and y for x, y in zip(v, w))
+                    and v != w and v != tuple(-e for e in w)
+                    for i, v in enumerate(rows)
+                    for w in rows[i + 1:]
+                )
+                dec = gws_detect(a)
+                assert (dec is None) == clash, a
+                if dec is not None:
+                    assert len(dec.blocks) == exact_rank(a)
+
     def test_block_structure_exhaustive_small(self):
         for m, n in [(2, 2), (2, 3), (3, 2)]:
             for a in all_ternary(m, n):

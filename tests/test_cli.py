@@ -1,8 +1,10 @@
 from __future__ import annotations
 
 import contextlib
+import hashlib
 import io
 import json
+from itertools import product
 
 import pytest
 from hypothesis import given, settings
@@ -11,7 +13,7 @@ from hypothesis import strategies as st
 from bohemian import census as cs
 from bohemian import counting as ct
 from bohemian.cli import main
-from bohemian.matrices import parse_matrix, serialize_matrix
+from bohemian.matrices import TernaryMatrix, parse_matrix, serialize_matrix
 
 
 @pytest.fixture
@@ -282,6 +284,33 @@ class TestDecompose:
             capsys, "decompose", write("a.txt", "1 1\n1 0\n0 1\n")
         )
         assert code == 3
+
+    def test_small_inputs_digest(self, capsys, tmp_path):
+        # every `classify` and `decompose` output on the nonzero inputs of at
+        # most 4 cells, pinned byte for byte through its sha256
+        commands = (
+            ("classify",),
+            ("decompose", "--form", "auto"),
+            ("decompose", "--form", "rank1"),
+            ("decompose", "--form", "gws"),
+            ("decompose", "--form", "uw"),
+        )
+        path = tmp_path / "a.txt"
+        digest = hashlib.sha256()
+        cases = 0
+        for rows, cols in [(1, 1), (1, 2), (2, 1), (1, 3), (3, 1), (1, 4), (2, 2), (4, 1)]:
+            for ent in product((-1, 0, 1), repeat=rows * cols):
+                if not any(ent):
+                    continue
+                path.write_text(serialize_matrix(TernaryMatrix(rows, cols, ent)))
+                for command in commands:
+                    code, out, err = run(capsys, command[0], str(path), *command[1:])
+                    digest.update(f"{command}\0{code}\0{out}\0{err}\0".encode())
+                    cases += 1
+        assert cases == 1550
+        assert digest.hexdigest() == (
+            "0c8c7c2737eecc24ffb1b9ba9d439685fafc0b0483395bfb427b7a1f66043e0b"
+        )
 
 
 class TestCountAndIdentity:
