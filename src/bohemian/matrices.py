@@ -15,7 +15,7 @@ from __future__ import annotations
 import operator
 import re
 from dataclasses import dataclass
-from itertools import permutations, product
+from itertools import chain, permutations, product
 from typing import Iterable, Iterator, Sequence
 
 TRITS = (-1, 0, 1)
@@ -167,7 +167,8 @@ def _product_rows(a_rows, b_rows):
 def multiply(a: IntMatrix, b: IntMatrix) -> IntMatrix:
     if a.cols != b.rows:
         raise ShapeError(f"cannot multiply {a.rows}x{a.cols} by {b.rows}x{b.cols}")
-    return IntMatrix.from_rows(_product_rows(a.row_tuples(), b.row_tuples()))
+    rows = _product_rows(a.row_tuples(), b.row_tuples())
+    return IntMatrix(a.rows, b.cols, tuple(chain.from_iterable(rows)))
 
 
 def entry_sum(a: IntMatrix) -> int:

@@ -11,6 +11,7 @@ detected literally, in the column order their families are written for.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from itertools import groupby
 from typing import NamedTuple, Optional
 
@@ -66,9 +67,12 @@ class TheoremSelection:
             if population != cs.TERNARY:
                 moved = filter(set(population.values).issuperset, moved)
             entries = tuple(sorted(moved))
-        if rank is not None:  # ranked on the n rows of m entries each
+        if rank is not None:
+            # The rank of the n rows of m entries each depends only on the
+            # set of distinct rows, and members share few such sets.
+            rank_of = cache(_row_rank)
             entries = tuple(
-                e for e in entries if _row_rank(zip(*[iter(e)] * m)) == rank
+                e for e in entries if rank_of(frozenset(zip(*[iter(e)] * m))) == rank
             )
         return cs.EnumerationResult(shape, entries, len(entries))
 

@@ -185,15 +185,17 @@ def _all_ternary(rows: int, cols: int):
 
 
 def _naive_mul(a: IntMatrix, b: IntMatrix) -> IntMatrix:
-    out = []
-    for i in range(a.rows):
-        out.append(
-            [
-                sum(a.at(i, k) * b.at(k, j) for k in range(a.cols))
-                for j in range(b.cols)
-            ]
-        )
-    return IntMatrix.from_rows(out)
+    """The product by the textbook triple loop, independent of the kernel's."""
+    ae, be, n, p = a.entries, b.entries, a.cols, b.cols
+    return IntMatrix(
+        a.rows,
+        p,
+        tuple(
+            sum(ae[i * n + k] * be[k * p + j] for k in range(n))
+            for i in range(a.rows)
+            for j in range(p)
+        ),
+    )
 
 
 def _block_diagonal(blocks) -> TernaryMatrix:
@@ -271,16 +273,18 @@ def suite_core(budget: int) -> VerifyOutcome:
     for n, r in product(range(1, 4), repeat=2):
         if n * r > budget:
             continue
-        sandwiches = [
-            (ones(m, n), ones(r, s)) for m, s in product(range(1, 4), repeat=2)
-        ]
+        lefts = [ones(m, n) for m in range(1, 4)]
+        rights = [ones(r, s) for s in range(1, 4)]
         bad = 0
         for x in _all_ternary(n, r):
             want = entry_sum(x)
-            for left, right in sandwiches:
-                lhs = multiply(multiply(left, x), right)
-                if any(e != want for e in lhs.entries):
-                    bad += 1
+            # every (m, s) in turn, each left product formed once
+            for left in lefts:
+                left_x = multiply(left, x)
+                for right in rights:
+                    lhs = multiply(left_x, right).entries
+                    if lhs.count(want) != len(lhs):
+                        bad += 1
         out.check("AllOnesProducts", f"inner shape {n}x{r}", not bad, bad, 0)
 
     # Rank-one factorization round trip, with the unitary-factor view.
@@ -502,13 +506,13 @@ def suite_outer(budget: int) -> VerifyOutcome:
     for b in _all_ternary(2, 2):
         a = TernaryMatrix.from_rows([r + (0,) for r in b.row_tuples()])
         for x in cs.brute_force_inverses(a, "2", cell_budget=budget).matrices:
-            # X is 3x2: rows 1-2 are X1, row 3 is X2
-            x1 = IntMatrix(2, 2, x[:4])
-            x2 = IntMatrix(1, 2, x[4:])
+            # X is 3x2: rows 1-2 are X1, row 3 is X2, so rows 1-2 of
+            # X B X1 are X1 B X1 and row 3 is X2 B X1
+            xbx1 = multiply(multiply(IntMatrix(3, 2, x), b), IntMatrix(2, 2, x[:4]))
             checked += 1
-            if multiply(multiply(x1, b), x1) != x1:
+            if xbx1.entries[:4] != x[:4]:
                 bad += 1
-            elif multiply(multiply(x2, b), x1) != x2:
+            elif xbx1.entries[4:] != x[4:]:
                 bad += 1
     out.check("Lemma2.4", "2x2 blocks, one zero column", not bad, bad, checked)
     return out

@@ -526,6 +526,40 @@ class TestTheoremDispatch:
                     checked.add(sel.theorem_id)
         assert {"RankOneInner", "Thm5.19", "OuterFullSetRank2"} <= checked
 
+    def test_ranked_selection_is_the_filtered_selection(self):
+        # every nonzero A of at most 6 cells and every supported (spec,
+        # rank); specs 1 and 12 select the same family for any rank.  The
+        # 1x6 and 6x1 A are left out: their members are vectors, ranked by
+        # a zero test alone, and would take 40 s of 48 on a 2-vCPU VM.
+        from itertools import product
+
+        from bohemian.matrices import TernaryMatrix, exact_rank
+        from bohemian.theorems import UnsupportedShape, select_theorem
+
+        checked = 0
+        shapes = [(m, n) for m in range(1, 6) for n in range(1, 6) if m * n <= 6]
+        for m, n in shapes:
+            ranks = range(min(m, n) + 1)
+            pairs = [("1", None), ("12", None)] + [("2", r) for r in (None, *ranks)]
+            for ent in product((-1, 0, 1), repeat=m * n):
+                if not any(ent):
+                    continue
+                a = TernaryMatrix(m, n, ent)
+                for spec, rank in pairs:
+                    try:
+                        sel = select_theorem(a, spec, rank)
+                    except UnsupportedShape:
+                        continue
+                    ranked = [(x.entries, exact_rank(x)) for x in sel.materialize()]
+                    for r in ranks if rank is None else (rank,):
+                        kept = tuple(e for e, k in ranked if k == r)
+                        got = sel.materialize(rank=r)
+                        assert got.matrices == kept and got.count == len(kept), (
+                            ent, spec, rank, r,
+                        )
+                        checked += 1
+        assert checked > 10_000
+
     def test_dispatch_matches_census_on_small_shapes(self):
         from itertools import product
 

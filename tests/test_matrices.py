@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import random
 from fractions import Fraction
 from itertools import product
 
@@ -61,6 +62,32 @@ class TestConstruction:
     def test_equality_across_subclass(self):
         assert IntMatrix(1, 2, (1, 0)) == TernaryMatrix(1, 2, (1, 0))
         assert hash(IntMatrix(1, 2, (1, 0))) == hash(TernaryMatrix(1, 2, (1, 0)))
+
+    @pytest.mark.parametrize("bad", [1.0, "a", [1], None])
+    def test_int_matrix_names_the_bad_entry(self, bad):
+        with pytest.raises(DomainError) as err:
+            IntMatrix(1, 3, (0, bad, 1))
+        assert str(err.value) == f"entries must be integers, got {bad!r}"
+
+    @pytest.mark.parametrize("bad", [1.0, "a", 2, [1], None])
+    def test_ternary_matrix_names_the_bad_entry(self, bad):
+        with pytest.raises(DomainError) as err:
+            TernaryMatrix(1, 3, (0, bad, 1))
+        assert str(err.value) == f"ternary entries must be -1, 0 or 1, got {bad!r}"
+
+    def test_first_bad_entry_is_named(self):
+        with pytest.raises(DomainError, match="got 'a'"):
+            IntMatrix(1, 3, (1, "a", 2.5))
+        with pytest.raises(DomainError, match="got 5"):
+            TernaryMatrix(1, 3, (1, 5, 2.5))
+
+    def test_bool_and_big_ints_accepted(self):
+        big = 2**64 + 1
+        assert IntMatrix(1, 3, (True, big, -big)).entries == (1, big, -big)
+        assert TernaryMatrix(1, 2, (True, False)).entries == (1, 0)
+
+    def test_entries_become_a_tuple(self):
+        assert IntMatrix(1, 2, [3, 4]).entries == (3, 4)
 
 
 class TestRank:
@@ -285,6 +312,32 @@ class TestTextFormat:
     def test_empty_input(self):
         with pytest.raises(ParseError):
             parse_matrix("# nothing\n")
+
+
+def _triple_loop(a, b):
+    return [
+        [sum(a.at(i, k) * b.at(k, j) for k in range(a.cols)) for j in range(b.cols)]
+        for i in range(a.rows)
+    ]
+
+
+class TestMultiply:
+    def test_matches_triple_loop_on_random_int_matrices(self):
+        rng = random.Random(13)
+        shapes = [(1, 1, 1), (1, 4, 1), (4, 1, 4), (1, 3, 5), (5, 3, 1), (2, 3, 4)]
+        pools = [range(-9, 10), (-(2**70), 2**65 + 3, -1, 0, 7)]
+        for (m, k, n), pool in product(shapes, pools):
+            for _ in range(20):
+                a = IntMatrix(m, k, tuple(rng.choice(pool) for _ in range(m * k)))
+                b = IntMatrix(k, n, tuple(rng.choice(pool) for _ in range(k * n)))
+                got = multiply(a, b)
+                assert type(got) is IntMatrix
+                assert got.shape == (m, n)
+                assert got.to_lists() == _triple_loop(a, b)
+
+    def test_shape_error_text(self):
+        with pytest.raises(ShapeError, match="^cannot multiply 2x3 by 2x3$"):
+            multiply(IntMatrix(2, 3, (0,) * 6), IntMatrix(2, 3, (0,) * 6))
 
 
 class TestAllOnesProducts:
