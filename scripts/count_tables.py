@@ -21,18 +21,13 @@ def main() -> int:
 
     print("formula_id,params,value,method,census")
 
-    def census_or_blank(a, spec, nonzero=False):
+    def census_or_blank(a, spec, rank=None):
         cells = a.rows * a.cols
         if args.no_census or cells > args.max_cells:
             return ""
-
-        def count(rank=None):
-            return cs.brute_force_inverses(
-                a, spec, rank_filter=rank, cell_budget=cells, count_only=True
-            ).count
-
-        # the members of rank 0 are the zero matrix, if it is one
-        return str(count() - count(0) if nonzero else count())
+        return str(cs.brute_force_inverses(
+            a, spec, rank_filter=rank, cell_budget=cells, count_only=True
+        ).count)
 
     for n in range(0, 13):
         for t in (0, 1):
@@ -51,9 +46,10 @@ def main() -> int:
     outer_grid += [
         (m, n) for m in range(1, 17) for n in range(1, 17) if 9 < m * n <= 16
     ]
+    # each outer A is rank one, so its nonzero outer inverses have rank 1
     for m, n in outer_grid:
         rep = ct.evaluate_formula("outer_type_I", m=m, n=n, include_zero=False)
-        print(f"{rep.csv_row()},{census_or_blank(ones(m, n), '2', nonzero=True)}")
+        print(f"{rep.csv_row()},{census_or_blank(ones(m, n), '2', rank=1)}")
 
     zeros_grid = [
         (m, n1, n2) for m in range(1, 3) for n1 in range(1, 4) for n2 in range(0, 3)
@@ -68,7 +64,7 @@ def main() -> int:
             "outer_type_III", m=m, n1=n1, n2=n2, include_zero=False
         )
         a = TernaryMatrix.from_rows([(1,) * n1 + (0,) * n2] * m)
-        print(f"{rep.csv_row()},{census_or_blank(a, '2', nonzero=True)}")
+        print(f"{rep.csv_row()},{census_or_blank(a, '2', rank=1)}")
 
     for n1 in range(1, 5):
         for n2 in range(1, 5):

@@ -78,10 +78,6 @@ class FullForm:
         if not ok:
             raise DomainError(f"widths {self.widths} do not fit {self.kind}")
 
-    @property
-    def total_width(self) -> int:
-        return sum(self.widths)
-
     def materialize(self, m: int) -> TernaryMatrix:
         n1, n2, n3 = self.widths
         row = (self.sign,) * n1 + (-self.sign,) * n2 + (0,) * n3

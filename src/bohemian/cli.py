@@ -184,15 +184,6 @@ def _cmd_inverses(args) -> int:
 def _cmd_count(args) -> int:
     params = {}
     names, _ = ct.FORMULAS[args.formula]
-    mapping = {
-        "n": args.n,
-        "t": args.t,
-        "m": args.m,
-        "n1": args.n1,
-        "n2": args.n2,
-        "include_zero": args.include_zero,
-        "zero_in_pop": args.zero_in_pop,
-    }
     for name in names:
         if name == "dims":
             if not args.dims:
@@ -209,13 +200,12 @@ def _cmd_count(args) -> int:
                 print(f"bad --dims {args.dims!r}", file=sys.stderr)
                 return EXIT_USAGE
             params["dims"] = dims
-        elif name in ("include_zero", "zero_in_pop"):
-            params[name] = bool(mapping[name])
         else:
-            if mapping[name] is None:
+            # store_true flags are never None
+            params[name] = getattr(args, name)
+            if params[name] is None:
                 print(f"--{name} required for formula {args.formula}", file=sys.stderr)
                 return EXIT_USAGE
-            params[name] = mapping[name]
     report = ct.evaluate_formula(args.formula, **params)
     if args.json:
         _emit_json(report.to_json())

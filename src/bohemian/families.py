@@ -631,21 +631,14 @@ def outer_rank2_class3(structure: str, widths: Sequence[int]) -> InverseFamily:
     raise DomainError(f"unknown structure {structure!r}")
 
 
-def reflexive_full_row_rank(blocks: Sequence[TernaryMatrix]) -> InverseFamily:
-    """Reflexive inverses of a full-row-rank stack: the product with the
+def reflexive_full_row_rank(rows: Sequence[Sequence[int]]) -> InverseFamily:
+    """Reflexive inverses of a full-row-rank matrix: the product with the
     candidate is the identity, one exact linear condition per entry.  For
     such matrices this is the whole inner-inverse set as well."""
-    if not blocks:
-        raise DomainError("at least one block required")
-    n = blocks[0].cols
-    if any(b.cols != n for b in blocks):
-        raise ShapeError("blocks must share their column count")
-    a = TernaryMatrix.from_rows(
-        [row for b in blocks for row in b.row_tuples()]
-    )
-    m = a.rows
+    a = TernaryMatrix.from_rows(rows)
+    m, n = a.rows, a.cols
     if exact_rank(a) != m:
-        raise DomainError("stacked matrix must have full row rank")
+        raise DomainError("rows must be linearly independent")
     part = BlockPartition.from_sizes([1] * n, [1] * m)
     ar = a.row_tuples()
     constraints = []

@@ -104,9 +104,6 @@ class IntMatrix:
     def transpose(self) -> "IntMatrix":
         return type(self).from_rows(zip(*self.row_tuples()))
 
-    def __neg__(self) -> "IntMatrix":
-        return type(self)(self.rows, self.cols, tuple(-e for e in self.entries))
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, IntMatrix):
             return NotImplemented

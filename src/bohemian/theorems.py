@@ -20,7 +20,6 @@ from . import classify as cl
 from . import families as fam
 from .matrices import (
     DomainError,
-    ShapeError,
     SignedPermutation,
     TernaryMatrix,
     _row_rank,
@@ -88,8 +87,6 @@ class _Facts(NamedTuple):
 
     a: TernaryMatrix
     rank: int
-    #: one single-row block per row of A
-    row_blocks: list[TernaryMatrix]
     #: maximal runs of +- equal rows, or None (see _row_runs)
     runs: Optional[list[TernaryMatrix]]
     #: literal canonical layout (structure, widths, m1, m2), or None
@@ -135,7 +132,6 @@ def _facts(a: TernaryMatrix) -> _Facts:
     return _Facts(
         a,
         exact_rank(a),
-        [TernaryMatrix.from_rows([r]) for r in rows],
         None if runs is None else [TernaryMatrix.from_rows(run) for run in runs],
         _canonical_s_params(runs),
     )
@@ -183,10 +179,10 @@ def _select_inner(f: _Facts) -> TheoremSelection:
     if f.runs is not None:
         try:
             return _pick(fam.class3_inner_system(f.runs))
-        except (DomainError, ShapeError):
+        except DomainError:
             pass
     if f.rank == a.rows:
-        return _pick(fam.reflexive_full_row_rank(f.row_blocks))
+        return _pick(fam.reflexive_full_row_rank(a.row_tuples()))
     if f.rank == 1:
         fac = cl.rank_one_factorize(a)
         core = fam.inner_rank_one_core(
@@ -224,7 +220,7 @@ def _select_outer(f: _Facts, rank: Optional[int]) -> TheoremSelection:
             # most two, so zero, the rank-one family, and the reflexive set
             # exhaust the outer set
             rank1 = fam.outer_rank1_full_row_rank(a.row_tuples())
-            rank2 = fam.reflexive_full_row_rank(f.row_blocks)
+            rank2 = fam.reflexive_full_row_rank(a.row_tuples())
             return _pick(_outer_union(
                 "OuterFullSetRank2", rank1.shape, (rank1, rank2),
                 fam.FIRST_COLUMN_GAP_NOTE,
@@ -240,12 +236,12 @@ def _select_outer(f: _Facts, rank: Optional[int]) -> TheoremSelection:
     if rank == 1:
         if f.rank == a.rows:
             return _pick(fam.outer_rank1_full_row_rank(a.row_tuples()))
-        blocks = f.runs if f.runs is not None else f.row_blocks
+        blocks = f.runs or [TernaryMatrix.from_rows([r]) for r in a.row_tuples()]
         return _pick(fam.outer_rank1_row_partitioned(blocks))
     if rank == 2 and layout is not None:
         return _pick(fam.outer_rank2_class3(*layout))
     if rank == f.rank == a.rows:
-        return _pick(fam.reflexive_full_row_rank(f.row_blocks))
+        return _pick(fam.reflexive_full_row_rank(a.row_tuples()))
     raise UnsupportedShape(f"no rank-{rank} outer characterization for this shape")
 
 
@@ -256,10 +252,7 @@ def _select_reflexive(f: _Facts) -> TheoremSelection:
             "for rank-one matrices the nonzero outer and reflexive sets agree",
         )
     if f.rank == f.a.rows:
-        return _pick(fam.reflexive_full_row_rank(f.row_blocks))
-    layout = _two_row_s_params(f)
-    if layout is not None:
-        return _pick(fam.outer_rank2_class3(*layout))
+        return _pick(fam.reflexive_full_row_rank(f.a.row_tuples()))
     raise UnsupportedShape("no reflexive characterization for this shape")
 
 

@@ -101,7 +101,6 @@ class VerifyOutcome:
         spec: str,
         budget: int,
         rank: Optional[int] = None,
-        nonzero: bool = False,
         gap: bool = False,
     ):
         """Compare the family's members with the census of A.
@@ -110,7 +109,7 @@ class VerifyOutcome:
         is a known gap when the family only misses members with a zero
         first column, and the sample lists the missed members.
         """
-        oracle = _census(a, spec, budget, rank, nonzero=nonzero)
+        oracle = _census(a, spec, budget, rank)
         if oracle is None:
             return
         members = cs.materialize_family(family)
@@ -137,12 +136,10 @@ class VerifyOutcome:
         spec: str,
         budget: int,
         population: cs.Population = cs.TERNARY,
-        nonzero: bool = False,
+        rank: Optional[int] = None,
     ):
         """Compare ``expected()`` with the census count of A."""
-        oracle = _census(
-            a, spec, budget, population=population, nonzero=nonzero, count_only=True
-        )
+        oracle = _census(a, spec, budget, rank, population, count_only=True)
         if oracle is not None:
             want = expected()
             self.check(theorem_id, instance, want == oracle.count, want, oracle.count)
@@ -162,21 +159,20 @@ def _census(
     budget: int,
     rank: Optional[int] = None,
     population: cs.Population = cs.TERNARY,
-    nonzero: bool = False,
     count_only: bool = False,
 ) -> Optional[cs.EnumerationResult]:
-    """The census of A, optionally without the zero matrix; None, so that
-    the case is skipped and not counted, when A has more cells than the
-    budget."""
+    """The census of A, as ``bohemian inverses`` prints it for the same
+    spec, population, rank and budget; None, so that the case is skipped
+    and not counted, when A has more cells than the budget.
+
+    The nonzero outer inverses of a rank-one A are its census at rank 1,
+    by this lemma (Ben-Israel and Greville, *Generalized Inverses*,
+    ch. 1): XAX = X gives rank(X) = rank(XAX) <= rank(A), and the one
+    matrix of rank 0 is the zero matrix.
+    """
     if a.rows * a.cols > budget:
         return None
-    res = cs.brute_force_inverses(
-        a, spec, population, rank, budget, count_only and not nonzero
-    )
-    if nonzero:
-        kept = tuple(filter(any, res.matrices))
-        res = cs.EnumerationResult(res.shape, kept, len(kept))
-    return res
+    return cs.brute_force_inverses(a, spec, population, rank, budget, count_only)
 
 
 def _all_ternary(rows: int, cols: int):
@@ -387,8 +383,7 @@ def suite_inner(budget: int) -> VerifyOutcome:
         (1, 0, 0, 0, -1),
         (1, 0, 0, -1, 0),
     ]
-    blocks = [TernaryMatrix.from_rows([r]) for r in star_rows]
-    members = cs.materialize_family(fam.reflexive_full_row_rank(blocks))
+    members = cs.materialize_family(fam.reflexive_full_row_rank(star_rows))
     expected = set()
     for a_, b_, c_, d_ in product((0, 1), repeat=4):
         expected.add(
@@ -407,9 +402,7 @@ def suite_inner(budget: int) -> VerifyOutcome:
 
     # final worked 2x3 example: reflexive set equals both oracle sets
     a = TernaryMatrix.from_rows([[1, 1, 0], [1, 0, 0]])
-    refl = fam.reflexive_full_row_rank(
-        [TernaryMatrix.from_rows([r]) for r in a.row_tuples()]
-    )
+    refl = fam.reflexive_full_row_rank(a.row_tuples())
     out.compare_sets(
         "Thm5.16", "2x3 full-row-rank, vs inner census", refl, a, "1", budget
     )
@@ -429,7 +422,7 @@ def suite_outer(budget: int) -> VerifyOutcome:
     for m, n in product(range(1, 4), repeat=2):
         out.compare_sets(
             "Cor5.2", f"m={m} n={n}", fam.outer_full_type_I(m, n),
-            ones(m, n), "2", budget, nonzero=True,
+            ones(m, n), "2", budget, rank=1,
         )
 
     # ones-and-zeros outer family
@@ -439,7 +432,7 @@ def suite_outer(budget: int) -> VerifyOutcome:
         out.compare_sets(
             "Thm5.5", f"m={m} n1={n1} n2={n2}", fam.outer_full_type_III(m, n1, n2),
             cl.FullForm(cl.TYPE_III, 1, (n1, 0, n2)).materialize(m),
-            "2", budget, nonzero=True,
+            "2", budget, rank=1,
         )
 
     # general outer products
@@ -447,7 +440,7 @@ def suite_outer(budget: int) -> VerifyOutcome:
         out.compare_sets(
             "Thm5.1", f"zeta={zeta} eta={eta}", fam.outer_rank_one_general(zeta, eta),
             TernaryMatrix.from_rows([[z * e for e in eta] for z in zeta]),
-            "2", budget, nonzero=True,
+            "2", budget, rank=1,
         )
 
     # rank-one outer inverses of block-diagonal and row-partitioned stacks
@@ -548,7 +541,7 @@ def suite_counts(budget: int) -> VerifyOutcome:
     for m, n in product(range(1, 4), repeat=2):
         out.compare_count(
             "Cor5.4", f"m={m} n={n}", partial(ct.outer_count_full_type_I, m, n),
-            ones(m, n), "2", budget, nonzero=True,
+            ones(m, n), "2", budget, rank=1,
         )
         out.compare_count(
             "Cor5.3", f"m={m} n={n} pop {{0,1}}",
@@ -568,7 +561,7 @@ def suite_counts(budget: int) -> VerifyOutcome:
             "Thm5.5Count", f"m={m} n1={n1} n2={n2}",
             partial(ct.outer_count_full_type_III, m, n1, n2),
             cl.FullForm(cl.TYPE_III, 1, (n1, 0, n2)).materialize(m),
-            "2", budget, nonzero=True,
+            "2", budget, rank=1,
         )
 
     # block-diagonal inner counts

@@ -158,7 +158,7 @@ def test_criterion_4_characterization_equality():
             (1, 0, 0, -1, 0),
         ]
         refl = cs.materialize_family(
-            fam.reflexive_full_row_rank([M([r]) for r in star])
+            fam.reflexive_full_row_rank(star)
         )
         expected = set()
         for a_, b_, c_, d_ in product((0, 1), repeat=4):
@@ -176,7 +176,7 @@ def test_criterion_4_characterization_equality():
         # final worked example: nine members, equal to the census
         a = M([[1, 1, 0], [1, 0, 0]])
         refl2 = cs.materialize_family(
-            fam.reflexive_full_row_rank([M([r]) for r in a.row_tuples()])
+            fam.reflexive_full_row_rank(a.row_tuples())
         )
         assert refl2.count == 9
         assert cs.set_equal(refl2, oracle(a, "1")).equal

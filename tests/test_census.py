@@ -125,6 +125,25 @@ class TestBruteForce:
         both = cs.brute_force_inverses(a, "12", cell_budget=budget, count_only=True)
         assert both.count == count - 1
 
+    @pytest.mark.parametrize("values", [(-1, 0, 1), (0, 1), (1,)])
+    def test_nonzero_outer_of_rank_one_is_rank_filter_one(self, values):
+        # XAX = X gives rank(X) = rank(XAX) <= rank(A), so the nonzero outer
+        # inverses of a rank-one A are exactly the rank-1 slice
+        pop = cs.Population(values)
+        for m, n in product(range(1, 7), repeat=2):
+            if m * n > 6:
+                continue
+            for a in all_ternary(m, n):
+                if exact_rank(a) != 1:
+                    continue
+                full = cs.brute_force_inverses(a, "2", pop)
+                ranked = cs.brute_force_inverses(a, "2", pop, rank_filter=1)
+                assert ranked.matrices == tuple(filter(any, full.matrices)), a
+                quick = cs.brute_force_inverses(
+                    a, "2", pop, rank_filter=1, count_only=True
+                )
+                assert quick.count == ranked.count == len(ranked.matrices)
+
     def test_reflexive_count_reach(self):
         # spec 12 builds the row spaces of dimension rank(A) = 1 only, so the
         # 25-cell all-ones count needs no m = 5 lattice
@@ -511,9 +530,9 @@ SUM_FAMILIES = {
     "rank2-S2": fam.outer_rank2_class3("S2", (1, 1)),
     "rank2-S3": fam.outer_rank2_class3("S3", (1, 1, 1, 1)),
     "rank2-S4": fam.outer_rank2_class3("S4", (2, 2)),
-    "reflexive-2x4": fam.reflexive_full_row_rank([M([[1, 1, 0, 1]]), M([[0, 1, 1, 1]])]),
+    "reflexive-2x4": fam.reflexive_full_row_rank([(1, 1, 0, 1), (0, 1, 1, 1)]),
     "reflexive-3x3": fam.reflexive_full_row_rank(
-        [M([[1, 0, 1]]), M([[0, 1, -1]]), M([[1, 1, 1]])]
+        [(1, 0, 1), (0, 1, -1), (1, 1, 1)]
     ),
     # s0 / 2 + s1 = 1: a fractional coefficient
     "frac-coeff": fam.InverseFamily("FracCoeff", "{1}", (2, 3), _frac_system(

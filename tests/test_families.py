@@ -405,12 +405,11 @@ class TestRank2OuterAndUnions:
 
 class TestReflexive:
     def test_identity_unique(self):
-        got = members(fam.reflexive_full_row_rank([M([[1, 0]]), M([[0, 1]])]))
+        got = members(fam.reflexive_full_row_rank([(1, 0), (0, 1)]))
         assert [m.to_lists() for m in got] == [[[1, 0], [0, 1]]]
 
     def test_final_example_nine_members(self):
-        blocks = [M([[1, 1, 0]]), M([[1, 0, 0]])]
-        got = members(fam.reflexive_full_row_rank(blocks))
+        got = members(fam.reflexive_full_row_rank([(1, 1, 0), (1, 0, 0)]))
         assert got.count == 9
         for m in got:
             rows = m.to_lists()
@@ -418,7 +417,7 @@ class TestReflexive:
 
     def test_rank_deficient_rejected(self):
         with pytest.raises(DomainError):
-            fam.reflexive_full_row_rank([M([[1, 1]]), M([[1, 1]])])
+            fam.reflexive_full_row_rank([(1, 1), (1, 1)])
 
 
 class TestRankOneCore:
@@ -445,7 +444,7 @@ class TestSoundness:
             (fam.outer_rank1_row_partitioned([M([[1, 1]]), M([[1, -1]])]), M([[1, 1], [1, -1]]), "2"),
             (fam.outer_rank1_full_row_rank([(1, 1, 0), (1, 0, 0)]), M([[1, 1, 0], [1, 0, 0]]), "2"),
             (fam.outer_rank2_class3("S2", (1, 1)), M([[1, 1, 1], [1, -1, 0]]), "12"),
-            (fam.reflexive_full_row_rank([M([[1, 1, 0]]), M([[1, 0, 0]])]), M([[1, 1, 0], [1, 0, 0]]), "12"),
+            (fam.reflexive_full_row_rank([(1, 1, 0), (1, 0, 0)]), M([[1, 1, 0], [1, 0, 0]]), "12"),
             (fam.outer_full_set_S4(1, 2), M([[1, 0, 0], [0, 1, 1]]), "2"),
             (fam.inner_rank_one_core(2, 3, 2, 0), M([[1, 1, 0], [1, 1, 0]]), "1"),
         ]
