@@ -178,6 +178,14 @@ def brute_force_inverses(
     both), optionally restricted to an exact rank, in odometer order.
     Refuses scans beyond the cell budget instead of truncating.
 
+    The ranks a hit can have are bounded first (Ben-Israel and Greville,
+    *Generalized Inverses*, ch. 1): AXA = A gives rank(A) = rank(AXA) <=
+    rank(X), and XAX = X gives rank(X) = rank(XAX) <= rank(A).  So the
+    inner inverses have ranks rank(A) to min(m, n), the outer inverses
+    ranks 0 to rank(A), and the reflexive inverses rank(A) alone.  A rank
+    filter outside that range gives an empty result before any table is
+    built.
+
     AXA = A is a sum of one term per row of X, A[:, k] (x_k A), and
     ``_join`` decides it by a hash join: the term sums of the last half of
     the rows are tabulated once, and each first half is one dictionary
@@ -202,8 +210,8 @@ def brute_force_inverses(
     over the population rows in W, with B made of population rows so that
     B A is read from the table of products x A.  A part of dimension r
     holds rank-r matrices only, so a rank filter picks parts instead of
-    ranking hits, and no W of higher dimension is built; a W with
-    rank(B A) < r holds none.  The parts'
+    ranking hits, and no W of dimension above rank(A), or above the
+    filter, is built; a W with rank(B A) < r holds none.  The parts'
     streams are merged back into odometer order.
 
     Spec 12 is the part of dimension rank(A), by this lemma (Ben-Israel
@@ -214,13 +222,12 @@ def brute_force_inverses(
     AX is idempotent, since AXAX = A (XAX) = AX.  If also
     rank(X) = rank(A), the range of AX lies in the range of A and has
     its dimension, so the two are equal; an idempotent is the identity
-    on its range, so AXA = A.  Conversely, AXA = A gives
-    rank(A) <= rank(X) and XAX = X gives rank(X) <= rank(A).
+    on its range, so AXA = A.  The converse is the rank bound above.
 
     So spec 12 runs the XAX = X joins of the subspaces of dimension
-    rank(A) only, and is empty under any other rank filter.  Each streamed
-    hit is still confirmed on XAX = X, and a spec-12 hit on AXA = A too,
-    each by sums of the same integer codes that the joins use.
+    rank(A) only.  Each streamed hit is still confirmed on XAX = X, and a
+    spec-12 hit on AXA = A too, each by sums of the same integer codes
+    that the joins use.
 
     Only per-row parts of the products are shared, tabulated once per A.
     A taller-than-wide A is scanned as A^T, whose inverses are the
@@ -241,12 +248,12 @@ def brute_force_inverses(
     if flip:
         ar = tuple(zip(*ar))
     shape = (a.cols, a.rows)
-    if "2" in spec:
-        rank = _row_rank(ar)  # the rank of A and of A^T
-        if spec == "12":  # the outer inverses of rank rank(A)
-            if rank_filter not in (None, rank):
-                return EnumerationResult(shape, None if count_only else (), 0)
-            rank_filter = rank
+    rank = _row_rank(ar)  # the rank of A and of A^T
+    low, high = {"1": (rank, len(ar)), "2": (0, rank), "12": (rank, rank)}[spec]
+    if rank_filter is not None and not low <= rank_filter <= high:
+        return EnumerationResult(shape, None if count_only else (), 0)
+    if spec == "12":  # the outer inverses of rank rank(A)
+        rank_filter = rank
     rows = tuple(product(population.values, repeat=len(ar)))
     ra = _product_rows(rows, ar)
     if spec == "1":
@@ -360,8 +367,9 @@ def _outer_joins(
 ) -> Iterator[Iterator]:
     """For XAX = X, for an m x n A of the given rank with m <= n: one
     ``_join`` per subspace W spanned by population rows, of dimension
-    ``rank_filter`` if given, with basis B and rank(B A) = dim W.  Its
-    terms are (B A)[:, k] x_k over the rows x_k in W and its target is B.
+    ``rank_filter`` if given and at most the rank otherwise, with basis B
+    and rank(B A) = dim W.  Its terms are (B A)[:, k] x_k over the rows
+    x_k in W and its target is B.
     A streamed hit is kept only if XAX = X holds: row i of XAX is
     sum_k (x_i A)_k x_k, so its code is one dot product of x_i A with the
     codes of the rows of X, and the radix bounds its difference from the
@@ -379,7 +387,7 @@ def _outer_joins(
         xs = list(map(codes.__getitem__, idx))
         return all(sum(map(mul, ra[i], xs)) == code for i, code in zip(idx, xs))
 
-    top = m if rank_filter is None else min(rank_filter, m)
+    top = rank if rank_filter is None else rank_filter
     for space in _subspaces(m, values, top):
         r = len(space.basis)
         if rank_filter not in (None, r):
@@ -722,7 +730,7 @@ def _materialize_body(body, population: Population, shape: tuple[int, int]):
         out: set[tuple[int, ...]] = set()
         for comp in body.components:
             out.update(_materialize_body(comp.body, population, comp.shape))
-        if body.include_zero and 0 in population:
+        if 0 in population:
             out.add((0,) * (shape[0] * shape[1]))
         return out
     raise DomainError(f"cannot materialize body of type {type(body).__name__}")
@@ -737,14 +745,6 @@ def materialize_family(
     if isinstance(entries, set):
         entries = tuple(sorted(entries))
     return EnumerationResult(family.shape, entries, len(entries))
-
-
-def count_family(family: InverseFamily, population: Population = TERNARY) -> int:
-    """The member count of ``materialize_family``; a sum-constraint family
-    is counted without building its members."""
-    if isinstance(family.body, SumConstraintSystem):
-        return enumerate_sum_constrained(family.body, population, count_only=True).count
-    return materialize_family(family, population).count
 
 
 @dataclass(frozen=True)

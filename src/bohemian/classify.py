@@ -37,6 +37,7 @@ Hence, with the classes' representatives written v_1, ..., v_k:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import groupby
 from operator import mul
 from typing import Optional, Sequence
 
@@ -87,34 +88,25 @@ class FullForm:
         return {"kind": self.kind, "sign": self.sign, "widths": list(self.widths)}
 
 
+def _runs(row) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The values and the lengths of the maximal constant runs of a row."""
+    runs = [(v, len(list(g))) for v, g in groupby(row)]
+    return tuple(v for v, _ in runs), tuple(c for _, c in runs)
+
+
 def full_form(a: TernaryMatrix) -> Optional[FullForm]:
     """Detect a full shape in literal column order; None if it is not one."""
     rows = a.row_tuples()
     first = rows[0]
     if any(r != first for r in rows[1:]):
         return None
-    sign = first[0]
-    if sign == 0:
+    values, lengths = _runs(first)
+    s = values[0]
+    kind = {(s,): TYPE_I, (s, -s): TYPE_II, (s, 0): TYPE_III, (s, -s, 0): TYPE_IV}
+    if s == 0 or values not in kind:
         return None
-    n = a.cols
-    n1 = 0
-    while n1 < n and first[n1] == sign:
-        n1 += 1
-    n2 = 0
-    while n1 + n2 < n and first[n1 + n2] == -sign:
-        n2 += 1
-    n3 = 0
-    while n1 + n2 + n3 < n and first[n1 + n2 + n3] == 0:
-        n3 += 1
-    if n1 + n2 + n3 != n:
-        return None
-    kind = {
-        (False, False): TYPE_I,
-        (True, False): TYPE_II,
-        (False, True): TYPE_III,
-        (True, True): TYPE_IV,
-    }[(n2 > 0, n3 > 0)]
-    return FullForm(kind, sign, (n1, n2, n3))
+    width = dict(zip(values, lengths))
+    return FullForm(kind[values], s, (width[s], width.get(-s, 0), width.get(0, 0)))
 
 
 def _row_classes(rows):
@@ -312,12 +304,7 @@ def ws_detect(a: TernaryMatrix) -> bool:
     not available under plain permutations) and no zero rows; zero columns
     can always be absorbed as a block's trailing zero columns.
     """
-    classes, zero_rows = _row_classes(a.row_tuples())
-    return (
-        not zero_rows
-        and _disjoint([rep for rep, _ in classes])
-        and _single_signed(classes)
-    )
+    return class_membership(a).is_well_settled
 
 
 @dataclass(frozen=True)
@@ -448,14 +435,10 @@ def rank2_class3_structure(a: TernaryMatrix) -> Optional[str]:
     """Which of the four canonical rank-two layouts A matches, signs and
     permutations removed; None when the rank is not 2 or a fully zero
     column falls outside every canonical layout."""
-    classes, _ = _row_classes(a.row_tuples())
-    reps = [rep for rep, _ in classes]
-    rank = exact_rank(a)
-    if len(reps) != rank or not _orthogonal(reps):
+    report = class_membership(a)
+    if not report.is_class_III:
         raise DomainError("structure detection requires a Class III matrix")
-    if rank != 2:
-        return None
-    return _structure_from_reps(reps)
+    return report.s_structure
 
 
 @dataclass(frozen=True)

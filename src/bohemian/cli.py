@@ -25,7 +25,6 @@ from .matrices import (
     DomainError,
     ParseError,
     TernaryMatrix,
-    exact_rank,
     parse_matrix,
 )
 
@@ -94,12 +93,12 @@ def _cmd_decompose(args) -> int:
     a = _load_matrix(args.matrix)
     form = args.form
     if form == "auto":
-        rank = exact_rank(a)
-        if rank == 1:
+        report = cl.class_membership(a)
+        if report.is_rank_one:
             form = "rank1"
-        elif cl.gws_detect(a) is not None:
+        elif report.is_generalized_well_settled:
             form = "gws"
-        elif cl._class_terms(a, rank) is not None:
+        elif report.is_class_II:
             form = "uw"
         else:
             print("no decomposition applies: not rank one, block-diagonal, "
@@ -169,14 +168,7 @@ def _cmd_inverses(args) -> int:
         print(f"theorem_id: {selection.theorem_id}")
         if selection.note:
             print(f"note: {selection.note}")
-        if args.count_only and args.rank is None:
-            result = cs.EnumerationResult(
-                selection.family.shape, None, selection.count_members(population)
-            )
-        else:
-            result = selection.materialize(population, args.rank)
-    if args.count_only:
-        result = cs.EnumerationResult(result.shape, None, result.count)
+        result = selection.materialize(population, args.rank, args.count_only)
     sys.stdout.write(result.serialize())
     return EXIT_OK
 

@@ -21,7 +21,7 @@ from itertools import accumulate
 from operator import mul
 from typing import Iterable, Sequence, Union
 
-from .classify import _class_terms
+from .classify import TYPE_I, TYPE_II, TYPE_III, TYPE_IV, FullForm, _class_terms
 from .matrices import (
     BlockPartition,
     DomainError,
@@ -183,16 +183,16 @@ class RankOneProductFamily:
 
 @dataclass(frozen=True)
 class ExplicitUnion:
-    """Union of disjoint sub-families, optionally including the zero matrix."""
+    """The zero matrix together with disjoint sub-families of nonzero
+    members."""
 
     components: tuple["InverseFamily", ...]
-    include_zero: bool
 
     kind = "union"
 
     def to_json(self) -> dict:
         return {
-            "include_zero": self.include_zero,
+            "include_zero": True,
             "components": [c.to_json() for c in self.components],
         }
 
@@ -226,12 +226,33 @@ class InverseFamily:
 # ---------------------------------------------------------------------------
 # inner-inverse families
 
+_INNER_FULL_IDS = {
+    TYPE_I: "InnerTypeI",
+    TYPE_II: "Thm3.5",
+    TYPE_III: "InnerTypeIII",
+    TYPE_IV: "InnerTypeIV",
+}
+
+
+def inner_full(form: FullForm, m: int) -> InverseFamily:
+    """Inner inverses of the m-row full shape ``form``: sign times the sum
+    of the candidate's row block facing the sign columns, minus sign times
+    the sum of the block facing the opposite columns when there are any,
+    equals one; the rows facing the zero columns are free."""
+    sizes = [w for w in form.widths if w]
+    n = sum(sizes)
+    part = BlockPartition.from_sizes(sizes, [m])
+    terms = [(form.sign, (0, 0))]
+    if form.widths[1]:
+        terms.append((-form.sign, (1, 0)))
+    body = SumConstraintSystem((n, m), part, (_constraint(terms, 1),))
+    return InverseFamily(_INNER_FULL_IDS[form.kind], "{1}", (n, m), body)
+
+
 def inner_full_type_I(m: int, n: int, sign: int = 1) -> InverseFamily:
     """Inner inverses of the all-ones (or all-minus-ones) m x n matrix:
     total entry sum equal to the sign."""
-    part = BlockPartition.from_sizes([n], [m])
-    body = SumConstraintSystem((n, m), part, (_constraint([(sign, (0, 0))], 1),))
-    return InverseFamily("InnerTypeI", "{1}", (n, m), body)
+    return inner_full(FullForm(TYPE_I, sign, (n, 0, 0)), m)
 
 
 def inner_full_type_II(m: int, n1: int, n2: int, sign: int = 1) -> InverseFamily:
@@ -239,12 +260,7 @@ def inner_full_type_II(m: int, n1: int, n2: int, sign: int = 1) -> InverseFamily
     the candidate differ by exactly one, in the direction of the sign."""
     if n1 < 1 or n2 < 1:
         raise DomainError("both column blocks must be nonempty")
-    n = n1 + n2
-    part = BlockPartition.from_sizes([n1, n2], [m])
-    body = SumConstraintSystem(
-        (n, m), part, (_constraint([(sign, (0, 0)), (-sign, (1, 0))], 1),)
-    )
-    return InverseFamily("Thm3.5", "{1}", (n, m), body)
+    return inner_full(FullForm(TYPE_II, sign, (n1, n2, 0)), m)
 
 
 def inner_full_type_III(m: int, n1: int, n2: int, sign: int = 1) -> InverseFamily:
@@ -252,10 +268,7 @@ def inner_full_type_III(m: int, n1: int, n2: int, sign: int = 1) -> InverseFamil
     only, the rows facing the zero columns are free."""
     if n1 < 1 or n2 < 1:
         raise DomainError("use the all-ones family when the zero block is empty")
-    n = n1 + n2
-    part = BlockPartition.from_sizes([n1, n2], [m])
-    body = SumConstraintSystem((n, m), part, (_constraint([(sign, (0, 0))], 1),))
-    return InverseFamily("InnerTypeIII", "{1}", (n, m), body)
+    return inner_full(FullForm(TYPE_III, sign, (n1, 0, n2)), m)
 
 
 def inner_full_type_IV(
@@ -264,12 +277,7 @@ def inner_full_type_IV(
     """Inner inverses of (sign ones | -sign ones | zeros)."""
     if n1 < 1 or n2 < 1 or n3 < 1:
         raise DomainError("all three column blocks must be nonempty")
-    n = n1 + n2 + n3
-    part = BlockPartition.from_sizes([n1, n2, n3], [m])
-    body = SumConstraintSystem(
-        (n, m), part, (_constraint([(sign, (0, 0)), (-sign, (1, 0))], 1),)
-    )
-    return InverseFamily("InnerTypeIV", "{1}", (n, m), body)
+    return inner_full(FullForm(TYPE_IV, sign, (n1, n2, n3)), m)
 
 
 def inner_rank_one_core(m: int, n: int, support: int, zero_rows: int) -> InverseFamily:
@@ -656,6 +664,14 @@ def reflexive_full_row_rank(rows: Sequence[Sequence[int]]) -> InverseFamily:
     )
 
 
+def outer_union(
+    theorem_id: str, shape: tuple[int, int], components, note: str = ""
+) -> InverseFamily:
+    """Zero together with the given disjoint outer families."""
+    body = ExplicitUnion(tuple(components))
+    return InverseFamily(theorem_id, "{2}", shape, body, note=note)
+
+
 def outer_full_set_S4(n1: int, n2: int) -> InverseFamily:
     """The complete outer-inverse set for the disjoint two-row layout:
     zero, the column-scaled rank-one family, and the rank-two system."""
@@ -664,11 +680,4 @@ def outer_full_set_S4(n1: int, n2: int) -> InverseFamily:
     rows = ((1,) * n1 + (0,) * n2, (0,) * n1 + (1,) * n2)
     rank1 = outer_rank1_full_row_rank(rows)
     rank2 = outer_rank2_class3("S4", (n1, n2))
-    body = ExplicitUnion((rank1, rank2), include_zero=True)
-    return InverseFamily(
-        "Thm5.19",
-        "{2}",
-        (n1 + n2, 2),
-        body,
-        note=FIRST_COLUMN_GAP_NOTE,
-    )
+    return outer_union("Thm5.19", (n1 + n2, 2), (rank1, rank2), FIRST_COLUMN_GAP_NOTE)

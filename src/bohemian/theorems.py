@@ -12,7 +12,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache
-from itertools import groupby
 from typing import NamedTuple, Optional
 
 from . import census as cs
@@ -25,6 +24,7 @@ from .matrices import (
     _row_rank,
     _signed_index_map,
     exact_rank,
+    normalize_spec,
 )
 
 
@@ -51,14 +51,23 @@ class TheoremSelection:
         return self.family.theorem_id
 
     def materialize(
-        self, population: cs.Population = cs.TERNARY, rank: Optional[int] = None
+        self,
+        population: cs.Population = cs.TERNARY,
+        rank: Optional[int] = None,
+        count_only: bool = False,
     ) -> cs.EnumerationResult:
         """Population-valued members, of the given rank when one is given,
-        sorted into odometer order."""
+        sorted into odometer order; with ``count_only``, their count alone."""
         shape = n, m = self.family.shape
         # The transport flips signs, so members over a smaller population
         # come from core members over the whole ternary one.
         core_population = population if self.transport is None else cs.TERNARY
+        body = self.family.body
+        if (count_only and rank is None and core_population == population
+                and isinstance(body, fam.SumConstraintSystem)):
+            # counted without building members; the transport, a bijection
+            # of ternary matrices, keeps the count
+            return cs.enumerate_sum_constrained(body, population, count_only=True)
         entries = cs.materialize_family(self.family, core_population).matrices
         if self.transport is not None:
             move = _signed_index_map(n, m, *self.transport)
@@ -73,13 +82,7 @@ class TheoremSelection:
             entries = tuple(
                 e for e in entries if rank_of(frozenset(zip(*[iter(e)] * m))) == rank
             )
-        return cs.EnumerationResult(shape, entries, len(entries))
-
-    def count_members(self, population: cs.Population = cs.TERNARY) -> int:
-        if self.transport is None or population == cs.TERNARY:
-            # the transport is a bijection of ternary matrices
-            return cs.count_family(self.family, population)
-        return self.materialize(population).count
+        return cs.EnumerationResult(shape, None if count_only else entries, len(entries))
 
 
 class _Facts(NamedTuple):
@@ -111,10 +114,7 @@ def _canonical_s_params(runs) -> Optional[tuple]:
     if any(r != run[0] for run in runs for r in run):
         return None
     (m1, w1), (m2, w2) = ((len(run), run[0]) for run in runs)
-    # values and lengths of the maximal constant runs of each row
-    (v1, c1), (v2, c2) = (
-        zip(*((v, len(list(g))) for v, g in groupby(w))) for w in (w1, w2)
-    )
+    (v1, c1), (v2, c2) = cl._runs(w1), cl._runs(w2)
     if v1 == (1,) and v2 == (1, -1) and c2[0] == c2[1]:
         return ("S1", (c2[0],), m1, m2)
     if v1 == (1,) and v2 == (1, -1, 0) and c2[0] == c2[1]:
@@ -141,12 +141,6 @@ def _pick(family: fam.InverseFamily, note: str = "") -> TheoremSelection:
     return TheoremSelection(family, note or family.note)
 
 
-def _outer_union(theorem_id, shape, components, note="") -> fam.InverseFamily:
-    """Zero together with the given disjoint outer families."""
-    body = fam.ExplicitUnion(tuple(components), include_zero=True)
-    return fam.InverseFamily(theorem_id, "{2}", shape, body, note=note)
-
-
 def _two_row_s_params(f: _Facts) -> Optional[tuple]:
     """(structure, widths) of a canonical layout with one row per run."""
     s = f.s_params
@@ -159,15 +153,7 @@ def _select_inner(f: _Facts) -> TheoremSelection:
     a = f.a
     form = cl.full_form(a)
     if form is not None:
-        m, sign = a.rows, form.sign
-        n1, n2, n3 = form.widths
-        if form.kind == cl.TYPE_I:
-            return _pick(fam.inner_full_type_I(m, n1, sign))
-        if form.kind == cl.TYPE_II:
-            return _pick(fam.inner_full_type_II(m, n1, n2, sign))
-        if form.kind == cl.TYPE_III:
-            return _pick(fam.inner_full_type_III(m, n1, n3, sign))
-        return _pick(fam.inner_full_type_IV(m, n1, n2, n3, sign))
+        return _pick(fam.inner_full(form, a.rows))
     if f.s_params is not None:
         structure, widths, m1, m2 = f.s_params
         if structure == "S1":
@@ -202,7 +188,7 @@ def _select_outer(f: _Facts, rank: Optional[int]) -> TheoremSelection:
     if rank is None:
         if f.rank == 1:
             family = fam.outer_rank_one_general(*fam._rank_one_uv(a))
-            return _pick(_outer_union(
+            return _pick(fam.outer_union(
                 family.theorem_id, family.shape, (family,),
                 "nonzero members are rank one",
             ))
@@ -211,7 +197,7 @@ def _select_outer(f: _Facts, rank: Optional[int]) -> TheoremSelection:
                 return _pick(fam.outer_full_set_S4(*layout[1]))
             rank1 = fam.outer_rank1_full_row_rank(a.row_tuples())
             rank2 = fam.outer_rank2_class3(*layout)
-            return _pick(_outer_union(
+            return _pick(fam.outer_union(
                 f"OuterFullSet{layout[0]}", rank1.shape, (rank1, rank2),
                 fam.FIRST_COLUMN_GAP_NOTE,
             ))
@@ -221,7 +207,7 @@ def _select_outer(f: _Facts, rank: Optional[int]) -> TheoremSelection:
             # exhaust the outer set
             rank1 = fam.outer_rank1_full_row_rank(a.row_tuples())
             rank2 = fam.reflexive_full_row_rank(a.row_tuples())
-            return _pick(_outer_union(
+            return _pick(fam.outer_union(
                 "OuterFullSetRank2", rank1.shape, (rank1, rank2),
                 fam.FIRST_COLUMN_GAP_NOTE,
             ))
@@ -229,7 +215,7 @@ def _select_outer(f: _Facts, rank: Optional[int]) -> TheoremSelection:
                                "rank-one matrices and full-row-rank two-row "
                                "layouts")
     if rank == 0:
-        return _pick(_outer_union(
+        return _pick(fam.outer_union(
             "ZeroOuter", (a.cols, a.rows), (),
             "the zero matrix is always an outer inverse",
         ))
@@ -261,6 +247,7 @@ def select_theorem(
 ) -> TheoremSelection:
     """The characterization of A's {spec} inverses (of the given rank, for
     spec 2); raises UnsupportedShape when none applies."""
+    spec = normalize_spec(spec)
     f = _facts(a)
     if spec == "1":
         return _select_inner(f)

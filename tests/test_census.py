@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import inspect
+import types
 from fractions import Fraction
 from itertools import product
 
@@ -144,6 +146,54 @@ class TestBruteForce:
                 )
                 assert quick.count == ranked.count == len(ranked.matrices)
 
+    def test_unreachable_rank_builds_no_table(self, monkeypatch):
+        # AXA = A gives rank(X) >= rank(A) and XAX = X gives rank(X) <=
+        # rank(A), so a filter outside those ranks is answered before any
+        # table, join or row space is built
+        def refuse(*args, **kwargs):
+            raise AssertionError("the scan built a table")
+
+        for name in ("_product_rows", "_join", "_subspaces"):
+            monkeypatch.setattr(cs, name, refuse)
+        cases = [
+            (ones(2, 3), "1", 0), (ones(2, 3), "1", 3), (identity(2), "1", 1),
+            (ones(2, 2), "2", 2), (zeros(1, 2), "2", 1), (identity(2), "2", 3),
+            (ones(3, 2), "12", 0), (ones(3, 2), "12", 2), (identity(2), "12", 1),
+        ]
+        for a, spec, rank in cases:
+            for count_only in (False, True):
+                res = cs.brute_force_inverses(
+                    a, spec, rank_filter=rank, count_only=count_only
+                )
+                assert res.shape == (a.cols, a.rows)
+                assert res.count == 0
+                assert res.matrices == (None if count_only else ()), (a, spec, rank)
+
+    def test_row_spaces_stop_at_the_rank(self, monkeypatch):
+        # the outer joins ask for no row space of dimension above rank(A),
+        # or above the rank filter when one is given
+        tops = []
+        real = cs._subspaces
+
+        def spy(m, values, top):
+            tops.append(top)
+            return real(m, values, top)
+
+        monkeypatch.setattr(cs, "_subspaces", spy)
+        for m, n in [(1, 3), (2, 2), (2, 3), (3, 2)]:
+            for a in all_ternary(m, n):
+                rank = exact_rank(a)
+                for spec, rank_filter in [("2", None), ("12", None), ("2", 1)]:
+                    tops.clear()
+                    cs.brute_force_inverses(
+                        a, spec, rank_filter=rank_filter, count_only=True
+                    )
+                    if rank_filter is None or rank_filter <= rank:
+                        want = rank if rank_filter is None else rank_filter
+                        assert tops == [want], (a, spec, rank_filter)
+                    else:
+                        assert tops == [], a
+
     def test_reflexive_count_reach(self):
         # spec 12 builds the row spaces of dimension rank(A) = 1 only, so the
         # 25-cell all-ones count needs no m = 5 lattice
@@ -267,6 +317,58 @@ def _assert_capped_prefixes(m, values, spaces):
         assert cs._subspaces(m, values, r) == tuple(
             s for s in spaces if len(s.basis) <= r
         )
+
+
+def _names_used(code):
+    """Every global or attribute name the code object reads, nested code
+    (inner functions, comprehensions) included."""
+    yield from code.co_names
+    for const in code.co_consts:
+        if isinstance(const, types.CodeType):
+            yield from _names_used(const)
+
+
+def _homes(fn):
+    """The module each global name used by ``fn`` resolves to in census."""
+    fn = inspect.unwrap(fn)
+    homes = {}
+    for name in set(_names_used(fn.__code__)):
+        if name in fn.__globals__:
+            obj = fn.__globals__[name]
+            homes[name] = (
+                obj.__name__ if isinstance(obj, types.ModuleType)
+                else getattr(obj, "__module__", None)
+            )
+        else:
+            homes[name] = None
+    return homes
+
+
+class TestScanIndependence:
+    """The scan uses only the matrices kernel, never the families, the
+    classification or the dispatch that it checks."""
+
+    SCAN = ("brute_force_inverses", "_join", "_inner_codes", "_outer_joins",
+            "_subspaces", "_normal_basis")
+    CHECKED = {"bohemian.families", "bohemian.classify", "bohemian.theorems"}
+
+    def test_scan_names_resolve_outside_the_checked_modules(self):
+        used = {}
+        for name in self.SCAN:
+            for attr, home in _homes(getattr(cs, name)).items():
+                assert home not in self.CHECKED, (name, attr, home)
+                assert attr not in {"families", "classify", "theorems"}, (name, attr)
+                used[attr] = home
+        # the walk reaches the kernel, and nested code: ``compress`` is read
+        # only inside the generator that ``_join`` returns
+        assert used["_product_rows"] == "bohemian.matrices"
+        assert used["compress"] == "itertools"
+        assert used["_join"] == used["_subspaces"] == "bohemian.census"
+
+    def test_walk_sees_family_use(self):
+        # family materialization does read the families module's types
+        homes = _homes(cs._materialize_body)
+        assert homes["SumConstraintSystem"] == "bohemian.families"
 
 
 class TestSubspaces:

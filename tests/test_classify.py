@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+from itertools import product
+
 import pytest
 from hypothesis import given
 
@@ -73,6 +75,22 @@ class TestFullForm:
                     for m in range(1, 5):
                         form = FullForm(kind, sign, widths)
                         assert full_form(form.materialize(m)) == form
+
+    def test_only_legal_rows_are_full(self):
+        # every ternary row of up to 6 entries is detected exactly when it
+        # is sign ones, then opposite ones, then zeros, in that order
+        for n in range(1, 7):
+            legal = {}
+            for n1 in range(1, n + 1):
+                for n2 in range(n - n1 + 1):
+                    n3 = n - n1 - n2
+                    kind = [[TYPE_I, TYPE_III], [TYPE_II, TYPE_IV]][n2 > 0][n3 > 0]
+                    for sign in (1, -1):
+                        form = FullForm(kind, sign, (n1, n2, n3))
+                        legal[form.materialize(1).row_tuples()[0]] = form
+            for row in product((-1, 0, 1), repeat=n):
+                for m in (1, 2):
+                    assert full_form(M([row] * m)) == legal.get(row), (row, m)
 
 
 class TestRankOneFactorize:

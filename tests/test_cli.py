@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from bohemian import census as cs
 from bohemian import counting as ct
 from bohemian.cli import main
-from bohemian.matrices import TernaryMatrix, parse_matrix, serialize_matrix
+from bohemian.matrices import TernaryMatrix, parse_matrix, serialize_matrix, zeros
 
 
 @pytest.fixture
@@ -312,6 +312,29 @@ class TestDecompose:
             "0c8c7c2737eecc24ffb1b9ba9d439685fafc0b0483395bfb427b7a1f66043e0b"
         )
 
+    def test_zero_inputs_digest(self, capsys, tmp_path):
+        # the zero inputs of at most 4 cells, which the digest above skips:
+        # rank 0, block-diagonal with no blocks, so `auto` picks gws
+        commands = (
+            ("classify",),
+            ("decompose", "--form", "rank1"),
+            ("decompose", "--form", "gws"),
+            ("decompose", "--form", "uw"),
+        )
+        path = tmp_path / "a.txt"
+        digest = hashlib.sha256()
+        for rows, cols in [(1, 1), (1, 2), (2, 1), (1, 3), (3, 1), (1, 4), (2, 2), (4, 1)]:
+            path.write_text(serialize_matrix(zeros(rows, cols)))
+            code, out, _ = run(capsys, "decompose", str(path))
+            data = json.loads(out)
+            assert (code, data["form"], data["blocks"]) == (0, "gws", [])
+            for command in commands:
+                code, out, err = run(capsys, command[0], str(path), *command[1:])
+                digest.update(f"{command}\0{code}\0{out}\0{err}\0".encode())
+        assert digest.hexdigest() == (
+            "520388fd5b74266effccb5828a724533e6117d46325356a5cb4425fda09ada35"
+        )
+
 
 class TestCountAndIdentity:
     def test_count_csv(self, capsys):
@@ -560,6 +583,19 @@ class TestTheoremDispatch:
                         checked += 1
         assert checked > 10_000
 
+    def test_spec_is_normalized(self):
+        from bohemian.matrices import DomainError, identity
+        from bohemian.theorems import select_theorem
+
+        a = identity(2)
+        # "{1}" is spec 1, as in the census, not the reflexive family
+        assert select_theorem(a, "{1}") == select_theorem(a, "1")
+        assert select_theorem(a, "1").theorem_id != "Thm5.16"
+        assert select_theorem(a, "{2,1}") == select_theorem(a, "12")
+        for bad in ("3", "x", ""):
+            with pytest.raises(DomainError, match="inverse spec must be"):
+                select_theorem(a, bad)
+
     def test_dispatch_matches_census_on_small_shapes(self):
         from itertools import product
 
@@ -590,7 +626,7 @@ class TestTheoremDispatch:
                     for pop in populations:
                         case = (ent, spec, rank, pop.values, sel.theorem_id)
                         got = sel.materialize(pop)
-                        assert sel.count_members(pop) == got.count, case
+                        assert sel.materialize(pop, count_only=True).count == got.count, case
                         for r in range(min(m, n) + 1):
                             kept = [x for x in got if exact_rank(x) == r]
                             assert list(sel.materialize(pop, rank=r)) == kept, (case, r)

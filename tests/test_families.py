@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from bohemian import census as cs
 from bohemian import families as fam
+from bohemian.classify import TYPE_I, TYPE_II, TYPE_III, TYPE_IV, FullForm, full_form
 from bohemian.matrices import (
     DomainError,
     IntMatrix,
@@ -54,6 +55,42 @@ class TestInnerTypeI:
         got = members(fam.inner_full_type_I(1, 2))
         assert next(iter(got)).shape == (2, 1)
         assert {m.entries for m in got} == {(1, 0), (0, 1)}
+
+    def test_bad_sign_and_empty_block_raise(self):
+        # the sign and widths are checked as the full shape's: a sign of 2
+        # no longer gives an empty family, nor n = 0 a ShapeError
+        with pytest.raises(DomainError, match="sign must be"):
+            fam.inner_full_type_I(1, 2, sign=2)
+        with pytest.raises(DomainError, match="sign must be"):
+            fam.inner_full_type_IV(1, 1, 1, 1, sign=0)
+        with pytest.raises(DomainError, match="do not fit"):
+            fam.inner_full_type_I(2, 0)
+
+
+class TestInnerFull:
+    def test_constructors_are_the_full_shape_rule(self):
+        for sign in (1, -1):
+            cases = [
+                (fam.inner_full_type_I(2, 3, sign), TYPE_I, (3, 0, 0)),
+                (fam.inner_full_type_II(2, 1, 2, sign), TYPE_II, (1, 2, 0)),
+                (fam.inner_full_type_III(2, 2, 1, sign), TYPE_III, (2, 0, 1)),
+                (fam.inner_full_type_IV(2, 1, 1, 2, sign), TYPE_IV, (1, 1, 2)),
+            ]
+            for family, kind, widths in cases:
+                assert family == fam.inner_full(FullForm(kind, sign, widths), 2)
+
+    def test_matches_oracle_on_every_full_shape(self):
+        # every full-shape ternary A of at most 6 cells: n (n + 1) per shape
+        checked = 0
+        shapes = [(m, n) for m in range(1, 7) for n in range(1, 7) if m * n <= 6]
+        for m, n in shapes:
+            for a in all_ternary(m, n):
+                form = full_form(a)
+                if form is not None:
+                    got = members(fam.inner_full(form, m))
+                    assert cs.set_equal(got, oracle(a, "1")).equal, a
+                    checked += 1
+        assert checked == sum(n * (n + 1) for _, n in shapes)
 
 
 class TestInnerTypeII:
