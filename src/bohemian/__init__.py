@@ -11,7 +11,6 @@ from .matrices import (
     ShapeError,
     SignedPermutation,
     TernaryMatrix,
-    block_sums,
     entry_sum,
     exact_rank,
     identity,
@@ -33,7 +32,6 @@ __all__ = [
     "ShapeError",
     "SignedPermutation",
     "TernaryMatrix",
-    "block_sums",
     "entry_sum",
     "exact_rank",
     "identity",

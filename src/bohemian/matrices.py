@@ -8,6 +8,21 @@ predicate is decided by exact arithmetic.
 The universal input type is :class:`TernaryMatrix`, whose entries are
 restricted to the population {-1, 0, +1}.  Intermediate products (such as
 A @ X @ A) live in the unrestricted :class:`IntMatrix`.
+
+Every product goes through one kernel, :func:`_product_plan`.  For each
+shape (m, k, p) it compiles, on first use, a straight-line function from
+the row-major entry tuples of an m x k and a k x p factor to those of
+their product, ``(a0*b0 + a1*b2, ...)``: only ``*`` and ``+``, so integer
+factors give an exact integer product.  The inner sums are grouped as
+balanced trees, so a long one compiles without deep recursion.  Plans live
+in a bounded cache, and none is compiled at import.  Which form a product
+takes depends on its shape alone (:func:`_entry_product`): with at most
+``PLAN_LIMIT`` multiplications, :func:`multiply` and :func:`penrose_check`
+apply the whole-shape plan to the entry tuples.  Larger products, and
+every caller holding row tuples, use the row form :func:`_product_rows`:
+the 1 x k x p plan mapped over the rows of the left factor, so a plan
+has at most ``PLAN_LIMIT`` terms or as many as the right factor has
+entries.
 """
 
 from __future__ import annotations
@@ -15,10 +30,15 @@ from __future__ import annotations
 import operator
 import re
 from dataclasses import dataclass
-from itertools import chain, permutations, product
+from functools import lru_cache
+from itertools import chain, permutations, product, repeat
 from typing import Iterable, Iterator, Sequence
 
 TRITS = (-1, 0, 1)
+
+#: the most multiplications a product may have and still run as one
+#: whole-shape plan; larger products run row by row
+PLAN_LIMIT = 64
 
 _TOKEN = re.compile(r"\S+")
 
@@ -152,20 +172,69 @@ def unit(rows: int, cols: int, i: int, j: int, value: int = 1) -> TernaryMatrix:
     return TernaryMatrix(rows, cols, tuple(ent))
 
 
-def _product_rows(a_rows, b_rows):
-    """Row tuples of the product, given row tuples of both factors."""
-    b_cols = tuple(zip(*b_rows))
-    mul = operator.mul
-    return tuple(
-        tuple(sum(map(mul, ar, bc)) for bc in b_cols) for ar in a_rows
+def _balanced_sum(terms: list[str]) -> str:
+    """``terms`` joined by ``+`` as a balanced tree, so the expression nests
+    only log2(len(terms)) deep."""
+    if len(terms) == 1:
+        return terms[0]
+    half = len(terms) // 2
+    return f"({_balanced_sum(terms[:half])} + {_balanced_sum(terms[half:])})"
+
+
+@lru_cache(maxsize=128)
+def _product_plan(m: int, k: int, p: int):
+    """The compiled product of an m x k and a k x p factor.
+
+    The returned function takes both factors' row-major entry tuples and
+    returns the product's, as one straight-line expression:
+    ``(a0*b0 + a1*b2, ...)`` for m = k = p = 2.
+    """
+    a = [f"a{i}" for i in range(m * k)]
+    b = [f"b{i}" for i in range(k * p)]
+    body = ", ".join(
+        _balanced_sum([f"{a[i * k + t]}*{b[t * p + j]}" for t in range(k)])
+        for i in range(m)
+        for j in range(p)
     )
+    name = f"product_{m}x{k}x{p}"
+    source = (
+        f"def {name}(a, b):\n"
+        f"    {', '.join(a)}, = a\n"
+        f"    {', '.join(b)}, = b\n"
+        f"    return ({body},)\n"
+    )
+    namespace = {"__name__": __name__}
+    exec(compile(source, f"<{name}>", "exec"), namespace)
+    return namespace[name]
+
+
+def _product_rows(a_rows, b_rows):
+    """Row tuples of the product, given row tuples of both factors: the
+    1 x k x p plan applied to each row of the left factor."""
+    plan = _product_plan(1, len(b_rows), len(b_rows[0]))
+    return tuple(map(plan, a_rows, repeat(tuple(chain.from_iterable(b_rows)))))
+
+
+@lru_cache(maxsize=128)
+def _entry_product(m: int, k: int, p: int):
+    """The product of an m x k and a k x p factor as a function of their
+    row-major entry tuples: the whole-shape plan up to ``PLAN_LIMIT``
+    multiplications, the row form above it."""
+    if m * k * p <= PLAN_LIMIT:
+        return _product_plan(m, k, p)
+
+    def by_rows(a, b):
+        rows = _product_rows(zip(*[iter(a)] * k), tuple(zip(*[iter(b)] * p)))
+        return tuple(chain.from_iterable(rows))
+
+    return by_rows
 
 
 def multiply(a: IntMatrix, b: IntMatrix) -> IntMatrix:
     if a.cols != b.rows:
         raise ShapeError(f"cannot multiply {a.rows}x{a.cols} by {b.rows}x{b.cols}")
-    rows = _product_rows(a.row_tuples(), b.row_tuples())
-    return IntMatrix(a.rows, b.cols, tuple(chain.from_iterable(rows)))
+    plan = _entry_product(a.rows, a.cols, b.cols)
+    return IntMatrix(a.rows, b.cols, plan(a.entries, b.entries))
 
 
 def entry_sum(a: IntMatrix) -> int:
@@ -234,24 +303,6 @@ class BlockPartition:
         return {"row_cuts": list(self.row_cuts), "col_cuts": list(self.col_cuts)}
 
 
-def block_sums(x: IntMatrix, part: BlockPartition) -> IntMatrix:
-    """Matrix of per-block entry sums under the given partition."""
-    if part.shape != (x.rows, x.cols):
-        raise ShapeError(
-            f"partition covers {part.shape}, matrix is {x.rows}x{x.cols}"
-        )
-    rows = x.row_tuples()
-    out = []
-    for i in range(part.n_row_blocks):
-        r0, r1 = part.row_cuts[i], part.row_cuts[i + 1]
-        line = []
-        for j in range(part.n_col_blocks):
-            c0, c1 = part.col_cuts[j], part.col_cuts[j + 1]
-            line.append(sum(sum(rows[r][c0:c1]) for r in range(r0, r1)))
-        out.append(line)
-    return IntMatrix.from_rows(out)
-
-
 @dataclass(frozen=True)
 class PenroseReport:
     """Which of the four defining equations a candidate inverse satisfies.
@@ -293,9 +344,11 @@ def normalize_spec(spec: str) -> str:
     raise DomainError(f"inverse spec must be one of 1, 2, 12, got {spec!r}")
 
 
-def _symmetric(rows) -> bool:
-    n = len(rows)
-    return all(rows[i][j] == rows[j][i] for i in range(n) for j in range(i + 1, n))
+@lru_cache(maxsize=16)
+def _transposer(n: int):
+    """Maps the row-major entries of an n x n matrix (n >= 2) to those of
+    its transpose."""
+    return operator.itemgetter(*(j * n + i for i in range(n) for j in range(n)))
 
 
 def penrose_check(a: IntMatrix, x: IntMatrix) -> PenroseReport:
@@ -304,13 +357,16 @@ def penrose_check(a: IntMatrix, x: IntMatrix) -> PenroseReport:
         raise ShapeError(
             f"candidate inverse must be {a.cols}x{a.rows}, got {x.rows}x{x.cols}"
         )
-    ar = a.row_tuples()
-    xr = x.row_tuples()
-    ax = _product_rows(ar, xr)
-    xa = _product_rows(xr, ar)
-    eq1 = _product_rows(ax, ar) == ar
-    eq2 = _product_rows(xa, xr) == xr
-    return PenroseReport(eq1, eq2, _symmetric(ax), _symmetric(xa))
+    m, n = a.rows, a.cols
+    ae, xe = a.entries, x.entries
+    ax = _entry_product(m, n, m)(ae, xe)
+    xa = _entry_product(n, m, n)(xe, ae)
+    return PenroseReport(
+        _entry_product(m, m, n)(ax, ae) == ae,
+        _entry_product(n, n, m)(xa, xe) == xe,
+        m == 1 or ax == _transposer(m)(ax),
+        n == 1 or xa == _transposer(n)(xa),
+    )
 
 
 @dataclass(frozen=True)

@@ -9,14 +9,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bohemian.matrices import (
-    BlockPartition,
+    PLAN_LIMIT,
     DomainError,
     IntMatrix,
     ParseError,
     ShapeError,
     SignedPermutation,
     TernaryMatrix,
-    block_sums,
     entry_sum,
     exact_rank,
     identity,
@@ -136,29 +135,6 @@ class TestEntrySum:
         assert entry_sum(M([[1, -1], [-1, 1]])) == 0
 
 
-class TestBlockSums:
-    def test_identity_split(self):
-        part = BlockPartition.from_sizes([1, 1], [1, 1])
-        assert block_sums(identity(2), part) == IntMatrix.from_rows([[1, 0], [0, 1]])
-
-    def test_column_split(self):
-        part = BlockPartition.from_sizes([1], [2, 1])
-        assert block_sums(M([[1, -1, 0]]), part) == IntMatrix.from_rows([[0, 0]])
-
-    def test_no_cuts(self):
-        part = BlockPartition.from_sizes([2], [2])
-        assert block_sums(M([[1, 1], [1, -1]]), part) == IntMatrix.from_rows([[2]])
-
-    def test_incompatible_partition(self):
-        with pytest.raises(ShapeError):
-            block_sums(identity(2), BlockPartition.from_sizes([3], [2]))
-
-    @given(ternary_matrices())
-    def test_total_is_entry_sum(self, a):
-        part = BlockPartition.from_sizes([1] * a.rows, [1] * a.cols)
-        assert sum(block_sums(a, part).entries) == entry_sum(a)
-
-
 class TestPenrose:
     def test_identity_scalar(self):
         rep = penrose_check(M([[1]]), M([[1]]))
@@ -213,6 +189,17 @@ class TestPenrose:
                     xax = naive(naive(xr, ar, n, m, n), xr, n, n, m)
                     assert rep.satisfies_1 == (axa == ar)
                     assert rep.satisfies_2 == (xax == xr)
+
+    def test_symmetry_flags_match_transpose_equality(self):
+        # every ternary (A, X) pair of each shape, against AX and XA formed
+        # by the triple loop and compared with their transposes
+        for m, n in [(1, 1), (1, 2), (2, 1), (2, 2), (1, 3), (3, 1)]:
+            for a in all_ternary(m, n):
+                for x in all_ternary(n, m):
+                    rep = penrose_check(a, x)
+                    ax, xa = _triple_loop(a, x), _triple_loop(x, a)
+                    assert rep.satisfies_3 == (ax == [list(c) for c in zip(*ax)])
+                    assert rep.satisfies_4 == (xa == [list(c) for c in zip(*xa)])
 
 
 class TestSignedPermutation:
@@ -323,8 +310,11 @@ def _triple_loop(a, b):
 
 class TestMultiply:
     def test_matches_triple_loop_on_random_int_matrices(self):
+        # every shape up to 4 x 4 x 4 runs as one compiled plan; (5, 4, 6)
+        # has more than PLAN_LIMIT multiplications and runs row by row
         rng = random.Random(13)
-        shapes = [(1, 1, 1), (1, 4, 1), (4, 1, 4), (1, 3, 5), (5, 3, 1), (2, 3, 4)]
+        shapes = [*product(range(1, 5), repeat=3), (1, 3, 5), (5, 3, 1), (5, 4, 6)]
+        assert 5 * 4 * 6 > PLAN_LIMIT >= 4 * 4 * 4
         pools = [range(-9, 10), (-(2**70), 2**65 + 3, -1, 0, 7)]
         for (m, k, n), pool in product(shapes, pools):
             for _ in range(20):
@@ -334,6 +324,8 @@ class TestMultiply:
                 assert type(got) is IntMatrix
                 assert got.shape == (m, n)
                 assert got.to_lists() == _triple_loop(a, b)
+        # an inner sum of 3,000 terms compiles (as a balanced tree)
+        assert multiply(ones(1, 3000), ones(3000, 1)).to_lists() == [[3000]]
 
     def test_shape_error_text(self):
         with pytest.raises(ShapeError, match="^cannot multiply 2x3 by 2x3$"):
