@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import comb
+from operator import mul
 from typing import NamedTuple, Sequence
 
 from .matrices import ResourceLimitError
@@ -143,16 +144,18 @@ def binomial_identity_check(m: int, n1: int, n2: int) -> IdentityCheck:
     lhs = sum(
         binom(nm, s1) * binom(nm - s1, s1 + 1) for s1 in range((nm - 1) // 2 + 1)
     )
+    # the last binomial depends on s1 and d = r2 - s2 only: one row per d
+    w1, w2 = n1 * m, n2 * m
+    row1 = [binom(w1, s1) for s1 in range(w1 + 1)]
+    tails = {
+        d: [binom(w1 - s1, d + s1 + 1) for s1 in range(w1 + 1)]
+        for d in range(-w2, w2 + 1)
+    }
     rhs = 0
-    for r2 in range(n2 * m + 1):
-        for s2 in range(n2 * m + 1):
-            for s1 in range(n1 * m + 1):
-                rhs += (
-                    binom(n1 * m, s1)
-                    * binom(n2 * m, s2)
-                    * binom(n2 * m - s2, r2)
-                    * binom(n1 * m - s1, r2 - s2 + s1 + 1)
-                )
+    for r2 in range(w2 + 1):
+        for s2 in range(w2 + 1):
+            outer = binom(w2, s2) * binom(w2 - s2, r2)
+            rhs += outer * sum(map(mul, row1, tails[r2 - s2]))
     return IdentityCheck(lhs, rhs, lhs == rhs)
 
 

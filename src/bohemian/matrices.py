@@ -23,6 +23,16 @@ every caller holding row tuples, use the row form :func:`_product_rows`:
 the 1 x k x p plan mapped over the rows of the left factor, so a plan
 has at most ``PLAN_LIMIT`` terms or as many as the right factor has
 entries.
+
+Inputs are checked at the API boundary only: the public constructors
+(``IntMatrix(...)``, ``TernaryMatrix(...)``, ``from_rows``, ``zeros``,
+``ones``, ``identity``, ``unit``) and :func:`parse_matrix`.  A result
+built from operands that were already checked (a product, a transpose, a
+signed-permutation transform) is not checked again: the private
+``IntMatrix._trusted`` builds it, because a sum of products of integers is
+an integer, and moving or negating checked entries keeps them in range.
+Internal callers use it too for entry tuples that are drawn from the
+population by construction, such as ``verify``'s exhaustive grids.
 """
 
 from __future__ import annotations
@@ -87,6 +97,17 @@ class IntMatrix:
             )
         self._check_entries()
 
+    @classmethod
+    def _trusted(cls, rows: int, cols: int, entries: tuple[int, ...]) -> "IntMatrix":
+        """An instance built without ``__post_init__``'s checks, for a result
+        whose shape and entries follow from operands already checked."""
+        m = object.__new__(cls)
+        fields = m.__dict__
+        fields["rows"] = rows
+        fields["cols"] = cols
+        fields["entries"] = entries
+        return m
+
     def _check_entries(self):
         for e in self.entries:
             if not isinstance(e, int):
@@ -122,7 +143,17 @@ class IntMatrix:
         return [list(r) for r in self.row_tuples()]
 
     def transpose(self) -> "IntMatrix":
-        return type(self).from_rows(zip(*self.row_tuples()))
+        # a single row or column has the same row-major entries as its
+        # transpose; only small shapes keep a cached index map
+        rows, cols = self.rows, self.cols
+        entries = self.entries
+        if rows == 1 or cols == 1:
+            pass
+        elif rows * cols <= PLAN_LIMIT:
+            entries = _transposer(rows, cols)(entries)
+        else:
+            entries = tuple(chain.from_iterable(zip(*self.row_tuples())))
+        return type(self)._trusted(cols, rows, entries)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, IntMatrix):
@@ -234,7 +265,7 @@ def multiply(a: IntMatrix, b: IntMatrix) -> IntMatrix:
     if a.cols != b.rows:
         raise ShapeError(f"cannot multiply {a.rows}x{a.cols} by {b.rows}x{b.cols}")
     plan = _entry_product(a.rows, a.cols, b.cols)
-    return IntMatrix(a.rows, b.cols, plan(a.entries, b.entries))
+    return IntMatrix._trusted(a.rows, b.cols, plan(a.entries, b.entries))
 
 
 def entry_sum(a: IntMatrix) -> int:
@@ -344,11 +375,13 @@ def normalize_spec(spec: str) -> str:
     raise DomainError(f"inverse spec must be one of 1, 2, 12, got {spec!r}")
 
 
-@lru_cache(maxsize=16)
-def _transposer(n: int):
-    """Maps the row-major entries of an n x n matrix (n >= 2) to those of
-    its transpose."""
-    return operator.itemgetter(*(j * n + i for i in range(n) for j in range(n)))
+@lru_cache(maxsize=64)
+def _transposer(rows: int, cols: int):
+    """Maps the row-major entries of a ``rows`` x ``cols`` matrix (both at
+    least 2) to those of its transpose."""
+    return operator.itemgetter(
+        *(i * cols + j for j in range(cols) for i in range(rows))
+    )
 
 
 def penrose_check(a: IntMatrix, x: IntMatrix) -> PenroseReport:
@@ -364,8 +397,8 @@ def penrose_check(a: IntMatrix, x: IntMatrix) -> PenroseReport:
     return PenroseReport(
         _entry_product(m, m, n)(ax, ae) == ae,
         _entry_product(n, n, m)(xa, xe) == xe,
-        m == 1 or ax == _transposer(m)(ax),
-        n == 1 or xa == _transposer(n)(xa),
+        m == 1 or ax == _transposer(m, m)(ax),
+        n == 1 or xa == _transposer(n, n)(xa),
     )
 
 
@@ -418,21 +451,21 @@ class SignedPermutation:
         if self.size != m.rows:
             raise ShapeError("left factor size does not match row count")
         rows = m.row_tuples()
-        out: list[tuple[int, ...] | None] = [None] * m.rows
+        out: list[tuple[int, ...]] = [()] * m.rows
         for t, (r, s) in enumerate(zip(self.perm, self.signs)):
             src = rows[t]
             out[r] = src if s == 1 else tuple(-e for e in src)
-        return IntMatrix.from_rows(out)  # type: ignore[arg-type]
+        return IntMatrix._trusted(m.rows, m.cols, tuple(chain.from_iterable(out)))
 
     def apply_right(self, m: IntMatrix) -> IntMatrix:
         """M @ U computed by column relocation: column t is signs[t] * M[:, perm[t]]."""
         if self.size != m.cols:
             raise ShapeError("right factor size does not match column count")
-        rows = m.row_tuples()
-        out = [
-            tuple(s * row[r] for r, s in zip(self.perm, self.signs)) for row in rows
-        ]
-        return IntMatrix.from_rows(out)
+        moves = tuple(zip(self.perm, self.signs))
+        entries = tuple(
+            row[r] if s == 1 else -row[r] for row in m.row_tuples() for r, s in moves
+        )
+        return IntMatrix._trusted(m.rows, m.cols, entries)
 
     def to_json(self) -> dict:
         return {"perm": list(self.perm), "signs": list(self.signs)}

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 from itertools import product
+from math import comb
 
 import pytest
 from hypothesis import given
@@ -107,6 +108,22 @@ class TestBinomialIdentity:
         for m, n1, n2 in product(range(1, 4), repeat=3):
             chk = ct.binomial_identity_check(m, n1, n2)
             assert chk.lhs == ct.count_sum_t((n1 + n2) * m, 1)
+
+    def test_skewed_shape_at_the_limit_reads_a_bounded_number_of_binomials(
+        self, monkeypatch
+    ):
+        # 1,101 + 2 * 2 * 2,201 terms pass the guard; each term reads at most
+        # four binomials, however skewed the blocks are
+        calls = []
+
+        def counted(a, b):
+            calls.append((a, b))
+            return comb(a, b)
+
+        monkeypatch.setattr(ct, "comb", counted)
+        chk = ct.binomial_identity_check(1, 2200, 1)
+        assert chk.equal and chk.lhs == ct.count_sum_t(2201, 1)
+        assert len(calls) <= 2 * 1101 + 4 * 2 * 2 * 2201
 
 
 class TestReports:

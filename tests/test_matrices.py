@@ -180,10 +180,10 @@ class TestPenrose:
             )
 
         for m, n in [(1, 1), (1, 2), (2, 1), (1, 3), (2, 2), (2, 3)]:
+            xs = [(x, x.row_tuples()) for x in all_ternary(n, m)]
             for a in all_ternary(m, n):
                 ar = a.row_tuples()
-                for x in all_ternary(n, m):
-                    xr = x.row_tuples()
+                for x, xr in xs:
                     rep = penrose_check(a, x)
                     axa = naive(naive(ar, xr, m, n, m), ar, m, m, n)
                     xax = naive(naive(xr, ar, n, m, n), xr, n, n, m)
@@ -326,6 +326,51 @@ class TestMultiply:
                 assert got.to_lists() == _triple_loop(a, b)
         # an inner sum of 3,000 terms compiles (as a balanced tree)
         assert multiply(ones(1, 3000), ones(3000, 1)).to_lists() == [[3000]]
+
+    def test_built_results_equal_checked_ones_without_the_checks(self, monkeypatch):
+        # products, transposes and signed-permutation transforms are built
+        # from checked operands without __post_init__; each must equal, type
+        # and fields alike, the checked matrix of the triple-loop result
+        rng = random.Random(17)
+        pools = {TernaryMatrix: (-1, 0, 1), IntMatrix: (-(2**70), -3, 0, 5)}
+        cases = []
+
+        def signed(k):
+            perm = tuple(rng.sample(range(k), k))
+            return SignedPermutation(perm, tuple(rng.choice((-1, 1)) for _ in perm))
+
+        # 9 x 8 has more than PLAN_LIMIT entries: the uncached transpose
+        shapes = [*product(range(1, 4), repeat=2), (9, 8)]
+        for (m, n), (cls, pool) in product(shapes, pools.items()):
+            a = cls(m, n, tuple(rng.choice(pool) for _ in range(m * n)))
+            x = cls(n, m, tuple(rng.choice(pool) for _ in range(m * n)))
+            b = IntMatrix(n, 2, tuple(rng.choice(pool) for _ in range(n * 2)))
+            u, v = signed(m), signed(n)
+            vt_x = IntMatrix.from_rows(_triple_loop(v.transpose().to_matrix(), x))
+            want = [
+                IntMatrix.from_rows(_triple_loop(a, b)),
+                cls.from_rows(zip(*a.row_tuples())),  # a TernaryMatrix stays one
+                IntMatrix.from_rows(_triple_loop(u.to_matrix(), a)),
+                IntMatrix.from_rows(_triple_loop(a, v.to_matrix())),
+                IntMatrix.from_rows(_triple_loop(vt_x, u.transpose().to_matrix())),
+            ]
+            cases.append((a, x, b, u, v, want))
+
+        def refuse(self):
+            raise AssertionError("a built result was checked again")
+
+        monkeypatch.setattr(IntMatrix, "__post_init__", refuse)
+        for a, x, b, u, v, want in cases:
+            got = [
+                multiply(a, b),
+                a.transpose(),
+                u.apply_left(a),
+                v.apply_right(a),
+                transform_inverse(x, u, v),
+            ]
+            for g, w in zip(got, want):
+                assert type(g) is type(w)
+                assert vars(g) == vars(w)
 
     def test_shape_error_text(self):
         with pytest.raises(ShapeError, match="^cannot multiply 2x3 by 2x3$"):
