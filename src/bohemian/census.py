@@ -32,10 +32,12 @@ are plain set comparisons.  Every producer carries members as row-major
 entry tuples, and an :class:`EnumerationResult` holds them so: a matrix is
 built, through the checked ``IntMatrix`` constructor, only where a caller
 iterates a result or asks for its set or JSON.  Block-sum constraints are
-scaled once to integers (by the lcm of their denominators), so each
-profile of block sums is checked in integer arithmetic; the fillings of a
-block with a given sum are the memoized fillings of its two halves,
-concatenated; a member's entries are its concatenated block fillings
+scaled once to integers (by the lcm of their denominators), and the cells
+are grouped into classes with equal coefficient vectors, so a system
+written on single cells costs what its block-aligned form costs; each
+profile of class sums is checked in integer arithmetic; the fillings of a
+class with a given sum are the memoized fillings of its two halves,
+concatenated; a member's entries are its concatenated class fillings
 under one fixed permutation (an ``itemgetter``), and one sort gives
 odometer order.  The rank-one family evaluates each factor's forms once
 per factor vector.
@@ -45,10 +47,9 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from itertools import chain, compress, cycle, product, repeat
-from math import gcd, lcm
+from math import gcd, lcm, prod
 from operator import itemgetter, mul
 from typing import Iterator, NamedTuple, Optional
 
@@ -511,82 +512,75 @@ def _concat_product(lists: list[list[tuple[int, ...]]]) -> list[tuple[int, ...]]
     return out
 
 
-def _block_groups(system: SumConstraintSystem):
-    """Partition blocks into connected components linked by constraints."""
-    part = system.partition
-    blocks = [
-        (i, j)
+def _components(system: SumConstraintSystem) -> Optional[list]:
+    """The system's cells grouped into classes by their coefficient
+    vectors, as (classes, checks) per connected component of the
+    constraints; None when a constraint on no cell has a nonzero rhs.
+
+    Each constraint is scaled once to integers by the lcm of its
+    denominators; block sums are integers, so a rhs of 1/2 becomes
+    2 s = 1 and stays unsatisfiable.  A cell's vector holds its integer
+    coefficient in every constraint, so the cells of one vector (the cells
+    in no constraint among them) enter every constraint through their sum
+    alone: they form one class, a list of ascending row-major cell
+    indices.  A check is (integer coefficient per class, integer rhs).
+    The classes of a component are sorted by their first cell and the
+    components by their first class, so the cells of a system written on
+    row-major blocks concatenate in row-major order.
+    """
+    part, cols = system.partition, system.shape[1]
+    vectors = {
+        (i, j): [0] * len(system.constraints)
         for i in range(part.n_row_blocks)
         for j in range(part.n_col_blocks)
-    ]
-    parent = {b: b for b in blocks}
-
-    def find(b):
-        while parent[b] != b:
-            parent[b] = parent[parent[b]]
-            b = parent[b]
-        return b
-
-    for con in system.constraints:
-        touched = [b for _, b in con.terms]
-        for b in touched[1:]:
-            ra, rb = find(touched[0]), find(b)
-            if ra != rb:
-                parent[rb] = ra
-
-    groups: dict[tuple[int, int], list[tuple[int, int]]] = {}
-    for b in blocks:
-        groups.setdefault(find(b), []).append(b)
-    constraint_of: dict[tuple[int, int], list] = {root: [] for root in groups}
-    unsatisfiable = False
-    for con in system.constraints:
-        if con.terms:
-            constraint_of[find(con.terms[0][1])].append(con)
-        elif con.rhs != 0:
-            unsatisfiable = True
-    return groups, constraint_of, unsatisfiable
-
-
-def _integer_checks(constraints, group_blocks) -> list[tuple[tuple[int, ...], int]]:
-    """Each constraint scaled by the lcm of its denominators, as (integer
-    coefficient per block of the group, integer right-hand side).  Block
-    sums are integers, so a rhs of 1/2 becomes 2 s = 1 and stays
-    unsatisfiable."""
-    position = {b: k for k, b in enumerate(group_blocks)}
-    checks = []
-    for con in constraints:
-        scale = lcm(Fraction(con.rhs).denominator,
-                    *(Fraction(c).denominator for c, _ in con.terms))
-        coeffs = [0] * len(group_blocks)
+    }
+    rhs = []
+    for k, con in enumerate(system.constraints):
+        scale = lcm(con.rhs.denominator, *(c.denominator for c, _ in con.terms))
         for c, b in con.terms:
-            coeffs[position[b]] += int(c * scale)
-        checks.append((tuple(coeffs), int(con.rhs * scale)))
-    return checks
+            vectors[b][k] += c.numerator * (scale // c.denominator)
+        rhs.append(con.rhs.numerator * (scale // con.rhs.denominator))
+    classes: dict[tuple[int, ...], list[int]] = {}
+    for b, vec in vectors.items():
+        classes.setdefault(tuple(vec), []).extend(
+            r * cols + c for r, c in part.block_cells(*b))
+    components: list[tuple[set[int], list]] = []  # (constraints, classes)
+    for vec, cells in classes.items():
+        keys = {k for k, c in enumerate(vec) if c}
+        merged = [(vec, sorted(cells))]
+        for comp in [comp for comp in components if comp[0] & keys]:
+            components.remove(comp)
+            keys |= comp[0]
+            merged += comp[1]
+        components.append((keys, merged))
+    touched = set().union(*(keys for keys, _ in components))
+    if any(r for k, r in enumerate(rhs) if k not in touched):
+        return None
+    out = []
+    for keys, merged in components:
+        merged.sort(key=lambda cls: cls[1][0])
+        checks = [(tuple(vec[k] for vec, _ in merged), rhs[k]) for k in sorted(keys)]
+        out.append(([cells for _, cells in merged], checks))
+    return sorted(out, key=lambda comp: comp[0][0][0])
 
 
 def _group_solutions(
-    system: SumConstraintSystem,
-    group_blocks: list[tuple[int, int]],
-    constraints,
+    classes: list[list[int]],
+    checks: list[tuple[tuple[int, ...], int]],
     population: Population,
     count_only: bool,
 ):
-    """Solutions for one connected block group.
+    """Solutions for one component of cell classes.
 
-    Enumerates per-block sum profiles first, keeps those meeting every
-    constraint in integer arithmetic, then expands per-block fillings.
-    Returns either a count or a list of entry tuples, each the group's
-    block fillings concatenated in ``group_blocks`` order.
+    Enumerates per-class sum profiles first, keeps those meeting every
+    integer check, then expands per-class fillings.  Returns either a
+    count or a list of entry tuples, each the classes' fillings
+    concatenated in order.
     """
-    part = system.partition
+    sizes = list(map(len, classes))
     values = population.values
-    sizes = []
-    for i, j in group_blocks:
-        r0, r1, c0, c1 = part.block_span(i, j)
-        sizes.append((r1 - r0) * (c1 - c0))
     table = _sum_counts(max(sizes), values)
     sum_choices = [sorted(table[k]) for k in sizes]
-    checks = _integer_checks(constraints, group_blocks)
     fillings: dict[tuple[int, int], list[tuple[int, ...]]] = {}
 
     def fill(k: int, s: int) -> list[tuple[int, ...]]:
@@ -635,39 +629,33 @@ def enumerate_sum_constrained(
 ) -> EnumerationResult:
     """All population-valued matrices satisfying every block-sum constraint.
 
-    Works groupwise over the connected components of the constraint graph:
-    blocks never sharing a constraint are filled independently, so counts
-    multiply and streams are Cartesian products.  Within a group, each
-    per-block sum profile is checked against the constraints scaled once
-    to integers (by the lcm of their denominators), and the fillings of a
-    block with a given sum are built from those of its two halves,
-    memoized per (cells, sum).  The partition covers every cell once, so a
-    member's entries are one fixed permutation of its concatenated block
-    fillings: one precomputed ``itemgetter`` puts them in row-major order,
-    and a single sort puts the members in odometer order.
+    Works over the classes and components of ``_components``: cells with
+    one coefficient vector enter the constraints through their sum alone,
+    so a system written on single cells costs what its block-aligned form
+    costs, and components never sharing a constraint are filled
+    independently, so counts multiply and streams are Cartesian products.
+    Within a component, each per-class sum profile is checked against the
+    integer constraints, and the fillings of a class with a given sum are
+    built from those of its two halves, memoized per (cells, sum).  The
+    classes cover every cell once, so a member's entries are one fixed
+    permutation of its concatenated class fillings: one precomputed
+    ``itemgetter`` puts them in row-major order, and a single sort puts
+    the members in odometer order.
     """
     shape = system.shape
-    groups, constraint_of, unsatisfiable = _block_groups(system)
-    if unsatisfiable:
+    components = _components(system)
+    if components is None:
         return EnumerationResult(shape, None if count_only else (), 0)
-    if count_only:
-        count = 1
-        for root, blocks in groups.items():
-            count *= _group_solutions(
-                system, blocks, constraint_of[root], population, True
-            )
-        return EnumerationResult(shape, None, count)
-    part = system.partition
     group_solutions = []
-    order = []  # the matrix cell of each position of the concatenation
-    for root, blocks in groups.items():
-        sols = _group_solutions(system, blocks, constraint_of[root], population, False)
-        if not sols:
-            return EnumerationResult(shape, (), 0)
-        group_solutions.append(sols)
-        order += [cell for b in blocks for cell in part.block_cells(*b)]
-    m = shape[1]
-    perm = sorted(range(len(order)), key=lambda k: order[k][0] * m + order[k][1])
+    order = []  # the row-major cell index of each position of the concatenation
+    for classes, checks in components:
+        group_solutions.append(_group_solutions(classes, checks, population, count_only))
+        if not group_solutions[-1]:
+            return EnumerationResult(shape, None if count_only else (), 0)
+        order += chain.from_iterable(classes)
+    if count_only:
+        return EnumerationResult(shape, None, prod(group_solutions))
+    perm = sorted(range(len(order)), key=order.__getitem__)
     out = _concat_product(group_solutions)
     if perm != list(range(len(perm))):
         out = list(map(itemgetter(*perm), out))

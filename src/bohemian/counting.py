@@ -128,6 +128,21 @@ class IdentityCheck(NamedTuple):
     equal: bool
 
 
+def _tail(w1: int, d: int) -> list[int]:
+    """C(w1 - s1, d + s1 + 1) for s1 = 0, ..., w1: zero up to the first s1
+    with d + s1 + 1 >= 0, then one binomial C(a, b) and the recurrence
+    C(a - 1, b + 1) = C(a, b) (a - b)(a - b - 1) / (a (b + 1))."""
+    first = max(0, -d - 1)
+    if first > w1:
+        return [0] * (w1 + 1)
+    a, b = w1 - first, d + first + 1
+    out = [0] * first + [binom(a, b)]
+    for _ in range(w1 - first):
+        out.append(out[-1] * (a - b) * (a - b - 1) // (a * (b + 1)))
+        a, b = a - 1, b + 1
+    return out
+
+
 def binomial_identity_check(m: int, n1: int, n2: int) -> IdentityCheck:
     """Evaluate both sides of the two-block counting identity exactly.
 
@@ -141,16 +156,13 @@ def binomial_identity_check(m: int, n1: int, n2: int) -> IdentityCheck:
         f"the identity check at m={m}, n1={n1}, n2={n2}",
         (nm - 1) // 2 + 1 + (n2 * m + 1) ** 2 * (n1 * m + 1),
     )
-    lhs = sum(
-        binom(nm, s1) * binom(nm - s1, s1 + 1) for s1 in range((nm - 1) // 2 + 1)
-    )
+    lhs = count_sum_t(nm, 1)
     # the last binomial depends on s1 and d = r2 - s2 only: one row per d
     w1, w2 = n1 * m, n2 * m
-    row1 = [binom(w1, s1) for s1 in range(w1 + 1)]
-    tails = {
-        d: [binom(w1 - s1, d + s1 + 1) for s1 in range(w1 + 1)]
-        for d in range(-w2, w2 + 1)
-    }
+    row1 = [1]
+    for k in range(w1):  # C(w1, k + 1) = C(w1, k) (w1 - k) / (k + 1)
+        row1.append(row1[-1] * (w1 - k) // (k + 1))
+    tails = {d: _tail(w1, d) for d in range(-w2, w2 + 1)}
     rhs = 0
     for r2 in range(w2 + 1):
         for s2 in range(w2 + 1):

@@ -27,9 +27,11 @@ from .matrices import (
     DomainError,
     IntMatrix,
     ShapeError,
+    SignedPermutation,
     TernaryMatrix,
     _product_rows,
     exact_rank,
+    transform_inverse,
 )
 
 #: The paper's column-scaled rank-one family (a product family with its
@@ -291,6 +293,32 @@ def inner_rank_one_core(m: int, n: int, support: int, zero_rows: int) -> Inverse
     part = BlockPartition.from_sizes(row_sizes, col_sizes)
     body = SumConstraintSystem((n, m), part, (_constraint([(1, (0, 0))], 1),))
     return InverseFamily("RankOneInner", "{1}", (n, m), body)
+
+
+def transported(
+    family: InverseFamily, u: SignedPermutation, v: SignedPermutation
+) -> InverseFamily:
+    """A block-sum family of inverses of C carried to U C V, written on
+    single cells: its members are ``transform_inverse(X, u, v)`` for the
+    members X of ``family``.  Each entry of that matrix is one entry of X,
+    possibly negated, so a term c on a block of X becomes the term c, so
+    signed, on each cell that a cell of the block moves to."""
+    body = family.body
+    if not isinstance(body, SumConstraintSystem):
+        raise DomainError("only block-sum families can be transported")
+    n, m = family.shape
+    labels = transform_inverse(IntMatrix(n, m, tuple(range(1, n * m + 1))), u, v)
+    # cell t of the result is cell |e| - 1 of X, negated when e < 0
+    moves = {divmod(abs(e) - 1, m): (divmod(t, m), 1 if e > 0 else -1)
+             for t, e in enumerate(labels.entries)}
+    constraints = tuple(
+        _constraint([(c * sign, to) for c, b in con.terms
+                     for to, sign in map(moves.get, body.partition.block_cells(*b))],
+                    con.rhs)
+        for con in body.constraints
+    )
+    cells = BlockPartition.from_sizes([1] * n, [1] * m)
+    return replace(family, body=SumConstraintSystem((n, m), cells, constraints))
 
 
 @dataclass(frozen=True)

@@ -417,6 +417,11 @@ class SignedPermutation:
         k = len(self.perm)
         if len(self.signs) != k:
             raise ShapeError("perm and signs must have the same length")
+        # bool is an int subclass, and 1.0 == 1, so both pass the tests below
+        if any(type(e) is not int for e in self.perm):
+            raise DomainError(f"perm entries must be integers: {self.perm}")
+        if any(type(s) is not int for s in self.signs):
+            raise DomainError(f"signs must be integers: {self.signs}")
         if sorted(self.perm) != list(range(k)):
             raise DomainError(f"perm must be a bijection on 0..{k - 1}: {self.perm}")
         if any(s not in (-1, 1) for s in self.signs):
@@ -476,23 +481,6 @@ def iter_signed_permutations(k: int) -> Iterator[SignedPermutation]:
     for perm in permutations(range(k)):
         for signs in product((1, -1), repeat=k):
             yield SignedPermutation(perm, signs)
-
-
-def _signed_index_map(
-    rows: int, cols: int, u: SignedPermutation, v: SignedPermutation
-):
-    """The entries of ``transform_inverse(X, u, v)`` as a function of the
-    entry tuple of a ``rows`` x ``cols`` X: each entry is one entry of X,
-    possibly negated, so one ``itemgetter`` over X's entries followed by
-    their negations moves a whole matrix."""
-    size = rows * cols
-    labels = transform_inverse(IntMatrix(rows, cols, tuple(range(1, size + 1))), u, v)
-    src = [e - 1 if e > 0 else size - e - 1 for e in labels.entries]
-    pick = operator.itemgetter(*src)
-    neg = operator.neg
-    if size == 1:  # itemgetter of one index returns the entry itself
-        return lambda entries: (pick(entries + tuple(map(neg, entries))),)
-    return lambda entries: pick(entries + tuple(map(neg, entries)))
 
 
 def transform_inverse(

@@ -2,10 +2,11 @@
 
 ``select_theorem`` picks, for a matrix A and a Penrose spec, the theorem
 whose family is the requested inverse set and returns it as data: the
-:class:`~bohemian.families.InverseFamily`, the note printed with it, and,
-for rank-one inner inverses, the signed permutations that carry the
-canonical core's family over to A.  The canonical S1-S4 layouts are
-detected literally, in the column order their families are written for.
+:class:`~bohemian.families.InverseFamily` and the note printed with it.
+The inner inverses of a rank-one A = U C V are the canonical core C's
+family carried to A's cells by ``families.transported``, so every family
+is enumerated on A itself.  The canonical S1-S4 layouts are detected
+literally, in the column order their families are written for.
 """
 
 from __future__ import annotations
@@ -19,10 +20,8 @@ from . import classify as cl
 from . import families as fam
 from .matrices import (
     DomainError,
-    SignedPermutation,
     TernaryMatrix,
     _row_rank,
-    _signed_index_map,
     exact_rank,
     normalize_spec,
 )
@@ -34,17 +33,10 @@ class UnsupportedShape(Exception):
 
 @dataclass(frozen=True)
 class TheoremSelection:
-    """A selected family and the note printed with it.
-
-    With a ``transport`` (U, V) the family describes the inverses of the
-    canonical core C of A = U C V, and its members are carried over to A as
-    :func:`~bohemian.matrices.transform_inverse` carries them, by one signed
-    index map on their entry tuples.
-    """
+    """A selected family and the note printed with it."""
 
     family: fam.InverseFamily
     note: str
-    transport: Optional[tuple[SignedPermutation, SignedPermutation]] = None
 
     @property
     def theorem_id(self) -> str:
@@ -59,22 +51,11 @@ class TheoremSelection:
         """Population-valued members, of the given rank when one is given,
         sorted into odometer order; with ``count_only``, their count alone."""
         shape = n, m = self.family.shape
-        # The transport flips signs, so members over a smaller population
-        # come from core members over the whole ternary one.
-        core_population = population if self.transport is None else cs.TERNARY
         body = self.family.body
-        if (count_only and rank is None and core_population == population
-                and isinstance(body, fam.SumConstraintSystem)):
-            # counted without building members; the transport, a bijection
-            # of ternary matrices, keeps the count
+        if count_only and rank is None and isinstance(body, fam.SumConstraintSystem):
+            # counted without building members
             return cs.enumerate_sum_constrained(body, population, count_only=True)
-        entries = cs.materialize_family(self.family, core_population).matrices
-        if self.transport is not None:
-            move = _signed_index_map(n, m, *self.transport)
-            moved = map(move, entries)
-            if population != cs.TERNARY:
-                moved = filter(set(population.values).issuperset, moved)
-            entries = tuple(sorted(moved))
+        entries = cs.materialize_family(self.family, population).matrices
         if rank is not None:
             # The rank of the n rows of m entries each depends only on the
             # set of distinct rows, and members share few such sets.
@@ -174,10 +155,9 @@ def _select_inner(f: _Facts) -> TheoremSelection:
         core = fam.inner_rank_one_core(
             a.rows, a.cols, fac.core_form.widths[0], fac.zero_row_count
         )
-        return TheoremSelection(
-            core,
+        return _pick(
+            fam.transported(core, fac.u_factor(), fac.v_factor()),
             "applied through the signed-permutation factorization",
-            (fac.u_factor(), fac.v_factor()),
         )
     raise UnsupportedShape("no inner characterization for this shape")
 

@@ -195,8 +195,8 @@ class TestInverses:
         assert out.strip() == "count: 5"
 
     def test_theorem_mode_transport_respects_population(self, capsys, write):
-        # the signed permutation flips the core's signs, so the core is
-        # built over {-1, 0, 1} and only then filtered
+        # the signed permutation flips the core's signs, so the carried
+        # system, not the core's, is enumerated over {0, 1}
         path = write("a.txt", "-1\n0\n")
         pop = ["--spec", "1", "--population", "0,1"]
         code, thm, _ = run(capsys, "inverses", path, *pop, "--mode", "theorem")
@@ -223,9 +223,9 @@ class TestInverses:
     def test_transported_stream_is_the_oracle_stream(
         self, capsys, write, population, rank
     ):
-        # a rank-one A behind signed permutations: the members are moved from
-        # the canonical core, filtered by population and rank, and written
-        # as serialize_matrix writes each oracle member
+        # a rank-one A behind signed permutations: the canonical core's
+        # system is carried to A's cells, its members are filtered by rank,
+        # and written as serialize_matrix writes each oracle member
         path = write("a.txt", "0 -1 1\n0 0 0\n0 1 -1\n")
         argv = ["inverses", path, "--spec", "1", f"--population={population}"]
         if rank is not None:
@@ -465,19 +465,48 @@ class TestTheoremDispatch:
     def test_rank_one_transport_paths(self):
         from bohemian import census as cs
         from bohemian.theorems import select_theorem
-        from bohemian.matrices import TernaryMatrix
+        from bohemian.matrices import TernaryMatrix, exact_rank
 
-        cases = (
+        cases = [
             [[0, 1], [0, -1]],
             [[1, -1], [0, 0]],
             [[0, 1, 1], [0, 0, 0], [0, -1, -1]],
-        )
+        ]
+        # every rank-one A with a zero row: the RankOneInner branch
+        for rows, cols in [(2, 2), (2, 3), (3, 2), (3, 3)]:
+            for ent in product((-1, 0, 1), repeat=rows * cols):
+                a = TernaryMatrix(rows, cols, ent)
+                if exact_rank(a) == 1 and not all(map(any, a.row_tuples())):
+                    cases.append(a.to_lists())
+        assert len(cases) == 3 + 16 + 52 + 72 + 234
+        populations = [cs.TERNARY, cs.Population((0, 1)), cs.Population((-1, 0))]
         for rows in cases:
             a = TernaryMatrix.from_rows(rows)
             sel = select_theorem(a, "1", None)
-            got = sel.materialize(cs.TERNARY)
-            want = cs.brute_force_inverses(a, "1")
-            assert cs.set_equal(got, want).equal, rows
+            for population in populations:
+                got = sel.materialize(population)
+                want = cs.brute_force_inverses(a, "1", population)
+                assert cs.set_equal(got, want).equal, (rows, population)
+                assert got.matrices == want.matrices, (rows, population)
+
+    def test_rank_one_count_over_zero_one_builds_no_members(self, monkeypatch):
+        # the core's system is carried to A's own cells, so a population
+        # the signed permutations do not preserve is counted as is
+        from bohemian import census as cs
+        from bohemian.theorems import select_theorem
+
+        a = TernaryMatrix.from_rows([[0, -1, 1], [0, 0, 0], [0, 1, -1]])
+        population = cs.Population((0, 1))
+        want = cs.brute_force_inverses(a, "1", population, count_only=True).count
+        sel = select_theorem(a, "1")
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a count-only run built members")
+
+        monkeypatch.setattr(cs, "materialize_family", refuse)
+        got = sel.materialize(population, count_only=True)
+        assert sel.theorem_id == "RankOneInner"
+        assert got.matrices is None and got.count == want > 0
 
     def test_rank_one_outer_selection(self):
         from itertools import product

@@ -125,6 +125,28 @@ class TestBinomialIdentity:
         assert chk.equal and chk.lhs == ct.count_sum_t(2201, 1)
         assert len(calls) <= 2 * 1101 + 4 * 2 * 2 * 2201
 
+    def test_diagonals_are_the_binomials_they_replace(self):
+        # the recurrence along each diagonal, started at its first
+        # in-range entry, against one binomial per entry
+        for w1 in range(9):
+            for d in range(-11, 11):
+                want = [ct.binom(w1 - s1, d + s1 + 1) for s1 in range(w1 + 1)]
+                assert ct._tail(w1, d) == want, (w1, d)
+
+    def test_long_single_block_reads_a_binomial_per_diagonal(self, monkeypatch):
+        # 3,333 + 1 + 6,666 terms pass the guard; the sums of thousand-bit
+        # binomials are taken by recurrences, not one binomial per term
+        calls = []
+
+        def counted(a, b):
+            calls.append((a, b))
+            return comb(a, b)
+
+        monkeypatch.setattr(ct, "comb", counted)
+        chk = ct.binomial_identity_check(1, 6665, 0)
+        assert chk.equal
+        assert len(calls) <= 4
+
 
 class TestReports:
     def test_registry_evaluation(self):

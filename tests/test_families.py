@@ -11,8 +11,10 @@ from bohemian import census as cs
 from bohemian import families as fam
 from bohemian.classify import TYPE_I, TYPE_II, TYPE_III, TYPE_IV, FullForm, full_form
 from bohemian.matrices import (
+    BlockPartition,
     DomainError,
     IntMatrix,
+    SignedPermutation,
     TernaryMatrix,
     exact_rank,
     identity,
@@ -519,3 +521,60 @@ class TestSerialization:
             "kind": "rank_one_product",
             "terms": [{"q": [1, 1], "p": [1, 0]}],
         }
+
+
+class TestCellClasses:
+    """A system written on single cells enumerates as its block form does:
+    cells with one coefficient vector are one class."""
+
+    BLOCK_FAMILIES = [
+        fam.inner_full_type_I(2, 3),
+        fam.inner_full_type_II(2, 2, 1),
+        fam.inner_full_type_II(1, 1, 2, -1),
+        fam.inner_S1(1, 2, 1),
+        fam.inner_S2(1, 1, 1, 1),
+        fam.inner_S3(1, 1, (1, 1, 1, 1)),
+        fam.outer_rank2_class3("S1", (1,)),
+        fam.outer_rank2_class3("S2", (1, 1)),
+        fam.outer_rank2_class3("S3", (1, 1, 1, 1)),
+        fam.outer_rank2_class3("S4", (1, 2)),
+        fam.reflexive_full_row_rank([(1, 1, 0), (1, 0, 0)]),
+        fam.inner_rank_one_core(2, 3, 2, 0),
+        fam.inner_rank_one_core(3, 3, 2, 1),
+    ]
+    POPULATIONS = [cs.TERNARY, cs.Population((0, 1)), cs.Population((-1, 0))]
+
+    @pytest.mark.parametrize(
+        "family", BLOCK_FAMILIES, ids=lambda f: f"{f.theorem_id}-{f.shape}"
+    )
+    def test_single_cell_form_gives_the_block_stream(self, family):
+        n, m = family.shape
+        same = SignedPermutation.identity
+        cells = fam.transported(family, same(m), same(n))
+        assert cells.body.partition == BlockPartition.from_sizes([1] * n, [1] * m)
+        assert cells.theorem_id == family.theorem_id
+        sizes = []
+        for population in self.POPULATIONS:
+            want = cs.enumerate_sum_constrained(family.body, population)
+            assert cs.enumerate_sum_constrained(cells.body, population) == want
+            quick = cs.enumerate_sum_constrained(cells.body, population, True)
+            assert quick.count == want.count
+            sizes.append(want.count)
+        # the S1 systems have half-integer block sums
+        assert sizes[0] > 0 or family.theorem_id in ("Thm4.5", "Rank2OuterS1")
+
+    @pytest.mark.parametrize("population", POPULATIONS, ids=str)
+    def test_signed_rank_one_stack_streams_the_census(self, population):
+        # one run of +- equal rows: the Thm4.7 system has a term on every
+        # cell, with two coefficient vectors
+        from bohemian.theorems import select_theorem
+
+        a = M([[1, 1, -1, 1], [-1, -1, 1, -1], [1, 1, -1, 1]])
+        sel = select_theorem(a, "1")
+        assert sel.theorem_id == "Thm4.7"
+        got = sel.materialize(population)
+        want = oracle(a, "1", population=population)
+        assert got.matrices == want.matrices
+        assert sel.materialize(population, count_only=True).count == want.count
+        if population == cs.TERNARY:
+            assert want.count == 69_576

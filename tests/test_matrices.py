@@ -209,6 +209,20 @@ class TestSignedPermutation:
         with pytest.raises(DomainError):
             SignedPermutation((0, 1), (1, 2))
 
+    @pytest.mark.parametrize(
+        "perm, signs, named",
+        [
+            ((0, 1), (1.0, -1.0), "signs must be integers: (1.0, -1.0)"),
+            ((0, 1), (True, -1), "signs must be integers: (True, -1)"),
+            ((0.0, 1), (1, 1), "perm entries must be integers: (0.0, 1)"),
+        ],
+    )
+    def test_entries_equal_to_integers_are_refused(self, perm, signs, named):
+        # each compares equal to a valid entry, so only its type is wrong
+        with pytest.raises(DomainError) as exc:
+            SignedPermutation(perm, signs)
+        assert str(exc.value) == named
+
     @given(st.data())
     def test_apply_matches_matrix_product(self, data):
         a = data.draw(ternary_matrices(max_rows=3, max_cols=3))
