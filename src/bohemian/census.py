@@ -31,16 +31,15 @@ their outputs are canonically sorted so theorem-versus-oracle comparisons
 are plain set comparisons.  Every producer carries members as row-major
 entry tuples, and an :class:`EnumerationResult` holds them so: a matrix is
 built, through the checked ``IntMatrix`` constructor, only where a caller
-iterates a result or asks for its set or JSON.  Block-sum constraints are
-scaled once to integers (by the lcm of their denominators), and the cells
-are grouped into classes with equal coefficient vectors, so a system
-written on single cells costs what its block-aligned form costs; each
-profile of class sums is checked in integer arithmetic; the fillings of a
-class with a given sum are the memoized fillings of its two halves,
-concatenated; a member's entries are its concatenated class fillings
-under one fixed permutation (an ``itemgetter``), and one sort gives
-odometer order.  The rank-one family evaluates each factor's forms once
-per factor vector.
+iterates a result.  Block-sum constraints are scaled once to integers (by
+the lcm of their denominators), and the cells are grouped into classes
+with equal coefficient vectors, so a system written on single cells costs
+what its block-aligned form costs; each profile of class sums is checked
+in integer arithmetic; the fillings of a class with a given sum are the
+memoized fillings of its two halves, concatenated; a member's entries are
+its concatenated class fillings under one fixed permutation (an
+``itemgetter``), and one sort gives odometer order.  The rank-one family
+evaluates each factor's forms once per factor vector.
 """
 
 from __future__ import annotations
@@ -119,8 +118,8 @@ class EnumerationResult:
 
     ``matrices`` holds the row-major entry tuple of each member, or is None
     for count-only runs; otherwise the count equals the stream length.
-    Iteration, ``as_set`` and ``to_json`` build the members as checked
-    :class:`IntMatrix` objects; ``serialize`` writes the tuples directly.
+    Iteration builds the members as checked :class:`IntMatrix` objects;
+    ``serialize`` writes the tuples directly.
     """
 
     shape: tuple[int, int]
@@ -139,9 +138,6 @@ class EnumerationResult:
     def __len__(self) -> int:
         return self.count
 
-    def as_set(self) -> frozenset[IntMatrix]:
-        return frozenset(self)
-
     def serialize(self) -> str:
         """Stream in the matrix text format, blank-line separated, with a
         trailing count record.
@@ -156,12 +152,6 @@ class EnumerationResult:
         parts = list(map(dict.__getitem__, texts, zip(*[flat] * cols)))
         parts.append(f"count: {self.count}\n")
         return "".join(parts)
-
-    def to_json(self) -> dict:
-        payload: dict = {"count": self.count}
-        if self.matrices is not None:
-            payload["matrices"] = [m.to_lists() for m in self]
-        return payload
 
 
 def brute_force_inverses(
@@ -740,13 +730,6 @@ class SetComparison:
     equal: bool
     only_in_a: tuple[IntMatrix, ...]
     only_in_b: tuple[IntMatrix, ...]
-
-    def to_json(self) -> dict:
-        return {
-            "equal": self.equal,
-            "only_in_a": [m.to_lists() for m in self.only_in_a],
-            "only_in_b": [m.to_lists() for m in self.only_in_b],
-        }
 
 
 def _keys(stream) -> set[tuple[int, int, tuple[int, ...]]]:

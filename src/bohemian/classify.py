@@ -43,7 +43,6 @@ from typing import Optional, Sequence
 
 from .matrices import (
     DomainError,
-    IntMatrix,
     SignedPermutation,
     TernaryMatrix,
     exact_rank,
@@ -247,12 +246,6 @@ class GwsDecomposition:
     col_perm: tuple[int, ...]
     blocks: tuple[GwsBlock, ...]
 
-    def permuted(self, a: TernaryMatrix) -> TernaryMatrix:
-        rows = a.row_tuples()
-        return TernaryMatrix.from_rows(
-            tuple(rows[r][c] for c in self.col_perm) for r in self.row_perm
-        )
-
     def to_json(self) -> dict:
         return {
             "row_perm": list(self.row_perm),
@@ -295,16 +288,6 @@ def gws_detect(a: TernaryMatrix) -> Optional[GwsDecomposition]:
     row_perm.extend(zero_rows)
     col_perm.extend(j for j, col in enumerate(zip(*rows)) if not any(col))
     return GwsDecomposition(tuple(row_perm), tuple(col_perm), tuple(blocks))
-
-
-def ws_detect(a: TernaryMatrix) -> bool:
-    """True when A is permutation-equivalent to a block diagonal of full blocks.
-
-    Needs every rank-one block to have literally identical rows (signs are
-    not available under plain permutations) and no zero rows; zero columns
-    can always be absorbed as a block's trailing zero columns.
-    """
-    return class_membership(a).is_well_settled
 
 
 @dataclass(frozen=True)
@@ -431,16 +414,6 @@ def class_membership(a: TernaryMatrix) -> ClassReport:
     )
 
 
-def rank2_class3_structure(a: TernaryMatrix) -> Optional[str]:
-    """Which of the four canonical rank-two layouts A matches, signs and
-    permutations removed; None when the rank is not 2 or a fully zero
-    column falls outside every canonical layout."""
-    report = class_membership(a)
-    if not report.is_class_III:
-        raise DomainError("structure detection requires a Class III matrix")
-    return report.s_structure
-
-
 @dataclass(frozen=True)
 class UwDecomposition:
     """A = U @ W with U a signed permutation and W made of constant-row
@@ -450,9 +423,6 @@ class UwDecomposition:
     u: SignedPermutation
     w: TernaryMatrix
     row_block_sizes: tuple[int, ...]
-
-    def reassemble(self) -> IntMatrix:
-        return self.u.apply_left(self.w)
 
     def to_json(self) -> dict:
         return {

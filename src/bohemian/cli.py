@@ -198,7 +198,11 @@ def _cmd_count(args) -> int:
             if params[name] is None:
                 print(f"--{name} required for formula {args.formula}", file=sys.stderr)
                 return EXIT_USAGE
-    report = ct.evaluate_formula(args.formula, **params)
+    try:
+        report = ct.evaluate_formula(args.formula, **params)
+    except DomainError as exc:
+        print(f"{args.formula}: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     if args.json:
         _emit_json(report.to_json())
     else:

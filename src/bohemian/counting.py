@@ -14,7 +14,7 @@ from math import comb
 from operator import mul
 from typing import NamedTuple, Sequence
 
-from .matrices import ResourceLimitError
+from .matrices import DomainError, ResourceLimitError
 
 #: the most binomial-product terms one sum may take; count_sum_t at it
 #: takes about 0.05 s on a 2-vCPU VM
@@ -26,6 +26,14 @@ def _check_terms(what: str, terms: int) -> None:
         raise ResourceLimitError(
             f"{what} sums {terms} terms, which exceeds the limit of {TERM_LIMIT}"
         )
+
+
+def _require_positive(what: str, **sizes: int) -> None:
+    """Refuse a matrix shape with no rows or columns, which no matrix of
+    the library has."""
+    bad = [f"{k}={v}" for k, v in sizes.items() if v < 1]
+    if bad:
+        raise DomainError(f"{what} needs positive dimensions, got {', '.join(bad)}")
 
 
 def binom(a: int, b: int) -> int:
@@ -60,12 +68,14 @@ def count_sum_t(n: int, t: int) -> int:
 
 def inner_count_full_type_I(m: int, n: int) -> int:
     """Count of ternary inner inverses of the all-ones m x n matrix."""
+    _require_positive("the all-ones matrix", m=m, n=n)
     return count_sum_t(m * n, 1)
 
 
 def outer_count_full_type_I(m: int, n: int, include_zero: bool = False) -> int:
     """Count of ternary outer inverses of the all-ones m x n matrix,
     excluding the zero matrix unless asked."""
+    _require_positive("the all-ones matrix", m=m, n=n)
     total = count_sum_t(m, 1) * count_sum_t(n, 1)
     return total + 1 if include_zero else total
 
@@ -74,6 +84,7 @@ def outer_count_natural_pop(m: int, n: int, zero_in_pop: bool) -> int:
     """Count of outer inverses of the all-ones matrix over a population of
     naturals containing 1: one-hot products plus zero, or just the 1 x 1
     scalar when zero is unavailable."""
+    _require_positive("the all-ones matrix", m=m, n=n)
     if zero_in_pop:
         return m * n + 1
     return 1 if m == 1 and n == 1 else 0
@@ -83,7 +94,9 @@ def outer_count_full_type_III(
     m: int, n1: int, n2: int, include_zero: bool = False
 ) -> int:
     """Count of ternary outer inverses of (ones | zeros): the rows facing
-    the zero columns are free, contributing a power of three."""
+    the zero columns are free, contributing a power of three; n2 = 0 is
+    the all-ones matrix."""
+    _require_positive("the Type III matrix", m=m, n1=n1)
     total = 3**n2 * count_sum_t(m, 1) * count_sum_t(n1, 1)
     return total + 1 if include_zero else total
 
@@ -97,6 +110,7 @@ def outer_count_S4(n1: int, n2: int) -> int:
     census, which differs by the zero-first-column members the
     column-scaled branch cannot express.
     """
+    _require_positive("the S4 layout", n1=n1, n2=n2)
     s = count_sum_t
     return (
         1
@@ -106,17 +120,17 @@ def outer_count_S4(n1: int, n2: int) -> int:
     )
 
 
-def inner_count_pure_ws(block_dims: Sequence[tuple[int, int]]) -> int:
+def inner_count_pure_ws(dims: Sequence[tuple[int, int]]) -> int:
     """Count of ternary inner inverses of a block diagonal of all-ones
     blocks: diagonal blocks of the candidate sum to 1, off-diagonal blocks
     sum to 0, independently."""
-    if not block_dims or any(m < 1 or n < 1 for m, n in block_dims):
-        raise ValueError("block dimensions must be positive")
+    if not dims or any(m < 1 or n < 1 for m, n in dims):
+        raise DomainError("block dimensions must be positive")
     total = 1
-    for mi, ni in block_dims:
+    for mi, ni in dims:
         total *= count_sum_t(mi * ni, 1)
-    for i, (_, ni) in enumerate(block_dims):
-        for j, (mj, _) in enumerate(block_dims):
+    for i, (_, ni) in enumerate(dims):
+        for j, (mj, _) in enumerate(dims):
             if i != j:
                 total *= count_sum_t(ni * mj, 0)
     return total
@@ -204,12 +218,9 @@ FORMULAS = {
     "inner_type_I": (("m", "n"), inner_count_full_type_I),
     "outer_type_I": (("m", "n", "include_zero"), outer_count_full_type_I),
     "outer_type_III": (("m", "n1", "n2", "include_zero"), outer_count_full_type_III),
-    "natural_pop": (
-        ("m", "n", "zero_in_pop"),
-        lambda m, n, zero_in_pop=False: outer_count_natural_pop(m, n, zero_in_pop),
-    ),
+    "natural_pop": (("m", "n", "zero_in_pop"), outer_count_natural_pop),
     "outer_S4": (("n1", "n2"), outer_count_S4),
-    "inner_pure_ws": (("dims",), lambda dims: inner_count_pure_ws(dims)),
+    "inner_pure_ws": (("dims",), inner_count_pure_ws),
 }
 
 

@@ -154,28 +154,6 @@ class RankOneProductFamily:
             sum(map(mul, q, u)) * sum(map(mul, p, v)) for u, v in self.terms
         )
 
-    def contains(self, x) -> bool:
-        """Membership of a concrete matrix: rank <= 1 followed by the
-        bilinear condition, without division.
-
-        With p the first nonzero column of x and i0 the first nonzero entry
-        of p, x = p q^T for q = x[i0] / p[i0] exactly when every
-        x[i][j] p[i0] equals p[i] x[i0][j].  The condition is linear in q,
-        so it equals 1 exactly when its value at (p, x[i0]) equals p[i0].
-        """
-        rows = _coerce_rows(x, self.shape)
-        if self.pinned_lead and not any(row[0] for row in rows):
-            return False  # q_1 = 1 makes the first column p, which is nonzero
-        p = next((col for col in zip(*rows) if any(col)), None)
-        if p is None:
-            return False
-        i0 = next(i for i, e in enumerate(p) if e)
-        lead, top = p[i0], rows[i0]
-        for row, pi in zip(rows, p):
-            if any(e * lead != pi * t for e, t in zip(row, top)):
-                return False
-        return self.condition_value(p, top) == lead
-
     def to_json(self) -> dict:
         out = {"terms": [{"q": list(u), "p": list(v)} for u, v in self.terms]}
         if self.pinned_lead:
@@ -319,56 +297,6 @@ def transported(
     )
     cells = BlockPartition.from_sizes([1] * n, [1] * m)
     return replace(family, body=SumConstraintSystem((n, m), cells, constraints))
-
-
-@dataclass(frozen=True)
-class ParametricInnerGenerator:
-    """One-parameter-set generator of inner inverses for the two-block sign
-    matrix (sign ones | -sign ones) of shape m x (n1 + n2).
-
-    ``emit`` maps mn - 1 free scalars to a concrete inverse: the scalars
-    fill a bordered n x m matrix row-major after the (0, 0) entry, which is
-    set to one minus their total, and the block-sign diagonal is applied on
-    the left.  Every emitted matrix satisfies the defining equation and the
-    block-sum difference condition.
-    """
-
-    m: int
-    n1: int
-    n2: int
-    sign: int = 1
-
-    @property
-    def parameter_count(self) -> int:
-        return self.m * (self.n1 + self.n2) - 1
-
-    def target(self) -> TernaryMatrix:
-        row = (self.sign,) * self.n1 + (-self.sign,) * self.n2
-        return TernaryMatrix.from_rows([row] * self.m)
-
-    def emit(self, params: Sequence) -> tuple[tuple, ...]:
-        if len(params) != self.parameter_count:
-            raise DomainError(
-                f"expected {self.parameter_count} parameters, got {len(params)}"
-            )
-        n = self.n1 + self.n2
-        flat = [1 - sum(params)] + list(params)
-        rows = []
-        for i in range(n):
-            scale = self.sign if i < self.n1 else -self.sign
-            rows.append(tuple(scale * flat[i * self.m + j] for j in range(self.m)))
-        return tuple(rows)
-
-    def emit_matrix(self, params: Sequence[int]) -> IntMatrix:
-        return IntMatrix.from_rows(self.emit(params))
-
-
-def inner_type_II_parametric(
-    m: int, n1: int, n2: int, sign: int = 1
-) -> ParametricInnerGenerator:
-    if n1 < 1 or n2 < 1:
-        raise DomainError("both column blocks must be nonempty")
-    return ParametricInnerGenerator(m, n1, n2, sign)
 
 
 def inner_S1(m1: int, m2: int, n1: int) -> InverseFamily:

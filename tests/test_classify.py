@@ -14,10 +14,8 @@ from bohemian.classify import (
     class_membership,
     full_form,
     gws_detect,
-    rank2_class3_structure,
     rank_one_factorize,
     uw_decompose,
-    ws_detect,
 )
 from bohemian.matrices import (
     DomainError,
@@ -148,7 +146,7 @@ class TestGws:
         dec = gws_detect(a)
         assert dec is not None
         assert len(dec.blocks) == 2
-        assert not ws_detect(a)
+        assert not class_membership(a).is_well_settled
 
     def test_dense_class_two_matrix_is_not_gws(self):
         assert gws_detect(M([[1, 1, 1], [1, -1, -1], [1, -1, -1]])) is None
@@ -156,18 +154,18 @@ class TestGws:
     def test_identity(self):
         dec = gws_detect(identity(2))
         assert dec is not None and len(dec.blocks) == 2
-        assert ws_detect(identity(2))
+        assert class_membership(identity(2)).is_well_settled
 
     def test_all_ones_is_ws(self):
-        assert ws_detect(ones(3, 2))
+        assert class_membership(ones(3, 2)).is_well_settled
 
     def test_zero_rows_break_ws_but_not_gws(self):
         a = M([[1, 0], [0, 1], [0, 0]])
         assert gws_detect(a) is not None
-        assert not ws_detect(a)
+        assert not class_membership(a).is_well_settled
 
     def test_zero_column_does_not_break_ws(self):
-        assert ws_detect(M([[1, 0]]))
+        assert class_membership(M([[1, 0]])).is_well_settled
 
     def test_detection_matches_definition_exhaustive_small(self):
         # None exactly when two nonzero rows meet in a column without being
@@ -194,7 +192,7 @@ class TestGws:
                 dec = gws_detect(a)
                 if dec is None:
                     continue
-                permuted = dec.permuted(a)
+                permuted = [[a.at(r, c) for c in dec.col_perm] for r in dec.row_perm]
                 # every listed block is rank one and sits on the diagonal
                 covered = set()
                 for b in dec.blocks:
@@ -204,11 +202,11 @@ class TestGws:
                     for r in range(r0, r1):
                         for c in range(c0, c1):
                             covered.add((r, c))
-                            assert permuted.at(r, c) == b.matrix.at(r - r0, c - c0)
+                            assert permuted[r][c] == b.matrix.at(r - r0, c - c0)
                 for r in range(m):
                     for c in range(n):
                         if (r, c) not in covered:
-                            assert permuted.at(r, c) == 0
+                            assert permuted[r][c] == 0
 
 
 class TestClassMembership:
@@ -287,31 +285,30 @@ class TestClassMembership:
 
 class TestStructures:
     def test_s1(self):
-        assert rank2_class3_structure(M([[1, 1], [1, -1]])) == "S1"
+        assert class_membership(M([[1, 1], [1, -1]])).s_structure == "S1"
 
     def test_s2(self):
-        assert rank2_class3_structure(M([[1, 1, 1], [1, -1, 0]])) == "S2"
+        assert class_membership(M([[1, 1, 1], [1, -1, 0]])).s_structure == "S2"
 
     def test_s3(self):
-        assert rank2_class3_structure(M([[1, 1, 1, 0], [1, -1, 0, 1]])) == "S3"
+        assert class_membership(M([[1, 1, 1, 0], [1, -1, 0, 1]])).s_structure == "S3"
 
     def test_s4(self):
-        assert rank2_class3_structure(identity(2)) == "S4"
+        assert class_membership(identity(2)).s_structure == "S4"
 
     def test_rank_mismatch_returns_none(self):
-        assert rank2_class3_structure(ones(2, 2)) is None
+        assert class_membership(ones(2, 2)).s_structure is None
 
     def test_non_class3_rejected(self):
-        with pytest.raises(DomainError):
-            rank2_class3_structure(M([[1, 1, 1], [1, -1, -1]]))
+        assert class_membership(M([[1, 1, 1], [1, -1, -1]])).s_structure is None
 
     def test_shared_zero_column_matches_nothing(self):
-        assert rank2_class3_structure(M([[1, 0, 0], [0, 1, 0]])) is None
+        assert class_membership(M([[1, 0, 0], [0, 1, 0]])).s_structure is None
 
     def test_detection_is_sign_and_permutation_blind(self):
         a = M([[1, -1], [-1, -1]])  # signed/permuted version of the S1 layout
         if class_membership(a).is_class_III:
-            assert rank2_class3_structure(a) in {"S1", "S2", "S3", "S4"}
+            assert class_membership(a).s_structure in {"S1", "S2", "S3", "S4"}
 
 
 class TestUwDecompose:
@@ -319,7 +316,7 @@ class TestUwDecompose:
         d = uw_decompose(M([[1, 1], [-1, -1]]))
         assert d.w == ones(2, 2)
         assert d.u.signs == (1, -1)
-        assert d.reassemble() == M([[1, 1], [-1, -1]])
+        assert d.u.apply_left(d.w) == M([[1, 1], [-1, -1]])
 
     def test_already_constant(self):
         a = M([[1, 1], [1, -1]])
@@ -332,7 +329,7 @@ class TestUwDecompose:
         d = uw_decompose(a)
         assert d.row_block_sizes == (1, 1, 1)
         assert d.w.row(2) == (0, 0)
-        assert d.reassemble() == a
+        assert d.u.apply_left(d.w) == a
 
     def test_requires_class_two(self):
         # rank 2 but three distinct row classes
@@ -345,7 +342,7 @@ class TestUwDecompose:
             if not rep.is_class_II:
                 continue
             d = uw_decompose(a)
-            assert d.reassemble() == IntMatrix(a.rows, a.cols, a.entries)
+            assert d.u.apply_left(d.w) == IntMatrix(a.rows, a.cols, a.entries)
             pos = 0
             for size in d.row_block_sizes:
                 rows = [d.w.row(i) for i in range(pos, pos + size)]

@@ -761,6 +761,21 @@ class TestUsage:
         assert exc.value.code == 2
         assert capsys.readouterr().out == ""
 
+    @pytest.mark.parametrize("argv", [
+        ("natural_pop", "--m", "0", "--n", "0", "--zero-in-pop"),
+        ("natural_pop", "--m", "2", "--n", "0"),
+        ("outer_S4", "--n1", "0", "--n2", "0"),
+        ("outer_S4", "--n1", "2", "--n2", "0"),
+        ("inner_type_I", "--m", "0", "--n", "3"),
+        ("outer_type_I", "--m", "1", "--n", "0"),
+        ("outer_type_III", "--m", "1", "--n1", "0", "--n2", "2"),
+        ("outer_type_III", "--m", "0", "--n1", "1", "--n2", "0"),
+    ])
+    def test_empty_matrix_shape_exit_two(self, capsys, argv):
+        code, out, err = run(capsys, "count", "--formula", *argv)
+        assert code == 2 and out == ""
+        assert "needs positive dimensions" in err and "Traceback" not in err
+
     @pytest.mark.parametrize("dims", ["0x1", "1x2x3"])
     def test_bad_block_dims_exit_two(self, capsys, dims):
         code, _, err = run(capsys, "count", "--formula", "inner_pure_ws", "--dims", dims)

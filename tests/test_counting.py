@@ -8,6 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from bohemian import counting as ct
+from bohemian.matrices import DomainError
 
 
 class TestCountSumT:
@@ -92,6 +93,20 @@ class TestFormulas:
             ct.inner_count_pure_ws([])
         with pytest.raises(ValueError):
             ct.inner_count_pure_ws([(0, 1)])
+
+    @pytest.mark.parametrize("fn, args", [
+        (ct.inner_count_full_type_I, (0, 3)),
+        (ct.outer_count_full_type_I, (2, 0)),
+        (ct.outer_count_natural_pop, (0, 0, True)),
+        (ct.outer_count_full_type_III, (1, 0, 2)),
+        (ct.outer_count_full_type_III, (0, 1, 1)),
+        (ct.outer_count_S4, (0, 0)),
+        (ct.outer_count_S4, (1, 0)),
+    ])
+    def test_empty_matrix_shapes_raise(self, fn, args):
+        # no matrix of the library has zero rows or columns
+        with pytest.raises(DomainError, match="needs positive dimensions"):
+            fn(*args)
 
 
 class TestBinomialIdentity:

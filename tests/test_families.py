@@ -4,8 +4,6 @@ from fractions import Fraction
 from itertools import product
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from bohemian import census as cs
 from bohemian import families as fam
@@ -110,37 +108,6 @@ class TestInnerTypeII:
         assert cs.set_equal(
             members(fam.inner_full_type_II(2, 1, 1)), oracle(a, "1")
         ).equal
-
-
-class TestParametricGenerator:
-    def test_zero_parameters(self):
-        g = fam.inner_type_II_parametric(1, 1, 1)
-        assert g.emit([0]) == ((1,), (0,))
-
-    def test_single_parameter_value(self):
-        g = fam.inner_type_II_parametric(1, 1, 1)
-        assert g.emit([1]) == ((0,), (-1,))
-        assert penrose_check(g.target(), g.emit_matrix([1])).satisfies_1
-
-    @given(st.data())
-    @settings(max_examples=60)
-    def test_emits_inner_inverses_and_meets_block_condition(self, data):
-        m = data.draw(st.integers(1, 3))
-        n1 = data.draw(st.integers(1, 2))
-        n2 = data.draw(st.integers(1, 2))
-        sign = data.draw(st.sampled_from((1, -1)))
-        g = fam.inner_type_II_parametric(m, n1, n2, sign)
-        params = data.draw(
-            st.tuples(
-                *[
-                    st.fractions(max_denominator=6)
-                    for _ in range(g.parameter_count)
-                ]
-            )
-        )
-        rows = g.emit(params)
-        assert rational_inner_holds(g.target().row_tuples(), rows)
-        assert fam.inner_full_type_II(m, n1, n2, sign).body.is_member(rows)
 
 
 class TestHalfIntegerSystems:
@@ -259,12 +226,6 @@ class TestOuterRankOne:
         with pytest.raises(DomainError):
             fam.outer_rank_one_general((0, 0), (1,))
 
-    def test_contains_is_scaling_invariant(self):
-        fml = fam.outer_rank_one_general((1, 1), (1, 1)).body
-        assert fml.contains([[F(1, 2), F(1, 2)], [0, 0]])
-        assert not fml.contains(zeros(2, 2))
-        assert not fml.contains([[1, 0], [0, 1]])
-
 
 class TestOuterBlockFamilies:
     def test_block_diagonal_identity(self):
@@ -380,20 +341,19 @@ class TestColumnScaled:
         assert "first column" in fml.note
 
     def test_contains_is_rank_one_outer_with_nonzero_first_column(self):
-        # every full-row-rank A of at most 5 cells against every ternary X
+        # every full-row-rank A of at most 5 cells: the members are the
+        # ternary X of rank 1 with a nonzero first column and XAX = X
         checked = 0
         for m, n in [(1, 1), (1, 2), (1, 3), (1, 4), (1, 5), (2, 2)]:
-            xs = [
-                (x, exact_rank(x) == 1 and any(x.column(0)))
-                for x in all_ternary(n, m)
+            shaped = [
+                x for x in all_ternary(n, m) if exact_rank(x) == 1 and any(x.column(0))
             ]
             for a in all_ternary(m, n):
                 if exact_rank(a) != m:
                     continue
-                body = fam.outer_rank1_full_row_rank(a.row_tuples()).body
-                for x, shaped in xs:
-                    want = shaped and penrose_check(a, x).satisfies_2
-                    assert body.contains(x) == want, (a.entries, x.entries)
+                got = members(fam.outer_rank1_full_row_rank(a.row_tuples())).matrices
+                want = tuple(x.entries for x in shaped if penrose_check(a, x).satisfies_2)
+                assert got == want, a.entries
                 checked += 1
         assert checked == 358 + 48
 
@@ -439,7 +399,7 @@ class TestRank2OuterAndUnions:
 
     def test_union_contains_zero(self):
         union = members(fam.outer_full_set_S4(1, 1))
-        assert zeros(2, 2) in union.as_set()
+        assert zeros(2, 2) in frozenset(union)
 
 
 class TestReflexive:
