@@ -46,7 +46,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cache, lru_cache
 from itertools import chain, compress, cycle, product, repeat
 from math import gcd, lcm, prod
 from operator import itemgetter, mul
@@ -84,7 +84,8 @@ class Population:
             raise DomainError("population must be nonempty")
         if len(self.values) > 8:
             raise DomainError("populations with more than 8 values are unsupported")
-        if any(not isinstance(v, int) for v in self.values):
+        # bool is an int subclass, and would be written True/False
+        if any(type(v) is not int for v in self.values):
             raise DomainError("population values must be integers")
         if any(a >= b for a, b in zip(self.values, self.values[1:])):
             raise DomainError("population values must be strictly increasing")
@@ -715,14 +716,30 @@ def _materialize_body(body, population: Population, shape: tuple[int, int]):
 
 
 def materialize_family(
-    family: InverseFamily, population: Population = TERNARY
+    family: InverseFamily,
+    population: Population = TERNARY,
+    rank: Optional[int] = None,
+    count_only: bool = False,
 ) -> EnumerationResult:
-    """The family's population-valued members, deduplicated and sorted into
-    odometer order."""
-    entries = _materialize_body(family.body, population, family.shape)
+    """The family's population-valued members, of the given rank when one
+    is given, deduplicated and sorted into odometer order; with
+    ``count_only``, their count alone."""
+    shape = family.shape
+    if count_only and rank is None and isinstance(family.body, SumConstraintSystem):
+        # counted without building members
+        return enumerate_sum_constrained(family.body, population, count_only=True)
+    entries = _materialize_body(family.body, population, shape)
     if isinstance(entries, set):
         entries = tuple(sorted(entries))
-    return EnumerationResult(family.shape, entries, len(entries))
+    if rank is not None:
+        # The rank of the n rows of m entries each depends only on the
+        # set of distinct rows, and members share few such sets.
+        rank_of = cache(_row_rank)
+        m = shape[1]
+        entries = tuple(
+            e for e in entries if rank_of(frozenset(zip(*[iter(e)] * m))) == rank
+        )
+    return EnumerationResult(shape, None if count_only else entries, len(entries))
 
 
 @dataclass(frozen=True)

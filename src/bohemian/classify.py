@@ -45,7 +45,7 @@ from .matrices import (
     DomainError,
     SignedPermutation,
     TernaryMatrix,
-    exact_rank,
+    _row_rank,
 )
 
 TYPE_I = "TypeI"
@@ -392,10 +392,10 @@ def class_membership(a: TernaryMatrix) -> ClassReport:
     reading is reported as a separate flag.
     """
     rows = a.row_tuples()
-    rank = exact_rank(a)
     classes, zero_rows = _row_classes(rows)
     col_classes, _ = _row_classes(zip(*rows))
     reps = [rep for rep, _ in classes]
+    rank = _row_rank(reps) if reps else 0  # each nonzero row is +- a rep
     is_class_ii = len(classes) == rank
     is_class_iii = is_class_ii and _orthogonal(reps)
     disjoint = _disjoint(reps)  # then Class II holds too
@@ -436,7 +436,7 @@ def uw_decompose(a: TernaryMatrix) -> UwDecomposition:
     """Split a row-wise Class II matrix as a signed permutation times a
     stack of constant-row blocks, zero rows parked in a trailing block."""
     classes, zero_rows = _row_classes(a.row_tuples())
-    if len(classes) != exact_rank(a):
+    if classes and len(classes) != _row_rank([rep for rep, _ in classes]):
         raise DomainError("UW decomposition requires a row-wise Class II matrix")
     w_rows: list[tuple[int, ...]] = []
     perm: list[int] = []

@@ -159,16 +159,16 @@ def _cmd_inverses(args) -> int:
                   f"{args.population!r}", file=sys.stderr)
             return EXIT_USAGE
         try:
-            selection = th.select_theorem(a, spec, args.rank)
+            family = th.select_theorem(a, spec, args.rank)
         except th.UnsupportedShape as exc:
             report = cl.class_membership(a)
             print(f"{exc}; detected class: {json.dumps(report.to_json())}",
                   file=sys.stderr)
             return EXIT_UNSUPPORTED
-        print(f"theorem_id: {selection.theorem_id}")
-        if selection.note:
-            print(f"note: {selection.note}")
-        result = selection.materialize(population, args.rank, args.count_only)
+        print(f"theorem_id: {family.theorem_id}")
+        if family.note:
+            print(f"note: {family.note}")
+        result = cs.materialize_family(family, population, args.rank, args.count_only)
     sys.stdout.write(result.serialize())
     return EXIT_OK
 

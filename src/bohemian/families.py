@@ -27,11 +27,9 @@ from .matrices import (
     DomainError,
     IntMatrix,
     ShapeError,
-    SignedPermutation,
     TernaryMatrix,
     _product_rows,
     exact_rank,
-    transform_inverse,
 )
 
 #: The paper's column-scaled rank-one family (a product family with its
@@ -260,45 +258,6 @@ def inner_full_type_IV(
     return inner_full(FullForm(TYPE_IV, sign, (n1, n2, n3)), m)
 
 
-def inner_rank_one_core(m: int, n: int, support: int, zero_rows: int) -> InverseFamily:
-    """Inner inverses of the canonical rank-one core (all-ones support block,
-    then zero columns, over zero rows): one unit condition on the candidate's
-    leading block, everything facing zeros free."""
-    if not 1 <= support <= n or not 0 <= zero_rows < m:
-        raise DomainError("core dimensions out of range")
-    row_sizes = [support] + ([n - support] if n > support else [])
-    col_sizes = [m - zero_rows] + ([zero_rows] if zero_rows else [])
-    part = BlockPartition.from_sizes(row_sizes, col_sizes)
-    body = SumConstraintSystem((n, m), part, (_constraint([(1, (0, 0))], 1),))
-    return InverseFamily("RankOneInner", "{1}", (n, m), body)
-
-
-def transported(
-    family: InverseFamily, u: SignedPermutation, v: SignedPermutation
-) -> InverseFamily:
-    """A block-sum family of inverses of C carried to U C V, written on
-    single cells: its members are ``transform_inverse(X, u, v)`` for the
-    members X of ``family``.  Each entry of that matrix is one entry of X,
-    possibly negated, so a term c on a block of X becomes the term c, so
-    signed, on each cell that a cell of the block moves to."""
-    body = family.body
-    if not isinstance(body, SumConstraintSystem):
-        raise DomainError("only block-sum families can be transported")
-    n, m = family.shape
-    labels = transform_inverse(IntMatrix(n, m, tuple(range(1, n * m + 1))), u, v)
-    # cell t of the result is cell |e| - 1 of X, negated when e < 0
-    moves = {divmod(abs(e) - 1, m): (divmod(t, m), 1 if e > 0 else -1)
-             for t, e in enumerate(labels.entries)}
-    constraints = tuple(
-        _constraint([(c * sign, to) for c, b in con.terms
-                     for to, sign in map(moves.get, body.partition.block_cells(*b))],
-                    con.rhs)
-        for con in body.constraints
-    )
-    cells = BlockPartition.from_sizes([1] * n, [1] * m)
-    return replace(family, body=SumConstraintSystem((n, m), cells, constraints))
-
-
 def inner_S1(m1: int, m2: int, n1: int) -> InverseFamily:
     """Inner inverses for the S1 stack (all-ones over the balanced
     plus/minus row): four half-integer block-sum equations."""
@@ -409,6 +368,24 @@ def class3_inner_system(blocks: Sequence[TernaryMatrix]) -> InverseFamily:
             constraints.append(_constraint(terms, 1 if i == j else 0))
     body = SumConstraintSystem((n, m), part, tuple(constraints))
     return InverseFamily("Thm4.7", "{1}", (n, m), body)
+
+
+def inner_rank_one(a: TernaryMatrix) -> InverseFamily:
+    """Inner inverses of a rank-one A = u v^T, written on A's own cells:
+    the X with v^T X u = 1.  That is the Thm4.7 system with A as its only
+    block.
+
+    Proof.  AXA = u (v^T X u) v^T.  If AXA = A then u (v^T X u) v^T =
+    u v^T, which is nonzero, so v^T X u = 1; the converse is immediate.
+    A's signed-permutation factorization U C V carries the core C's one
+    block condition to this constraint term by term, so it has the same
+    cell classes (+1 cells, -1 cells, free cells) and enumerates alike.
+    """
+    return replace(
+        class3_inner_system([a]),
+        theorem_id="RankOneInner",
+        note="applied through the signed-permutation factorization",
+    )
 
 
 def class3_inner_membership(blocks: Sequence[TernaryMatrix], x) -> bool:

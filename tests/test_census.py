@@ -45,6 +45,12 @@ class TestPopulation:
         with pytest.raises(DomainError):
             cs.Population(())
 
+    def test_bool_values_refused(self):
+        # bool is an int subclass; its members would be written True/False
+        with pytest.raises(DomainError, match="integers"):
+            cs.Population((False, True))
+        assert cs.Population((0, 1)).values == (0, 1)
+
 
 class TestBruteForce:
     def test_two_block_row(self):
@@ -553,8 +559,6 @@ class TestMaterializeAndCompare:
     def test_materialized_members_are_population_valued(self, a):
         if not any(a.entries):
             return
-        from bohemian.classify import exact_rank
-
         if exact_rank(a) != 1:
             return
         from bohemian.classify import _row_classes
@@ -603,9 +607,9 @@ SUM_FAMILIES = {
     "typeIII-3x3": fam.inner_full_type_III(3, 1, 2),
     "typeIV-1x3": fam.inner_full_type_IV(1, 1, 1, 1),
     "typeIV-2x4-neg": fam.inner_full_type_IV(2, 1, 1, 2, -1),
-    "rank1-core-2x2": fam.inner_rank_one_core(2, 2, 1, 1),
-    "rank1-core-3x3": fam.inner_rank_one_core(3, 3, 2, 1),
-    "rank1-core-2x4": fam.inner_rank_one_core(2, 4, 2, 0),
+    "rank1-core-2x2": fam.inner_rank_one(M([[1, 0], [0, 0]])),
+    "rank1-core-3x3": fam.inner_rank_one(M([[1, 1, 0], [1, 1, 0], [0, 0, 0]])),
+    "rank1-core-2x4": fam.inner_rank_one(M([[1, 1, 0, 0], [1, 1, 0, 0]])),
     "S1-1-1-1": fam.inner_S1(1, 1, 1),
     "S1-2-1-1": fam.inner_S1(2, 1, 1),
     "S2-1-1-1-0": fam.inner_S2(1, 1, 1, 0),

@@ -243,6 +243,7 @@ class TestClassMembership:
             for n in range(1, 5):
                 for a in all_ternary(m, n):
                     rep = class_membership(a)
+                    assert rep.rank == exact_rank(a)
                     if rep.is_class_I:
                         assert rep.is_class_III
                     if rep.is_class_III:

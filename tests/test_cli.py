@@ -195,8 +195,8 @@ class TestInverses:
         assert out.strip() == "count: 5"
 
     def test_theorem_mode_transport_respects_population(self, capsys, write):
-        # the signed permutation flips the core's signs, so the carried
-        # system, not the core's, is enumerated over {0, 1}
+        # v^T X u = 1 has a negative coefficient here, so the system on A's
+        # cells, not the canonical core's, is enumerated over {0, 1}
         path = write("a.txt", "-1\n0\n")
         pop = ["--spec", "1", "--population", "0,1"]
         code, thm, _ = run(capsys, "inverses", path, *pop, "--mode", "theorem")
@@ -223,9 +223,9 @@ class TestInverses:
     def test_transported_stream_is_the_oracle_stream(
         self, capsys, write, population, rank
     ):
-        # a rank-one A behind signed permutations: the canonical core's
-        # system is carried to A's cells, its members are filtered by rank,
-        # and written as serialize_matrix writes each oracle member
+        # a rank-one A behind signed permutations: v^T X u = 1 is written
+        # on A's cells, its members are filtered by rank, and written as
+        # serialize_matrix writes each oracle member
         path = write("a.txt", "0 -1 1\n0 0 0\n0 1 -1\n")
         argv = ["inverses", path, "--spec", "1", f"--population={population}"]
         if rank is not None:
@@ -457,7 +457,7 @@ class TestTheoremDispatch:
             except UnsupportedShape:
                 continue
             supported += 1
-            got = sel.materialize(cs.TERNARY)
+            got = cs.materialize_family(sel, cs.TERNARY)
             want = cs.brute_force_inverses(a, "1")
             assert cs.set_equal(got, want).equal, (ent, sel.theorem_id)
         assert supported > 400
@@ -484,14 +484,14 @@ class TestTheoremDispatch:
             a = TernaryMatrix.from_rows(rows)
             sel = select_theorem(a, "1", None)
             for population in populations:
-                got = sel.materialize(population)
+                got = cs.materialize_family(sel, population)
                 want = cs.brute_force_inverses(a, "1", population)
                 assert cs.set_equal(got, want).equal, (rows, population)
                 assert got.matrices == want.matrices, (rows, population)
 
     def test_rank_one_count_over_zero_one_builds_no_members(self, monkeypatch):
-        # the core's system is carried to A's own cells, so a population
-        # the signed permutations do not preserve is counted as is
+        # the system is written on A's own cells, so a population the
+        # signed-permutation factorization does not preserve is counted as is
         from bohemian import census as cs
         from bohemian.theorems import select_theorem
 
@@ -503,8 +503,8 @@ class TestTheoremDispatch:
         def refuse(*args, **kwargs):
             raise AssertionError("a count-only run built members")
 
-        monkeypatch.setattr(cs, "materialize_family", refuse)
-        got = sel.materialize(population, count_only=True)
+        monkeypatch.setattr(cs, "_materialize_body", refuse)
+        got = cs.materialize_family(sel, population, count_only=True)
         assert sel.theorem_id == "RankOneInner"
         assert got.matrices is None and got.count == want > 0
 
@@ -520,7 +520,7 @@ class TestTheoremDispatch:
             if not any(ent) or exact_rank(a) != 1:
                 continue
             sel = select_theorem(a, "2", None)
-            got = sel.materialize(cs.TERNARY)
+            got = cs.materialize_family(sel, cs.TERNARY)
             want = cs.brute_force_inverses(a, "2")
             assert cs.set_equal(got, want).equal, ent
 
@@ -539,7 +539,7 @@ class TestTheoremDispatch:
                 sel = select_theorem(a, "2", 1)
             except UnsupportedShape:
                 continue
-            got = sel.materialize(cs.TERNARY)
+            got = cs.materialize_family(sel, cs.TERNARY)
             want = cs.brute_force_inverses(a, "2", rank_filter=1)
             diff = cs.set_equal(got, want)
             if exact_rank(a) == a.rows:
@@ -571,10 +571,11 @@ class TestTheoremDispatch:
                     except UnsupportedShape:
                         continue
                     for pop in (cs.TERNARY, cs.Population((0, 1))):
-                        got = sel.materialize(pop)
+                        got = cs.materialize_family(sel, pop)
                         for r in range(3):
                             kept = [x for x in got if exact_rank(x) == r]
-                            assert list(sel.materialize(pop, rank=r)) == kept, (ent, spec, r)
+                            got_r = cs.materialize_family(sel, pop, rank=r)
+                            assert list(got_r) == kept, (ent, spec, r)
                     checked.add(sel.theorem_id)
         assert {"RankOneInner", "Thm5.19", "OuterFullSetRank2"} <= checked
 
@@ -602,10 +603,10 @@ class TestTheoremDispatch:
                         sel = select_theorem(a, spec, rank)
                     except UnsupportedShape:
                         continue
-                    ranked = [(x.entries, exact_rank(x)) for x in sel.materialize()]
+                    ranked = [(x.entries, exact_rank(x)) for x in cs.materialize_family(sel)]
                     for r in ranks if rank is None else (rank,):
                         kept = tuple(e for e, k in ranked if k == r)
-                        got = sel.materialize(rank=r)
+                        got = cs.materialize_family(sel, rank=r)
                         assert got.matrices == kept and got.count == len(kept), (
                             ent, spec, rank, r,
                         )
@@ -654,11 +655,12 @@ class TestTheoremDispatch:
                     reached.add(sel.theorem_id)
                     for pop in populations:
                         case = (ent, spec, rank, pop.values, sel.theorem_id)
-                        got = sel.materialize(pop)
-                        assert sel.materialize(pop, count_only=True).count == got.count, case
+                        got = cs.materialize_family(sel, pop)
+                        quick = cs.materialize_family(sel, pop, count_only=True)
+                        assert quick.count == got.count, case
                         for r in range(min(m, n) + 1):
                             kept = [x for x in got if exact_rank(x) == r]
-                            assert list(sel.materialize(pop, rank=r)) == kept, (case, r)
+                            assert list(cs.materialize_family(sel, pop, rank=r)) == kept, (case, r)
                         if rank is not None:
                             got = [x for x in got if exact_rank(x) == rank]
                         want = cs.brute_force_inverses(
@@ -718,7 +720,7 @@ class TestUsage:
         assert "must be a nonnegative integer, got 'abc'" in capsys.readouterr().err
 
     def test_theorem_count_only_fast_path(self, capsys, write):
-        # count of a transported rank-one family without materialization
+        # count of a rank-one inner family without materialization
         path = write("a.txt", "0 1\n0 -1\n")
         code, out, _ = run(
             capsys, "inverses", path, "--spec", "1", "--mode", "theorem",

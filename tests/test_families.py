@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+from dataclasses import replace
 from fractions import Fraction
 from itertools import product
 
@@ -12,7 +13,6 @@ from bohemian.matrices import (
     BlockPartition,
     DomainError,
     IntMatrix,
-    SignedPermutation,
     TernaryMatrix,
     exact_rank,
     identity,
@@ -421,9 +421,8 @@ class TestReflexive:
 
 class TestRankOneCore:
     def test_support_block_condition(self):
-        fml = fam.inner_rank_one_core(3, 4, 2, 1)
-        got = members(fml)
         a = M([[1, 1, 0, 0], [1, 1, 0, 0], [0, 0, 0, 0]])
+        got = members(fam.inner_rank_one(a))
         assert cs.set_equal(got, oracle(a, "1", cell_budget=12)).equal
 
 
@@ -445,7 +444,7 @@ class TestSoundness:
             (fam.outer_rank2_class3("S2", (1, 1)), M([[1, 1, 1], [1, -1, 0]]), "12"),
             (fam.reflexive_full_row_rank([(1, 1, 0), (1, 0, 0)]), M([[1, 1, 0], [1, 0, 0]]), "12"),
             (fam.outer_full_set_S4(1, 2), M([[1, 0, 0], [0, 1, 1]]), "2"),
-            (fam.inner_rank_one_core(2, 3, 2, 0), M([[1, 1, 0], [1, 1, 0]]), "1"),
+            (fam.inner_rank_one(M([[1, 1, 0], [1, 1, 0]])), M([[1, 1, 0], [1, 1, 0]]), "1"),
         ]
         for family, a, spec in catalogue:
             got = members(family)
@@ -483,6 +482,29 @@ class TestSerialization:
         }
 
 
+def _rank_one_core(shape, row_sizes, col_sizes):
+    part = BlockPartition.from_sizes(row_sizes, col_sizes)
+    unit = fam.LinearConstraint(((F(1), (0, 0)),), F(1))
+    body = fam.SumConstraintSystem(shape, part, (unit,))
+    return fam.InverseFamily("RankOneInner", "{1}", shape, body)
+
+
+def _on_cells(family):
+    """The family with each block term c written as c on every cell of its
+    block."""
+    n, m = family.shape
+    part = family.body.partition
+    constraints = tuple(
+        fam.LinearConstraint(
+            tuple((c, cell) for c, b in con.terms for cell in part.block_cells(*b)),
+            con.rhs,
+        )
+        for con in family.body.constraints
+    )
+    cells = BlockPartition.from_sizes([1] * n, [1] * m)
+    return replace(family, body=fam.SumConstraintSystem((n, m), cells, constraints))
+
+
 class TestCellClasses:
     """A system written on single cells enumerates as its block form does:
     cells with one coefficient vector are one class."""
@@ -499,8 +521,9 @@ class TestCellClasses:
         fam.outer_rank2_class3("S3", (1, 1, 1, 1)),
         fam.outer_rank2_class3("S4", (1, 2)),
         fam.reflexive_full_row_rank([(1, 1, 0), (1, 0, 0)]),
-        fam.inner_rank_one_core(2, 3, 2, 0),
-        fam.inner_rank_one_core(3, 3, 2, 1),
+        # the canonical rank-one cores' unit condition on the support block
+        _rank_one_core((3, 2), [2, 1], [2]),
+        _rank_one_core((3, 3), [2, 1], [2, 1]),
     ]
     POPULATIONS = [cs.TERNARY, cs.Population((0, 1)), cs.Population((-1, 0))]
 
@@ -509,8 +532,7 @@ class TestCellClasses:
     )
     def test_single_cell_form_gives_the_block_stream(self, family):
         n, m = family.shape
-        same = SignedPermutation.identity
-        cells = fam.transported(family, same(m), same(n))
+        cells = _on_cells(family)
         assert cells.body.partition == BlockPartition.from_sizes([1] * n, [1] * m)
         assert cells.theorem_id == family.theorem_id
         sizes = []
@@ -532,9 +554,9 @@ class TestCellClasses:
         a = M([[1, 1, -1, 1], [-1, -1, 1, -1], [1, 1, -1, 1]])
         sel = select_theorem(a, "1")
         assert sel.theorem_id == "Thm4.7"
-        got = sel.materialize(population)
+        got = cs.materialize_family(sel, population)
         want = oracle(a, "1", population=population)
         assert got.matrices == want.matrices
-        assert sel.materialize(population, count_only=True).count == want.count
+        assert cs.materialize_family(sel, population, count_only=True).count == want.count
         if population == cs.TERNARY:
             assert want.count == 69_576
