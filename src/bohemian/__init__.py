@@ -3,7 +3,6 @@ classification, characterized inner/outer inverse families, brute-force
 censuses, and closed-form counts, all cross-validated."""
 
 from .matrices import (
-    BlockPartition,
     DomainError,
     IntMatrix,
     ParseError,
@@ -24,7 +23,6 @@ from .matrices import (
 )
 
 __all__ = [
-    "BlockPartition",
     "DomainError",
     "IntMatrix",
     "ParseError",

@@ -31,14 +31,14 @@ their outputs are canonically sorted so theorem-versus-oracle comparisons
 are plain set comparisons.  Every producer carries members as row-major
 entry tuples, and an :class:`EnumerationResult` holds them so: a matrix is
 built, through the checked ``IntMatrix`` constructor, only where a caller
-iterates a result.  Block-sum constraints are scaled once to integers (by
-the lcm of their denominators), and the cells are grouped into classes
-with equal coefficient vectors, so a system written on single cells costs
-what its block-aligned form costs; each profile of class sums is checked
-in integer arithmetic; the fillings of a class with a given sum are the
-memoized fillings of its two halves, concatenated; a member's entries are
-its concatenated class fillings under one fixed permutation (an
-``itemgetter``), and one sort gives odometer order.  The rank-one family
+iterates a result.  Linear constraints on the entries are scaled once to
+integers (by the lcm of their denominators), and the cells are grouped
+into classes with equal coefficient vectors, so the cells of one block of
+a block-sum equation enter it through their sum alone; each profile of
+class sums is checked in integer arithmetic; the fillings of a class with
+a given sum are the memoized fillings of its two halves, concatenated; a
+member's entries are its concatenated class fillings under one fixed
+permutation (an ``itemgetter``), and one sort gives odometer order.  The rank-one family
 evaluates each factor's forms once per factor vector.
 """
 
@@ -509,36 +509,31 @@ def _components(system: SumConstraintSystem) -> Optional[list]:
     constraints; None when a constraint on no cell has a nonzero rhs.
 
     Each constraint is scaled once to integers by the lcm of its
-    denominators; block sums are integers, so a rhs of 1/2 becomes
-    2 s = 1 and stays unsatisfiable.  A cell's vector holds its integer
-    coefficient in every constraint, so the cells of one vector (the cells
-    in no constraint among them) enter every constraint through their sum
-    alone: they form one class, a list of ascending row-major cell
-    indices.  A check is (integer coefficient per class, integer rhs).
-    The classes of a component are sorted by their first cell and the
-    components by their first class, so the cells of a system written on
-    row-major blocks concatenate in row-major order.
+    denominators; entries are integers, so a rhs of 1/2 becomes 2 s = 1
+    and stays unsatisfiable.  A cell's vector is its column of the scaled
+    rows, its integer coefficient in every constraint, so the cells of one
+    vector (the cells in no constraint among them) enter every constraint
+    through their sum alone: they form one class, a list of ascending
+    row-major cell indices.  A check is (integer coefficient per class,
+    integer rhs).  The classes of a component are sorted by their first
+    cell and the components by their first class, so the cells of a
+    system whose classes are contiguous row-major runs concatenate in
+    row-major order.
     """
-    part, cols = system.partition, system.shape[1]
-    vectors = {
-        (i, j): [0] * len(system.constraints)
-        for i in range(part.n_row_blocks)
-        for j in range(part.n_col_blocks)
-    }
-    rhs = []
-    for k, con in enumerate(system.constraints):
-        scale = lcm(con.rhs.denominator, *(c.denominator for c, _ in con.terms))
-        for c, b in con.terms:
-            vectors[b][k] += c.numerator * (scale // c.denominator)
+    scaled, rhs = [], []
+    for con in system.constraints:
+        scale = lcm(con.rhs.denominator, *(c.denominator for c in con.coeffs))
+        scaled.append([c.numerator * (scale // c.denominator) for c in con.coeffs])
         rhs.append(con.rhs.numerator * (scale // con.rhs.denominator))
+    # a system of no constraints has one empty vector per cell
+    vectors = zip(*scaled) if scaled else repeat((), prod(system.shape))
     classes: dict[tuple[int, ...], list[int]] = {}
-    for b, vec in vectors.items():
-        classes.setdefault(tuple(vec), []).extend(
-            r * cols + c for r, c in part.block_cells(*b))
+    for cell, vec in enumerate(vectors):
+        classes.setdefault(vec, []).append(cell)
     components: list[tuple[set[int], list]] = []  # (constraints, classes)
     for vec, cells in classes.items():
         keys = {k for k, c in enumerate(vec) if c}
-        merged = [(vec, sorted(cells))]
+        merged = [(vec, cells)]
         for comp in [comp for comp in components if comp[0] & keys]:
             components.remove(comp)
             keys |= comp[0]
@@ -618,12 +613,12 @@ def enumerate_sum_constrained(
     population: Population = TERNARY,
     count_only: bool = False,
 ) -> EnumerationResult:
-    """All population-valued matrices satisfying every block-sum constraint.
+    """All population-valued matrices satisfying every linear constraint.
 
     Works over the classes and components of ``_components``: cells with
     one coefficient vector enter the constraints through their sum alone,
-    so a system written on single cells costs what its block-aligned form
-    costs, and components never sharing a constraint are filled
+    so a block-sum equation costs what its blocks cost, not its cells,
+    and components never sharing a constraint are filled
     independently, so counts multiply and streams are Cartesian products.
     Within a component, each per-class sum profile is checked against the
     integer constraints, and the fillings of a class with a given sum are
@@ -699,7 +694,7 @@ def _materialize_product(
 
 
 def _materialize_body(body, population: Population, shape: tuple[int, int]):
-    """The body's members as entry tuples: a sorted tuple for a block-sum
+    """The body's members as entry tuples: a sorted tuple for a linear
     system, a set otherwise."""
     if isinstance(body, SumConstraintSystem):
         return enumerate_sum_constrained(body, population).matrices

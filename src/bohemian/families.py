@@ -2,14 +2,18 @@
 
 Each characterized set is carried as data, not a closure: an
 :class:`InverseFamily` bundles a stable ``theorem_id``, the inverse shape,
-and one of three constraint payloads (block-sum linear systems, rank-one
-product conditions, or explicit unions).  Families can be serialized,
-diffed, and materialized over a finite population, and every one is
-cross-checked against the brute-force census in the tests.
+and one of three constraint payloads (linear systems on the entries of
+X, rank-one product conditions, or explicit unions).  Families can be
+serialized, diffed, and materialized over a finite population, and every
+one is cross-checked against the brute-force census in the tests.
 
-All right-hand sides are exact rationals; a constraint like "block sum =
-1/2" is kept as stated, and its emptiness over integer populations is a
-computed outcome rather than a special case.
+A linear constraint holds one exact coefficient per row-major cell of X.
+The paper's block-sum equations, "sum of c_b times the entry sum of
+block b", are written out cell by cell, each cell carrying its block's
+coefficient.  All coefficients and right-hand sides are exact rationals;
+a constraint like "block sum = 1/2" is kept as stated, and its emptiness
+over integer populations is a computed outcome rather than a special
+case.
 """
 
 from __future__ import annotations
@@ -17,13 +21,12 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache
-from itertools import accumulate
+from itertools import accumulate, chain
 from operator import mul
-from typing import Iterable, Sequence, Union
+from typing import Sequence, Union
 
 from .classify import TYPE_I, TYPE_II, TYPE_III, TYPE_IV, FullForm, _class_terms
 from .matrices import (
-    BlockPartition,
     DomainError,
     IntMatrix,
     ShapeError,
@@ -42,10 +45,6 @@ FIRST_COLUMN_GAP_NOTE = (
 )
 
 
-def _frac(x) -> Fraction:
-    return x if isinstance(x, Fraction) else Fraction(x)
-
-
 def _coerce_rows(x, shape: tuple[int, int]):
     """Row tuples of x, which may be an IntMatrix or nested sequences of
     ints/Fractions of the given (rows, cols) shape."""
@@ -59,74 +58,77 @@ def _coerce_rows(x, shape: tuple[int, int]):
     return tuple(rows)
 
 
-def _rat_json(x: Fraction) -> dict:
-    x = _frac(x)
+def _rat_json(x: Union[int, Fraction]) -> dict:
     return {"num": x.numerator, "den": x.denominator}
 
 
 @dataclass(frozen=True)
 class LinearConstraint:
-    """Sum of coefficient-weighted block sums equal to an exact rational."""
+    """Sum of coeffs[k] * x_k over the row-major entries x_k of the
+    candidate, equal to ``rhs``.  Coefficients and rhs are exact: an int,
+    or a Fraction where the value is fractional."""
 
-    terms: tuple[tuple[Fraction, tuple[int, int]], ...]
-    rhs: Fraction
+    coeffs: tuple[Union[int, Fraction], ...]
+    rhs: Union[int, Fraction]
 
-    def evaluate(self, sums) -> Fraction:
-        return sum((c * sums[b] for c, b in self.terms), start=Fraction(0))
+    def evaluate(self, entries) -> Fraction:
+        return sum(map(mul, self.coeffs, entries), start=Fraction(0))
 
     def to_json(self) -> dict:
         return {
-            "terms": [{"coeff": _rat_json(c), "block": list(b)} for c, b in self.terms],
+            "coeffs": [_rat_json(c) for c in self.coeffs],
             "rhs": _rat_json(self.rhs),
         }
 
 
-def _constraint(terms: Iterable[tuple[object, tuple[int, int]]], rhs) -> LinearConstraint:
-    kept = tuple((_frac(c), b) for c, b in terms if c)
-    return LinearConstraint(kept, _frac(rhs))
-
-
 @dataclass(frozen=True)
 class SumConstraintSystem:
-    """Linear equations on block entry-sums of the candidate inverse."""
+    """Linear equations on the entries of the candidate inverse."""
 
     shape: tuple[int, int]
-    partition: BlockPartition
     constraints: tuple[LinearConstraint, ...]
 
     kind = "sum_constraints"
 
     def __post_init__(self):
-        if self.partition.shape != self.shape:
-            raise ShapeError("partition does not cover the family shape")
-        nrb, ncb = self.partition.n_row_blocks, self.partition.n_col_blocks
+        cells = self.shape[0] * self.shape[1]
         for con in self.constraints:
-            for _, (i, j) in con.terms:
-                if not (0 <= i < nrb and 0 <= j < ncb):
-                    raise ShapeError(f"constraint references missing block ({i},{j})")
-
-    def block_sum_map(self, x) -> dict[tuple[int, int], Fraction]:
-        rows = _coerce_rows(x, self.shape)
-        part = self.partition
-        sums = {}
-        for i in range(part.n_row_blocks):
-            for j in range(part.n_col_blocks):
-                r0, r1, c0, c1 = part.block_span(i, j)
-                sums[(i, j)] = sum(
-                    (_frac(rows[r][c]) for r in range(r0, r1) for c in range(c0, c1)),
-                    start=Fraction(0),
+            if len(con.coeffs) != cells:
+                raise ShapeError(
+                    f"constraint has {len(con.coeffs)} coefficients, "
+                    f"expected one per cell of {self.shape[0]}x{self.shape[1]}"
                 )
-        return sums
 
     def is_member(self, x) -> bool:
-        sums = self.block_sum_map(x)
-        return all(con.evaluate(sums) == con.rhs for con in self.constraints)
+        entries = tuple(chain.from_iterable(_coerce_rows(x, self.shape)))
+        return all(con.evaluate(entries) == con.rhs for con in self.constraints)
 
     def to_json(self) -> dict:
-        return {
-            "partition": self.partition.to_json(),
-            "constraints": [c.to_json() for c in self.constraints],
-        }
+        return {"constraints": [c.to_json() for c in self.constraints]}
+
+
+def _block_system(
+    row_sizes: Sequence[int], col_sizes: Sequence[int], *equations
+) -> SumConstraintSystem:
+    """The system of ``equations``, each ({(i, j): c_b}, rhs) meaning
+    sum of c_b * (entry sum of block b) = rhs, written on the cells of the
+    grid of contiguous row blocks of ``row_sizes`` and column blocks of
+    ``col_sizes``."""
+    for sizes in (row_sizes, col_sizes):
+        if any(s < 1 for s in sizes):
+            raise ShapeError(f"block sizes must be positive: {sizes}")
+    cols = [j for j, s in enumerate(col_sizes) for _ in range(s)]
+    cells = [(i, j) for i, s in enumerate(row_sizes) for _ in range(s) for j in cols]
+    constraints = tuple(
+        LinearConstraint(tuple(terms.get(b, 0) for b in cells), rhs)
+        for terms, rhs in equations
+    )
+    return SumConstraintSystem((sum(row_sizes), len(cols)), constraints)
+
+
+def _bilinear(v: Sequence[int], u: Sequence[int], rhs: int) -> LinearConstraint:
+    """v^T X u = rhs: cell (r, c) of X carries v[r] * u[c]."""
+    return LinearConstraint(tuple(a * b for a in v for b in u), rhs)
 
 
 @dataclass(frozen=True)
@@ -217,14 +219,11 @@ def inner_full(form: FullForm, m: int) -> InverseFamily:
     of the candidate's row block facing the sign columns, minus sign times
     the sum of the block facing the opposite columns when there are any,
     equals one; the rows facing the zero columns are free."""
-    sizes = [w for w in form.widths if w]
-    n = sum(sizes)
-    part = BlockPartition.from_sizes(sizes, [m])
-    terms = [(form.sign, (0, 0))]
+    terms = {(0, 0): form.sign}
     if form.widths[1]:
-        terms.append((-form.sign, (1, 0)))
-    body = SumConstraintSystem((n, m), part, (_constraint(terms, 1),))
-    return InverseFamily(_INNER_FULL_IDS[form.kind], "{1}", (n, m), body)
+        terms[(1, 0)] = -form.sign
+    body = _block_system([w for w in form.widths if w], [m], (terms, 1))
+    return InverseFamily(_INNER_FULL_IDS[form.kind], "{1}", body.shape, body)
 
 
 def inner_full_type_I(m: int, n: int, sign: int = 1) -> InverseFamily:
@@ -263,19 +262,16 @@ def inner_S1(m1: int, m2: int, n1: int) -> InverseFamily:
     plus/minus row): four half-integer block-sum equations."""
     if n1 < 1:
         raise DomainError("column half-width must be positive")
-    part = BlockPartition.from_sizes([n1, n1], [m1, m2])
     half = Fraction(1, 2)
-    body = SumConstraintSystem(
-        (2 * n1, m1 + m2),
-        part,
-        (
-            _constraint([(1, (0, 0))], half),
-            _constraint([(1, (1, 0))], half),
-            _constraint([(1, (0, 1))], half),
-            _constraint([(-1, (1, 1))], half),
-        ),
+    body = _block_system(
+        [n1, n1],
+        [m1, m2],
+        ({(0, 0): 1}, half),
+        ({(1, 0): 1}, half),
+        ({(0, 1): 1}, half),
+        ({(1, 1): -1}, half),
     )
-    return InverseFamily("Thm4.5", "{1}", (2 * n1, m1 + m2), body)
+    return InverseFamily("Thm4.5", "{1}", body.shape, body)
 
 
 def inner_S2(m1: int, m2: int, n1: int, n3: int) -> InverseFamily:
@@ -283,41 +279,32 @@ def inner_S2(m1: int, m2: int, n1: int, n3: int) -> InverseFamily:
     if n1 < 1 or n3 < 0:
         raise DomainError("need n1 >= 1 and n3 >= 0")
     row_sizes = [n1, n1] + ([n3] if n3 else [])
-    n = 2 * n1 + n3
-    part = BlockPartition.from_sizes(row_sizes, [m1, m2])
-    first_col = [(1, (0, 0)), (1, (1, 0))] + ([(1, (2, 0))] if n3 else [])
-    second_col = [(1, (0, 1)), (1, (1, 1))] + ([(1, (2, 1))] if n3 else [])
-    body = SumConstraintSystem(
-        (n, m1 + m2),
-        part,
-        (
-            _constraint(first_col, 1),
-            _constraint([(1, (0, 1)), (-1, (1, 1))], 1),
-            _constraint([(1, (0, 0)), (-1, (1, 0))], 0),
-            _constraint(second_col, 0),
-        ),
+    first_col = {(i, 0): 1 for i in range(len(row_sizes))}
+    second_col = {(i, 1): 1 for i in range(len(row_sizes))}
+    body = _block_system(
+        row_sizes,
+        [m1, m2],
+        (first_col, 1),
+        ({(0, 1): 1, (1, 1): -1}, 1),
+        ({(0, 0): 1, (1, 0): -1}, 0),
+        (second_col, 0),
     )
-    return InverseFamily("Thm4.6", "{1}", (n, m1 + m2), body)
+    return InverseFamily("Thm4.6", "{1}", body.shape, body)
 
 
 def inner_S3(m1: int, m2: int, widths: Sequence[int]) -> InverseFamily:
     """Inner inverses for the S3 stack, as four block-sum equations."""
     if len(widths) != 4 or any(w < 1 for w in widths):
         raise DomainError("S3 needs four positive column widths")
-    n1, n2, n3, n4 = widths
-    n = sum(widths)
-    part = BlockPartition.from_sizes([n1, n2, n3, n4], [m1, m2])
-    body = SumConstraintSystem(
-        (n, m1 + m2),
-        part,
-        (
-            _constraint([(1, (0, 0)), (1, (1, 0)), (1, (2, 0))], 1),
-            _constraint([(1, (3, 0)), (-1, (1, 0)), (1, (0, 0))], 0),
-            _constraint([(1, (0, 1)), (1, (1, 1)), (1, (2, 1))], 0),
-            _constraint([(1, (3, 1)), (-1, (1, 1)), (1, (0, 1))], 1),
-        ),
+    body = _block_system(
+        widths,
+        [m1, m2],
+        ({(0, 0): 1, (1, 0): 1, (2, 0): 1}, 1),
+        ({(3, 0): 1, (1, 0): -1, (0, 0): 1}, 0),
+        ({(0, 1): 1, (1, 1): 1, (2, 1): 1}, 0),
+        ({(3, 1): 1, (1, 1): -1, (0, 1): 1}, 1),
     )
-    return InverseFamily("Thm4.8", "{1}", (n, m1 + m2), body)
+    return InverseFamily("Thm4.8", "{1}", body.shape, body)
 
 
 def _rank_one_uv(block: TernaryMatrix) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -355,18 +342,15 @@ def class3_inner_system(blocks: Sequence[TernaryMatrix]) -> InverseFamily:
     n = blocks[0].cols
     ms = [b.rows for b in blocks]
     m = sum(ms)
-    part = BlockPartition.from_sizes([1] * n, [1] * m)
-    offsets = [sum(ms[:j]) for j in range(len(ms))]
-    constraints = []
-    for i, (_, v_i) in enumerate(uv):
-        for j, (u_j, _) in enumerate(uv):
-            terms = [
-                (v_i[r] * u_j[k], (r, offsets[j] + k))
-                for r in range(n)
-                for k in range(ms[j])
-            ]
-            constraints.append(_constraint(terms, 1 if i == j else 0))
-    body = SumConstraintSystem((n, m), part, tuple(constraints))
+    offsets = accumulate(ms, initial=0)
+    # block j's u, padded to the columns of X that face it
+    us = [_padded(u_j, off, m) for (u_j, _), off in zip(uv, offsets)]
+    constraints = tuple(
+        _bilinear(v_i, u, int(i == j))
+        for i, (_, v_i) in enumerate(uv)
+        for j, u in enumerate(us)
+    )
+    body = SumConstraintSystem((n, m), constraints)
     return InverseFamily("Thm4.7", "{1}", (n, m), body)
 
 
@@ -377,15 +361,8 @@ def inner_rank_one(a: TernaryMatrix) -> InverseFamily:
 
     Proof.  AXA = u (v^T X u) v^T.  If AXA = A then u (v^T X u) v^T =
     u v^T, which is nonzero, so v^T X u = 1; the converse is immediate.
-    A's signed-permutation factorization U C V carries the core C's one
-    block condition to this constraint term by term, so it has the same
-    cell classes (+1 cells, -1 cells, free cells) and enumerates alike.
     """
-    return replace(
-        class3_inner_system([a]),
-        theorem_id="RankOneInner",
-        note="applied through the signed-permutation factorization",
-    )
+    return replace(class3_inner_system([a]), theorem_id="RankOneInner")
 
 
 def class3_inner_membership(blocks: Sequence[TernaryMatrix], x) -> bool:
@@ -556,19 +533,15 @@ def outer_rank2_class3(structure: str, widths: Sequence[int]) -> InverseFamily:
     if structure == "S4":
         if len(widths) != 2 or any(w < 1 for w in widths):
             raise DomainError("S4 takes two positive widths")
-        n1, n2 = widths
-        part = BlockPartition.from_sizes([n1, n2], [1, 1])
-        body = SumConstraintSystem(
-            (n1 + n2, 2),
-            part,
-            (
-                _constraint([(1, (0, 0))], 1),
-                _constraint([(1, (1, 1))], 1),
-                _constraint([(1, (1, 0))], 0),
-                _constraint([(1, (0, 1))], 0),
-            ),
+        body = _block_system(
+            widths,
+            [1, 1],
+            ({(0, 0): 1}, 1),
+            ({(1, 1): 1}, 1),
+            ({(1, 0): 1}, 0),
+            ({(0, 1): 1}, 0),
         )
-        return InverseFamily("Rank2OuterS4", "{2}_r", (n1 + n2, 2), body)
+        return InverseFamily("Rank2OuterS4", "{2}_r", body.shape, body)
     raise DomainError(f"unknown structure {structure!r}")
 
 
@@ -580,14 +553,14 @@ def reflexive_full_row_rank(rows: Sequence[Sequence[int]]) -> InverseFamily:
     m, n = a.rows, a.cols
     if exact_rank(a) != m:
         raise DomainError("rows must be linearly independent")
-    part = BlockPartition.from_sizes([1] * n, [1] * m)
-    ar = a.row_tuples()
-    constraints = []
-    for i in range(m):
-        for c in range(m):
-            terms = [(ar[i][k], (k, c)) for k in range(n)]
-            constraints.append(_constraint(terms, 1 if i == c else 0))
-    body = SumConstraintSystem((n, m), part, tuple(constraints))
+    # entry (i, c) of A X is A[i] X e_c
+    units = [_padded((1,), c, m) for c in range(m)]
+    constraints = tuple(
+        _bilinear(row, e_c, int(i == c))
+        for i, row in enumerate(a.row_tuples())
+        for c, e_c in enumerate(units)
+    )
+    body = SumConstraintSystem((n, m), constraints)
     return InverseFamily(
         "Thm5.16",
         "{1,2}",

@@ -274,67 +274,6 @@ def entry_sum(a: IntMatrix) -> int:
 
 
 @dataclass(frozen=True)
-class BlockPartition:
-    """Grid partition of an m x n index range into contiguous blocks.
-
-    ``row_cuts`` and ``col_cuts`` are the strictly increasing boundary lists,
-    starting at 0 and ending at the matrix dimension, so consecutive pairs
-    delimit the blocks.
-    """
-
-    row_cuts: tuple[int, ...]
-    col_cuts: tuple[int, ...]
-
-    def __post_init__(self):
-        for cuts in (self.row_cuts, self.col_cuts):
-            if len(cuts) < 2 or cuts[0] != 0:
-                raise ShapeError(f"cuts must start at 0 and be nonempty: {cuts}")
-            if any(a >= b for a, b in zip(cuts, cuts[1:])):
-                raise ShapeError(f"cuts must be strictly increasing: {cuts}")
-
-    @classmethod
-    def from_sizes(
-        cls, row_sizes: Sequence[int], col_sizes: Sequence[int]
-    ) -> "BlockPartition":
-        def bounds(sizes):
-            out = [0]
-            for s in sizes:
-                if s < 1:
-                    raise ShapeError(f"block sizes must be positive: {sizes}")
-                out.append(out[-1] + s)
-            return tuple(out)
-
-        return cls(bounds(row_sizes), bounds(col_sizes))
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        return (self.row_cuts[-1], self.col_cuts[-1])
-
-    @property
-    def n_row_blocks(self) -> int:
-        return len(self.row_cuts) - 1
-
-    @property
-    def n_col_blocks(self) -> int:
-        return len(self.col_cuts) - 1
-
-    def block_span(self, i: int, j: int) -> tuple[int, int, int, int]:
-        return (
-            self.row_cuts[i],
-            self.row_cuts[i + 1],
-            self.col_cuts[j],
-            self.col_cuts[j + 1],
-        )
-
-    def block_cells(self, i: int, j: int) -> list[tuple[int, int]]:
-        r0, r1, c0, c1 = self.block_span(i, j)
-        return [(r, c) for r in range(r0, r1) for c in range(c0, c1)]
-
-    def to_json(self) -> dict:
-        return {"row_cuts": list(self.row_cuts), "col_cuts": list(self.col_cuts)}
-
-
-@dataclass(frozen=True)
 class PenroseReport:
     """Which of the four defining equations a candidate inverse satisfies.
 

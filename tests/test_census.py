@@ -442,37 +442,19 @@ class TestSumConstrained:
         assert cs.enumerate_sum_constrained(fml.body, count_only=True).count == 0
 
     def test_independent_blocks_multiply(self):
-        from bohemian.families import LinearConstraint, SumConstraintSystem
-        from bohemian.matrices import BlockPartition
-        from fractions import Fraction
-
-        # one cell pinned to sum 1, a 1 x 2 block pinned to sum 0
-        part = BlockPartition.from_sizes([1], [1, 2])
-        system = SumConstraintSystem(
+        # one cell pinned to sum 1, the other two cells pinned to sum 0
+        system = fam.SumConstraintSystem(
             (1, 3),
-            part,
-            (
-                LinearConstraint(((Fraction(1), (0, 0)),), Fraction(1)),
-                LinearConstraint(((Fraction(1), (0, 1)),), Fraction(0)),
-            ),
+            (fam.LinearConstraint((1, 0, 0), 1), fam.LinearConstraint((0, 1, 1), 0)),
         )
         res = cs.enumerate_sum_constrained(system)
         assert res.count == 3
         assert {m.entries for m in res} == {(1, -1, 1), (1, 0, 0), (1, 1, -1)}
 
     def test_fully_pinned_pair(self):
-        from bohemian.families import LinearConstraint, SumConstraintSystem
-        from bohemian.matrices import BlockPartition
-        from fractions import Fraction
-
-        part = BlockPartition.from_sizes([1], [1, 1])
-        system = SumConstraintSystem(
+        system = fam.SumConstraintSystem(
             (1, 2),
-            part,
-            (
-                LinearConstraint(((Fraction(1), (0, 0)),), Fraction(1)),
-                LinearConstraint(((Fraction(1), (0, 1)),), Fraction(0)),
-            ),
+            (fam.LinearConstraint((1, 0), 1), fam.LinearConstraint((0, 1), 0)),
         )
         res = cs.enumerate_sum_constrained(system)
         assert [m.entries for m in res] == [(1, 0)]
@@ -579,19 +561,13 @@ TRITS = (-1, 0, 1)
 SUB_POPULATIONS = [(-1, 0, 1), (0, 1), (-1, 0), (1,)]
 
 
-def _frac_system(shape, row_sizes, col_sizes, *constraints):
-    from bohemian.families import LinearConstraint, SumConstraintSystem
-    from bohemian.matrices import BlockPartition
-
-    part = BlockPartition.from_sizes(row_sizes, col_sizes)
-    return SumConstraintSystem(
-        shape,
-        part,
-        tuple(
-            LinearConstraint(tuple((Fraction(c), b) for c, b in terms), Fraction(rhs))
-            for terms, rhs in constraints
-        ),
-    )
+def _frac_system(shape, *constraints):
+    """The system of (coefficient row, rhs) constraints, every value read
+    as a Fraction."""
+    return fam.SumConstraintSystem(shape, tuple(
+        fam.LinearConstraint(tuple(map(Fraction, coeffs)), Fraction(rhs))
+        for coeffs, rhs in constraints
+    ))
 
 
 #: every sum-constraint family builder, on shapes of at most 9 cells
@@ -600,7 +576,10 @@ SUM_FAMILIES = {
     "typeI-2x2-neg": fam.inner_full_type_I(2, 2, -1),
     "typeI-3x3": fam.inner_full_type_I(3, 3),
     "typeI-1x4": fam.inner_full_type_I(1, 4),
+    "typeI-2x3": fam.inner_full_type_I(2, 3),
     "typeII-1x2": fam.inner_full_type_II(1, 1, 1),
+    "typeII-1x3-neg": fam.inner_full_type_II(1, 1, 2, -1),
+    "typeII-2x3": fam.inner_full_type_II(2, 2, 1),
     "typeII-2x3-neg": fam.inner_full_type_II(2, 1, 2, -1),
     "typeII-3x3": fam.inner_full_type_II(3, 2, 1),
     "typeIII-2x3-neg": fam.inner_full_type_III(2, 2, 1, -1),
@@ -608,9 +587,11 @@ SUM_FAMILIES = {
     "typeIV-1x3": fam.inner_full_type_IV(1, 1, 1, 1),
     "typeIV-2x4-neg": fam.inner_full_type_IV(2, 1, 1, 2, -1),
     "rank1-core-2x2": fam.inner_rank_one(M([[1, 0], [0, 0]])),
+    "rank1-core-2x3": fam.inner_rank_one(M([[1, 1, 0], [1, 1, 0]])),
     "rank1-core-3x3": fam.inner_rank_one(M([[1, 1, 0], [1, 1, 0], [0, 0, 0]])),
     "rank1-core-2x4": fam.inner_rank_one(M([[1, 1, 0, 0], [1, 1, 0, 0]])),
     "S1-1-1-1": fam.inner_S1(1, 1, 1),
+    "S1-1-2-1": fam.inner_S1(1, 2, 1),
     "S1-2-1-1": fam.inner_S1(2, 1, 1),
     "S2-1-1-1-0": fam.inner_S2(1, 1, 1, 0),
     "S2-1-1-1-1": fam.inner_S2(1, 1, 1, 1),
@@ -625,22 +606,34 @@ SUM_FAMILIES = {
     "rank2-S2": fam.outer_rank2_class3("S2", (1, 1)),
     "rank2-S3": fam.outer_rank2_class3("S3", (1, 1, 1, 1)),
     "rank2-S4": fam.outer_rank2_class3("S4", (2, 2)),
+    "rank2-S4-1-2": fam.outer_rank2_class3("S4", (1, 2)),
+    "reflexive-2x3": fam.reflexive_full_row_rank([(1, 1, 0), (1, 0, 0)]),
     "reflexive-2x4": fam.reflexive_full_row_rank([(1, 1, 0, 1), (0, 1, 1, 1)]),
     "reflexive-3x3": fam.reflexive_full_row_rank(
         [(1, 0, 1), (0, 1, -1), (1, 1, 1)]
     ),
-    # s0 / 2 + s1 = 1: a fractional coefficient
+    # s0 / 2 + s1 = 1, s0 the sum of columns 0-1 and s1 of column 2: a
+    # fractional coefficient
     "frac-coeff": fam.InverseFamily("FracCoeff", "{1}", (2, 3), _frac_system(
-        (2, 3), [2], [2, 1], ([("1/2", (0, 0)), (1, (0, 1))], 1),
+        (2, 3), (("1/2", "1/2", 1, "1/2", "1/2", 1), 1),
     )),
-    # s0 / 3 - s1 / 6 = 1/2, that is 2 s0 - s1 = 3: fractional rhs too
+    # s0 / 3 - s1 / 6 = 1/2, s0 the sum of row 0 and s1 of rows 1-2, that
+    # is 2 s0 - s1 = 3: fractional rhs too
     "frac-rhs": fam.InverseFamily("FracRhs", "{1}", (3, 2), _frac_system(
-        (3, 2), [1, 2], [2], ([("1/3", (0, 0)), ("-1/6", (1, 0))], "1/2"),
+        (3, 2), (("1/3", "1/3", "-1/6", "-1/6", "-1/6", "-1/6"), "1/2"),
     )),
-    # 2 s0 = 1 has no integer solution
+    # 2 x0 = 1 has no integer solution
     "frac-rhs-empty": fam.InverseFamily("FracEmpty", "{1}", (1, 3), _frac_system(
-        (1, 3), [1], [1, 2], ([(2, (0, 0))], "1/2"), ([(1, (0, 1))], 0),
+        (1, 3), ((2, 0, 0), "1/2"), ((0, 1, 1), 0),
     )),
+    # no constraint: every cell is free
+    "free-2x2": fam.InverseFamily("Free", "{1}", (2, 2), _frac_system((2, 2))),
+}
+#: the families with no ternary member; the S1 systems have half-integer
+#: block sums
+EMPTY_SUM_FAMILIES = {
+    "S1-1-1-1", "S1-1-2-1", "S1-2-1-1", "S2-1-1-1-0", "class3-3", "class3-signs",
+    "frac-rhs-empty", "rank2-S1", "reflexive-3x3",
 }
 
 
@@ -662,6 +655,7 @@ class TestSumConstrainedMatchesFilter:
             x for x in product(TRITS, repeat=n * m)
             if body.is_member(IntMatrix(n, m, x))
         ]
+        assert bool(literal) == (name not in EMPTY_SUM_FAMILIES)
         for values in SUB_POPULATIONS:
             population = cs.Population(values)
             want = _members_over(values, literal)

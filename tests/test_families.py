@@ -1,6 +1,5 @@
 from __future__ import annotations
 
-from dataclasses import replace
 from fractions import Fraction
 from itertools import product
 
@@ -10,13 +9,13 @@ from bohemian import census as cs
 from bohemian import families as fam
 from bohemian.classify import TYPE_I, TYPE_II, TYPE_III, TYPE_IV, FullForm, full_form
 from bohemian.matrices import (
-    BlockPartition,
     DomainError,
     IntMatrix,
     TernaryMatrix,
     exact_rank,
     identity,
     ones,
+    ShapeError,
     penrose_check,
     zeros,
 )
@@ -462,6 +461,10 @@ class TestSerialization:
         assert data["kind"] == "sum_constraints"
         rhs = data["constraints"][0]["rhs"]
         assert rhs == {"num": 1, "den": 2}
+        # one coefficient per row-major cell of X, no block grid
+        assert "partition" not in data
+        one, zero = {"num": 1, "den": 1}, {"num": 0, "den": 1}
+        assert data["constraints"][0]["coeffs"] == [one, zero, zero, zero]
 
     def test_union_payload(self):
         data = fam.outer_full_set_S4(1, 1).to_json()
@@ -482,68 +485,47 @@ class TestSerialization:
         }
 
 
-def _rank_one_core(shape, row_sizes, col_sizes):
-    part = BlockPartition.from_sizes(row_sizes, col_sizes)
-    unit = fam.LinearConstraint(((F(1), (0, 0)),), F(1))
-    body = fam.SumConstraintSystem(shape, part, (unit,))
-    return fam.InverseFamily("RankOneInner", "{1}", shape, body)
+class TestConstraintRows:
+    def test_wrong_coefficient_count_raises(self):
+        with pytest.raises(ShapeError, match="coefficients"):
+            fam.SumConstraintSystem((2, 2), (fam.LinearConstraint((1, 0, 0), 1),))
+        with pytest.raises(ShapeError, match="coefficients"):
+            fam.SumConstraintSystem(
+                (1, 2), (fam.LinearConstraint((1, 0), 1), fam.LinearConstraint((1, 0, 1), 0))
+            )
 
-
-def _on_cells(family):
-    """The family with each block term c written as c on every cell of its
-    block."""
-    n, m = family.shape
-    part = family.body.partition
-    constraints = tuple(
-        fam.LinearConstraint(
-            tuple((c, cell) for c, b in con.terms for cell in part.block_cells(*b)),
-            con.rhs,
-        )
-        for con in family.body.constraints
+    @pytest.mark.parametrize(
+        "build, sizes",
+        [
+            (lambda: fam.inner_S1(0, 1, 1), "[0, 1]"),
+            (lambda: fam.inner_S2(1, 0, 1, 1), "[1, 0]"),
+            (lambda: fam.inner_S3(0, 1, (1, 1, 1, 1)), "[0, 1]"),
+            (lambda: fam.inner_full_type_I(0, 2), "[0]"),
+        ],
+        ids=["S1", "S2", "S3", "typeI"],
     )
-    cells = BlockPartition.from_sizes([1] * n, [1] * m)
-    return replace(family, body=fam.SumConstraintSystem((n, m), cells, constraints))
+    def test_empty_block_raises(self, build, sizes):
+        with pytest.raises(ShapeError) as info:
+            build()
+        assert str(info.value) == f"block sizes must be positive: {sizes}"
+
+    def test_block_sums_are_written_on_cells(self):
+        # S2 with n3 = 1: X is 3x2, its rows the blocks of widths 1, 1, 1
+        # and its columns the blocks of m1 = m2 = 1
+        rows = [con.coeffs for con in fam.inner_S2(1, 1, 1, 1).body.constraints]
+        assert rows == [
+            (1, 0, 1, 0, 1, 0),
+            (0, 1, 0, -1, 0, 0),
+            (1, 0, -1, 0, 0, 0),
+            (0, 1, 0, 1, 0, 1),
+        ]
 
 
 class TestCellClasses:
-    """A system written on single cells enumerates as its block form does:
-    cells with one coefficient vector are one class."""
+    """Cells with one coefficient vector are one class, whatever the
+    blocks the constraints were written on."""
 
-    BLOCK_FAMILIES = [
-        fam.inner_full_type_I(2, 3),
-        fam.inner_full_type_II(2, 2, 1),
-        fam.inner_full_type_II(1, 1, 2, -1),
-        fam.inner_S1(1, 2, 1),
-        fam.inner_S2(1, 1, 1, 1),
-        fam.inner_S3(1, 1, (1, 1, 1, 1)),
-        fam.outer_rank2_class3("S1", (1,)),
-        fam.outer_rank2_class3("S2", (1, 1)),
-        fam.outer_rank2_class3("S3", (1, 1, 1, 1)),
-        fam.outer_rank2_class3("S4", (1, 2)),
-        fam.reflexive_full_row_rank([(1, 1, 0), (1, 0, 0)]),
-        # the canonical rank-one cores' unit condition on the support block
-        _rank_one_core((3, 2), [2, 1], [2]),
-        _rank_one_core((3, 3), [2, 1], [2, 1]),
-    ]
     POPULATIONS = [cs.TERNARY, cs.Population((0, 1)), cs.Population((-1, 0))]
-
-    @pytest.mark.parametrize(
-        "family", BLOCK_FAMILIES, ids=lambda f: f"{f.theorem_id}-{f.shape}"
-    )
-    def test_single_cell_form_gives_the_block_stream(self, family):
-        n, m = family.shape
-        cells = _on_cells(family)
-        assert cells.body.partition == BlockPartition.from_sizes([1] * n, [1] * m)
-        assert cells.theorem_id == family.theorem_id
-        sizes = []
-        for population in self.POPULATIONS:
-            want = cs.enumerate_sum_constrained(family.body, population)
-            assert cs.enumerate_sum_constrained(cells.body, population) == want
-            quick = cs.enumerate_sum_constrained(cells.body, population, True)
-            assert quick.count == want.count
-            sizes.append(want.count)
-        # the S1 systems have half-integer block sums
-        assert sizes[0] > 0 or family.theorem_id in ("Thm4.5", "Rank2OuterS1")
 
     @pytest.mark.parametrize("population", POPULATIONS, ids=str)
     def test_signed_rank_one_stack_streams_the_census(self, population):

@@ -1,4 +1,4 @@
-"""Every name a library module or script imports is used in it.
+"""Every name a library module, script or test file imports is used in it.
 
 A module's names are the ``Name`` nodes it reads or writes, the roots of
 its attribute chains, and the strings it lists in ``__all__``; an import
@@ -13,9 +13,11 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
-SOURCES = sorted((ROOT / "src" / "bohemian").glob("*.py")) + sorted(
-    (ROOT / "scripts").glob("*.py")
-)
+SOURCES = [
+    path
+    for folder in (ROOT / "src" / "bohemian", ROOT / "scripts", ROOT / "tests")
+    for path in sorted(folder.glob("*.py"))
+]
 
 
 def _imported(tree: ast.Module) -> dict[str, int]:

@@ -51,7 +51,7 @@ class TestStreamDigest:
         assert out == (
             "cases: 6820\n"
             "oracle: 735a01642e487c63a66ec5c3020c1d9df8f2c382350c0fa5f54d62b9f342774c\n"
-            "theorem: 7a3820d5a8b90240c2e8a0eb627a68c3d2d5d6d6b2e3daf58850f6dbaf1a518b\n"
+            "theorem: b543e3fdc79b5af09fdf8a15d170e186fcba041bcc893ebe08d0832a571b3ee7\n"
         )
 
 
