@@ -521,11 +521,75 @@ class TestConstraintRows:
         ]
 
 
+def _rank_one_core(shape, rows, cols):
+    """The canonical rank-one core's unit condition: the entries of the
+    leading rows x cols support block of X sum to 1."""
+    n, m = shape
+    unit = tuple(int(i < rows and j < cols) for i in range(n) for j in range(m))
+    body = fam.SumConstraintSystem(shape, (fam.LinearConstraint(unit, 1),))
+    return fam.InverseFamily("RankOneInner", "{1}", shape, body)
+
+
+def _single_cell_components(components):
+    """``components`` with every class split into one class per cell, each
+    cell carrying its class's coefficient in every check."""
+
+    def split(system):
+        comps = components(system)
+        if comps is None:
+            return None
+        return [
+            (
+                [[cell] for cls in classes for cell in cls],
+                [
+                    (tuple(c for c, cls in zip(coeffs, classes) for _ in cls), rhs)
+                    for coeffs, rhs in checks
+                ],
+            )
+            for classes, checks in comps
+        ]
+
+    return split
+
+
 class TestCellClasses:
     """Cells with one coefficient vector are one class, whatever the
     blocks the constraints were written on."""
 
+    BLOCK_FAMILIES = [
+        fam.inner_full_type_I(2, 3),
+        fam.inner_full_type_II(2, 2, 1),
+        fam.inner_full_type_II(1, 1, 2, -1),
+        fam.inner_S1(1, 2, 1),
+        fam.inner_S2(1, 1, 1, 1),
+        fam.inner_S3(1, 1, (1, 1, 1, 1)),
+        fam.outer_rank2_class3("S1", (1,)),
+        fam.outer_rank2_class3("S2", (1, 1)),
+        fam.outer_rank2_class3("S3", (1, 1, 1, 1)),
+        fam.outer_rank2_class3("S4", (1, 2)),
+        fam.reflexive_full_row_rank([(1, 1, 0), (1, 0, 0)]),
+        _rank_one_core((3, 2), 2, 2),
+        _rank_one_core((3, 3), 2, 2),
+    ]
     POPULATIONS = [cs.TERNARY, cs.Population((0, 1)), cs.Population((-1, 0))]
+
+    @pytest.mark.parametrize(
+        "family", BLOCK_FAMILIES, ids=lambda f: f"{f.theorem_id}-{f.shape}"
+    )
+    def test_single_cell_form_gives_the_block_stream(self, family, monkeypatch):
+        # each block term is one class of cells; enumerating every cell as
+        # a class of its own gives the same stream and counts
+        body = family.body
+        n, m = family.shape
+        want = [cs.enumerate_sum_constrained(body, p) for p in self.POPULATIONS]
+        monkeypatch.setattr(cs, "_components", _single_cell_components(cs._components))
+        assert sum(len(classes) for classes, _ in cs._components(body)) == n * m
+        for population, block in zip(self.POPULATIONS, want):
+            assert cs.enumerate_sum_constrained(body, population) == block
+            quick = cs.enumerate_sum_constrained(body, population, True)
+            assert quick.count == block.count
+        # the S1 systems have half-integer block sums
+        assert want[0].count > 0 or family.theorem_id in ("Thm4.5", "Rank2OuterS1")
 
     @pytest.mark.parametrize("population", POPULATIONS, ids=str)
     def test_signed_rank_one_stack_streams_the_census(self, population):
