@@ -5,41 +5,23 @@ equations for every candidate matrix by exact integer comparison, in a
 fixed odometer order (row-major, last entry varying fastest, population
 values ascending), so identical tasks always produce identical streams.
 It uses only the ``matrices`` kernel, never the characterized families it
-checks.  The scan shares work across candidates only through tables built
-once per A: every population row x and its product x A, |P|^min(m, n)
-of each because a taller-than-wide A is scanned as its transpose.  Both
-equations are decided by one hash join.  AXA = A is the sum of one term
-per row x_k of X, A[:, k] (x_k A): the sums of the terms of the last half
-of the rows are tabulated with the index tuples giving them, and each
-choice of the first half, walked with running partial sums, is one lookup
-of what is left of A.  XAX = X is decided per row space W spanned by
-population rows: for a basis B of W made of population rows, the X with
-rows in W, XAX = X and rowspace(X) = W are those with B A X = B, again a
-sum of one term per row of X, so each W is one join over the rows in W
-(the lemma and its proof are in ``brute_force_inverses``).  The row
-spaces of each population are built once per row length and top
-dimension, up to the dimension the scan can reach, and memoized.
-Both equations hold exactly when XAX = X and rank(X) = rank(A), so the
-reflexive inverses are the row spaces of dimension rank(A) and have no
-scan of their own.  Join terms are vectors written as single integers in
-a radix that bounds their entries, so a sum or a lookup is one integer
-operation, and each streamed hit is confirmed on its equations by sums
-of the same codes.
+checks, and shares work across candidates only through tables built once
+per A: AXA = A, and XAX = X on each row space spanned by population rows,
+are sums of one term per row of X, each decided by a hash join of terms
+written as single integers (``brute_force_inverses`` has the lemmas).
 
-Constraint-guided enumeration and family materialization live here too;
-their outputs are canonically sorted so theorem-versus-oracle comparisons
-are plain set comparisons.  Every producer carries members as row-major
-entry tuples, and an :class:`EnumerationResult` holds them so: a matrix is
-built, through the checked ``IntMatrix`` constructor, only where a caller
-iterates a result.  Linear constraints on the entries are scaled once to
-integers (by the lcm of their denominators), and the cells are grouped
-into classes with equal coefficient vectors, so the cells of one block of
-a block-sum equation enter it through their sum alone; each profile of
-class sums is checked in integer arithmetic; the fillings of a class with
-a given sum are the memoized fillings of its two halves, concatenated; a
-member's entries are its concatenated class fillings under one fixed
-permutation (an ``itemgetter``), and one sort gives odometer order.  The rank-one family
-evaluates each factor's forms once per factor vector.
+Constraint-guided enumeration and family materialization live here too,
+in the same odometer order, so theorem-versus-oracle comparisons are
+plain stream or set comparisons.  Every producer carries members as
+row-major entry tuples, and an :class:`EnumerationResult` holds them so: a
+matrix is built, through the checked ``IntMatrix`` constructor, only where
+a caller iterates a result.  A linear system is walked cell by cell in
+row-major order on one integer code of its residuals, each connected
+component of its constraints checked against a completion table, so
+every kept filling extends to a member, with no sort or permutation.  Its
+members are blocks: a prefix with the shared list of the suffixes that
+complete its residual, written as the prefix's text joined with theirs.
+The rank-one family evaluates each factor's forms once per factor vector.
 """
 
 from __future__ import annotations
@@ -48,7 +30,7 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import cache, lru_cache
 from itertools import chain, compress, cycle, product, repeat
-from math import gcd, lcm, prod
+from math import gcd, lcm
 from operator import itemgetter, mul
 from typing import Iterator, NamedTuple, Optional
 
@@ -113,19 +95,42 @@ class _RowText(dict):
         return text
 
 
-@dataclass(frozen=True)
 class EnumerationResult:
     """An ordered stream of ``shape`` matrices plus its exact count.
 
     ``matrices`` holds the row-major entry tuple of each member, or is None
-    for count-only runs; otherwise the count equals the stream length.
-    Iteration builds the members as checked :class:`IntMatrix` objects;
-    ``serialize`` writes the tuples directly.
+    for count-only runs; otherwise the count equals the stream length.  A
+    linear system's result holds ordered blocks instead (``_of_blocks``)
+    and builds ``matrices`` from them on first read.  Iteration builds the
+    members as checked :class:`IntMatrix` objects; ``serialize`` writes the
+    tuples or the blocks directly.
     """
 
-    shape: tuple[int, int]
-    matrices: Optional[tuple[tuple[int, ...], ...]]
-    count: int
+    __slots__ = ("shape", "count", "_matrices", "_blocks")
+
+    def __init__(self, shape: tuple[int, int],
+                 matrices: Optional[tuple[tuple[int, ...], ...]], count: int):
+        self.shape, self.count = shape, count
+        self._matrices, self._blocks = matrices, None
+
+    @classmethod
+    def _of_blocks(cls, shape, blocks) -> "EnumerationResult":
+        """The stream of p + s for each block (p, suffixes) and s of its
+        suffixes, in order; the prefixes cover the same leading cells."""
+        result = cls(shape, None, sum(len(ss) for _, ss in blocks))
+        result._blocks = blocks
+        return result
+
+    @property
+    def matrices(self) -> Optional[tuple[tuple[int, ...], ...]]:
+        if self._matrices is None and self._blocks is not None:
+            self._matrices = tuple([p + s for p, ss in self._blocks for s in ss])
+        return self._matrices
+
+    def __eq__(self, other):
+        return isinstance(other, EnumerationResult) and (
+            self.shape, self.count, self.matrices) == (
+            other.shape, other.count, other.matrices)
 
     def _stream(self) -> tuple[tuple[int, ...], ...]:
         if self.matrices is None:
@@ -143,14 +148,29 @@ class EnumerationResult:
         """Stream in the matrix text format, blank-line separated, with a
         trailing count record.
 
-        Each member reads as ``serialize_matrix`` writes it.  The text of a
-        row is made once per distinct row of the stream, and the last row
-        of a member carries the blank line after it.
+        Each member reads as ``serialize_matrix`` writes it.  A block is
+        written as ``p + p.join(suffix_texts)``: its prefix's text is made
+        once, and a shared list's suffix texts once for all its blocks (a
+        list is known by its identity while the blocks hold it).  A stream
+        of tuples makes the text of a row once per distinct row, and the
+        last row of a member carries the blank line after it.
         """
         rows, cols = self.shape
-        flat = chain.from_iterable(self.matrices or ())
-        texts = cycle([_RowText("\n")] * (rows - 1) + [_RowText("\n\n")])
-        parts = list(map(dict.__getitem__, texts, zip(*[flat] * cols)))
+        if self._blocks:
+            fmt = ["{}" + (" " if (c + 1) % cols else "\n") for c in range(rows * cols - 1)]
+            fmt.append("{}\n\n")
+            split = len(self._blocks[0][0])
+            head, tail = "".join(fmt[:split]).format, "".join(fmt[split:]).format
+            lists = {id(ss): ss for _, ss in self._blocks}  # one per shared list
+            suffix_texts = {key: [tail(*s) for s in ss] for key, ss in lists.items()}
+            parts = []
+            for p, ss in self._blocks:
+                text = head(*p)
+                parts.append(text + text.join(suffix_texts[id(ss)]))
+        else:
+            flat = chain.from_iterable(self.matrices or ())
+            texts = cycle([_RowText("\n")] * (rows - 1) + [_RowText("\n\n")])
+            parts = list(map(dict.__getitem__, texts, zip(*[flat] * cols)))
         parts.append(f"count: {self.count}\n")
         return "".join(parts)
 
@@ -482,130 +502,30 @@ def _subspaces(m: int, values: tuple[int, ...], top: int) -> tuple[_Subspace, ..
 # ---------------------------------------------------------------------------
 # constraint-guided enumeration
 
-def _sum_counts(cells: int, values: tuple[int, ...]) -> list[dict[int, int]]:
-    """counts[k][s] = number of ways to fill k cells with entries from the
-    population so they sum to s."""
-    table: list[dict[int, int]] = [{0: 1}]
-    for _ in range(cells):
-        nxt: dict[int, int] = {}
-        for s, c in table[-1].items():
-            for v in values:
-                nxt[s + v] = nxt.get(s + v, 0) + c
-        table.append(nxt)
-    return table
-
-
-def _concat_product(lists: list[list[tuple[int, ...]]]) -> list[tuple[int, ...]]:
-    """Every concatenation of one tuple from each list, in product order."""
-    out = lists[0]
-    for nxt in lists[1:]:
-        out = [a + b for a in out for b in nxt]
-    return out
-
-
-def _components(system: SumConstraintSystem) -> Optional[list]:
-    """The system's cells grouped into classes by their coefficient
-    vectors, as (classes, checks) per connected component of the
-    constraints; None when a constraint on no cell has a nonzero rhs.
-
-    Each constraint is scaled once to integers by the lcm of its
-    denominators; entries are integers, so a rhs of 1/2 becomes 2 s = 1
-    and stays unsatisfiable.  A cell's vector is its column of the scaled
-    rows, its integer coefficient in every constraint, so the cells of one
-    vector (the cells in no constraint among them) enter every constraint
-    through their sum alone: they form one class, a list of ascending
-    row-major cell indices.  A check is (integer coefficient per class,
-    integer rhs).  The classes of a component are sorted by their first
-    cell and the components by their first class, so the cells of a
-    system whose classes are contiguous row-major runs concatenate in
-    row-major order.
+def _completions(steps, values, roots) -> dict[int, list[tuple[int, ...]]]:
+    """For each residual of ``roots``, the fillings of the cells of
+    ``steps`` that keep it live, in odometer order.  A cell's step is
+    (weight, base, radix, table): the code of its coefficients, and the
+    place and radix of its component's digits with the keys of the
+    component's completion table for its later cells, which a live
+    residual r has as r // base % radix.  Live residuals are reached
+    forward, and fillings built backward: a value, then each filling of
+    the residual it leaves, so one list serves every residual leading to it.
     """
-    scaled, rhs = [], []
-    for con in system.constraints:
-        scale = lcm(con.rhs.denominator, *(c.denominator for c in con.coeffs))
-        scaled.append([c.numerator * (scale // c.denominator) for c in con.coeffs])
-        rhs.append(con.rhs.numerator * (scale // con.rhs.denominator))
-    # a system of no constraints has one empty vector per cell
-    vectors = zip(*scaled) if scaled else repeat((), prod(system.shape))
-    classes: dict[tuple[int, ...], list[int]] = {}
-    for cell, vec in enumerate(vectors):
-        classes.setdefault(vec, []).append(cell)
-    components: list[tuple[set[int], list]] = []  # (constraints, classes)
-    for vec, cells in classes.items():
-        keys = {k for k, c in enumerate(vec) if c}
-        merged = [(vec, cells)]
-        for comp in [comp for comp in components if comp[0] & keys]:
-            components.remove(comp)
-            keys |= comp[0]
-            merged += comp[1]
-        components.append((keys, merged))
-    touched = set().union(*(keys for keys, _ in components))
-    if any(r for k, r in enumerate(rhs) if k not in touched):
-        return None
-    out = []
-    for keys, merged in components:
-        merged.sort(key=lambda cls: cls[1][0])
-        checks = [(tuple(vec[k] for vec, _ in merged), rhs[k]) for k in sorted(keys)]
-        out.append(([cells for _, cells in merged], checks))
-    return sorted(out, key=lambda comp: comp[0][0][0])
-
-
-def _group_solutions(
-    classes: list[list[int]],
-    checks: list[tuple[tuple[int, ...], int]],
-    population: Population,
-    count_only: bool,
-):
-    """Solutions for one component of cell classes.
-
-    Enumerates per-class sum profiles first, keeps those meeting every
-    integer check, then expands per-class fillings.  Returns either a
-    count or a list of entry tuples, each the classes' fillings
-    concatenated in order.
-    """
-    sizes = list(map(len, classes))
-    values = population.values
-    table = _sum_counts(max(sizes), values)
-    sum_choices = [sorted(table[k]) for k in sizes]
-    fillings: dict[tuple[int, int], list[tuple[int, ...]]] = {}
-
-    def fill(k: int, s: int) -> list[tuple[int, ...]]:
-        """Fillings of k cells summing to s: those of the first half of the
-        cells joined to those of the second half, memoized per call."""
-        got = fillings.get((k, s))
-        if got is None:
-            if k == 1:
-                got = [(s,)]
-            else:
-                h = k // 2
-                rest = table[k - h]
-                got = [
-                    a + b
-                    for t in table[h]
-                    if s - t in rest
-                    for a in fill(h, t)
-                    for b in fill(k - h, s - t)
-                ]
-            fillings[(k, s)] = got
-        return got
-
-    total = 0
-    solutions: list[tuple[int, ...]] = []
-    for profile in product(*sum_choices):
-        for coeffs, rhs in checks:
-            if sum(map(mul, coeffs, profile)) != rhs:
-                break
-        else:
-            if count_only:
-                ways = 1
-                for k, s in zip(sizes, profile):
-                    ways *= table[k][s]
-                total += ways
-            else:
-                solutions += _concat_product(
-                    [fill(k, s) for k, s in zip(sizes, profile)]
-                )
-    return total if count_only else solutions
+    reach = [roots]
+    for weight, base, radix, table in steps:
+        reach.append({
+            s for r in reach[-1] for v in values
+            for s in (r - v * weight,) if s // base % radix in table
+        })
+    lists = dict.fromkeys(reach.pop(), [()])
+    for weight, *_ in reversed(steps):
+        terms = [((v,), v * weight) for v in values]
+        lists = {
+            r: [t + s for t, d in terms for s in lists.get(r - d, ())]
+            for r in reach.pop()
+        }
+    return lists
 
 
 def enumerate_sum_constrained(
@@ -613,40 +533,95 @@ def enumerate_sum_constrained(
     population: Population = TERNARY,
     count_only: bool = False,
 ) -> EnumerationResult:
-    """All population-valued matrices satisfying every linear constraint.
+    """All population-valued matrices satisfying every linear constraint,
+    in odometer order by construction.
 
-    Works over the classes and components of ``_components``: cells with
-    one coefficient vector enter the constraints through their sum alone,
-    so a block-sum equation costs what its blocks cost, not its cells,
-    and components never sharing a constraint are filled
-    independently, so counts multiply and streams are Cartesian products.
-    Within a component, each per-class sum profile is checked against the
-    integer constraints, and the fillings of a class with a given sum are
-    built from those of its two halves, memoized per (cells, sum).  The
-    classes cover every cell once, so a member's entries are one fixed
-    permutation of its concatenated class fillings: one precomputed
-    ``itemgetter`` puts them in row-major order, and a single sort puts
-    the members in odometer order.
+    Constraints are scaled once to integers by the lcm of their
+    denominators (entries are integers, so a rhs of 1/2 becomes 2 s = 1
+    and stays unsatisfiable) and split into components linked through
+    shared cells.  The residuals, each rhs minus the terms of the cells
+    placed so far, are the digits of one integer r in a balanced mixed
+    radix, a component's on adjacent digits: constraint k has the radix
+    2 h_k + 1, h_k = |rhs_k| + max|v| sum_c |coeff_k[c]|, which bounds
+    every residual and every sum of terms, so a code is one vector, and
+    placing v in cell c subtracts v times the code of c's coefficients.
+    Component j's residual is ``(r + offset) // W_j % R_j - half_j``, for
+    its place W_j, its radix R_j and the code ``offset`` of every h_k.
+    Its completion tables, built backward over its cells in row-major
+    order, count the fillings of its cells from the t-th on by their sum,
+    so a count is the product of the components' counts at their targets,
+    times |P| per cell in no constraint.
+
+    Lemma.  A filling of the cells before c extends to a member if and
+    only if every component's residual is a key of its table from c on.
+    Proof: components share no cells and a constraint reads only its own
+    component's, so a completion is one per component (any values in the
+    other cells), and a component has one exactly when its remaining
+    cells reach its residual.
+
+    A value placed in c changes only its component's residual, so, every
+    target checked first, checking that one after each value keeps
+    exactly the fillings that extend.  The cells before the row boundary
+    nearest the middle (mid-row for a one-row X) give the prefixes, in
+    odometer order, each paired with the list of the completions of its
+    residual, one list per residual: the members in odometer order, with
+    no sort.
     """
     shape = system.shape
-    components = _components(system)
-    if components is None:
-        return EnumerationResult(shape, None if count_only else (), 0)
-    group_solutions = []
-    order = []  # the row-major cell index of each position of the concatenation
-    for classes, checks in components:
-        group_solutions.append(_group_solutions(classes, checks, population, count_only))
-        if not group_solutions[-1]:
-            return EnumerationResult(shape, None if count_only else (), 0)
-        order += chain.from_iterable(classes)
+    n, m = shape
+    cells = n * m
+    values = population.values
+    empty = EnumerationResult(shape, None if count_only else (), 0)
+    rows, rhs = [], []
+    for con in system.constraints:
+        scale = lcm(con.rhs.denominator, *(c.denominator for c in con.coeffs))
+        rows.append([c.numerator * (scale // c.denominator) for c in con.coeffs])
+        rhs.append(con.rhs.numerator * (scale // con.rhs.denominator))
+    if any(b and not any(row) for row, b in zip(rows, rhs)):
+        return empty
+    components: list[set[int]] = []  # the constraints of each
+    for col in zip(*rows):
+        keys = {k for k, c in enumerate(col) if c}
+        for comp in [comp for comp in components if comp & keys]:
+            components.remove(comp)
+            keys |= comp
+        if keys:
+            components.append(keys)
+    big = max(map(abs, values))
+    weights = [0] * cells  # the code of each cell's coefficient vector
+    free = (0, 1, 1, {0})  # the step of a cell in no constraint: any value
+    steps = [free] * cells
+    start, place, count = 0, 1, 1  # start: the code of the rhs plus offset
+    for keys in components:
+        base, goal, halves = place, 0, 0
+        for k in sorted(keys):
+            half = abs(rhs[k]) + big * sum(map(abs, rows[k]))
+            for c, coeff in enumerate(rows[k]):
+                weights[c] += coeff * place
+            goal += (rhs[k] + half) * place
+            halves += half * place
+            place *= 2 * half + 1
+        table = {halves // base: 1}
+        own = [c for c in range(cells) if any(rows[k][c] for k in keys)]
+        for c in reversed(own):
+            steps[c] = (weights[c], base, place // base, table)
+            terms = [v * weights[c] // base for v in values]
+            later, table = table, {}
+            for key, ways in later.items():
+                for d in terms:
+                    table[key + d] = table.get(key + d, 0) + ways
+        count *= table.get(goal // base, 0)
+        if not count:
+            return empty
+        start += goal
     if count_only:
-        return EnumerationResult(shape, None, prod(group_solutions))
-    perm = sorted(range(len(order)), key=order.__getitem__)
-    out = _concat_product(group_solutions)
-    if perm != list(range(len(perm))):
-        out = list(map(itemgetter(*perm), out))
-    out.sort()
-    return EnumerationResult(shape, tuple(out), len(out))
+        return EnumerationResult(shape, None, count * len(values) ** steps.count(free))
+    split = m * (n // 2) if n > 1 else m // 2
+    prefixes = _completions(steps[:split], values, {start})[start]
+    residuals = [start - sum(map(mul, p, weights)) for p in prefixes]
+    suffixes = _completions(steps[split:], values, set(residuals))
+    return EnumerationResult._of_blocks(
+        shape, [(p, suffixes[r]) for p, r in zip(prefixes, residuals)])
 
 
 # ---------------------------------------------------------------------------
@@ -694,20 +669,49 @@ def _materialize_product(
 
 
 def _materialize_body(body, population: Population, shape: tuple[int, int]):
-    """The body's members as entry tuples: a sorted tuple for a linear
-    system, a set otherwise."""
+    """The body's members: a linear system's result, in odometer order, or
+    a set of entry tuples for any other body."""
     if isinstance(body, SumConstraintSystem):
-        return enumerate_sum_constrained(body, population).matrices
+        return enumerate_sum_constrained(body, population)
     if isinstance(body, RankOneProductFamily):
         return _materialize_product(body, population)
     if isinstance(body, ExplicitUnion):
         out: set[tuple[int, ...]] = set()
         for comp in body.components:
-            out.update(_materialize_body(comp.body, population, comp.shape))
+            found = _materialize_body(comp.body, population, comp.shape)
+            out.update(found.matrices if isinstance(found, EnumerationResult) else found)
         if 0 in population:
             out.add((0,) * (shape[0] * shape[1]))
         return out
     raise DomainError(f"cannot materialize body of type {type(body).__name__}")
+
+
+def _of_rank(result: EnumerationResult, rank: int) -> EnumerationResult:
+    """The members of ``result`` of the given rank, in its order.
+
+    The rank of X is that of its set of distinct rows, memoized on the set.
+    A block's prefix ends on a row boundary unless X has one row, so the
+    prefix's row set is taken once per block and a suffix's once per
+    shared list, and the rank once per distinct union.
+    """
+    n, m = result.shape
+    rank_of = cache(_row_rank)
+
+    def rows(e):
+        return frozenset(zip(*[iter(e)] * m))
+
+    if result._blocks is None or n == 1:
+        kept = tuple(e for e in result.matrices if rank_of(rows(e)) == rank)
+        return EnumerationResult(result.shape, kept, len(kept))
+    lists = {id(ss): ss for _, ss in result._blocks}  # one per shared list
+    tails = {key: [rows(s) for s in ss] for key, ss in lists.items()}
+    blocks = []
+    for p, ss in result._blocks:
+        head = rows(p)
+        kept = [s for s, t in zip(ss, tails[id(ss)]) if rank_of(head | t) == rank]
+        if kept:
+            blocks.append((p, kept))
+    return EnumerationResult._of_blocks(result.shape, blocks)
 
 
 def materialize_family(
@@ -717,24 +721,18 @@ def materialize_family(
     count_only: bool = False,
 ) -> EnumerationResult:
     """The family's population-valued members, of the given rank when one
-    is given, deduplicated and sorted into odometer order; with
-    ``count_only``, their count alone."""
+    is given, deduplicated and in odometer order; with ``count_only``,
+    their count alone."""
     shape = family.shape
     if count_only and rank is None and isinstance(family.body, SumConstraintSystem):
         # counted without building members
         return enumerate_sum_constrained(family.body, population, count_only=True)
-    entries = _materialize_body(family.body, population, shape)
-    if isinstance(entries, set):
-        entries = tuple(sorted(entries))
+    found = _materialize_body(family.body, population, shape)
+    if isinstance(found, set):
+        found = EnumerationResult(shape, tuple(sorted(found)), len(found))
     if rank is not None:
-        # The rank of the n rows of m entries each depends only on the
-        # set of distinct rows, and members share few such sets.
-        rank_of = cache(_row_rank)
-        m = shape[1]
-        entries = tuple(
-            e for e in entries if rank_of(frozenset(zip(*[iter(e)] * m))) == rank
-        )
-    return EnumerationResult(shape, None if count_only else entries, len(entries))
+        found = _of_rank(found, rank)
+    return EnumerationResult(shape, None, found.count) if count_only else found
 
 
 @dataclass(frozen=True)

@@ -667,6 +667,74 @@ class TestSumConstrainedMatchesFilter:
             assert [x.entries for x in cs.materialize_family(family, population)] == want
 
 
+#: populations of the random systems, one beyond theorem mode's
+RANDOM_POPULATIONS = [(-1, 0, 1), (0, 1), (-1, 0), (-2, -1, 0, 1, 2)]
+
+
+def _random_system(rng):
+    """A system on a 1-3 x 1-4 X of 0-3 constraints with integer and half
+    coefficients, whose components interleave in row-major order."""
+    n, m = rng.randint(1, 3), rng.randint(1, 4)
+    half = Fraction(1, 2)
+    coeffs = (0, 0, 0, 1, -1, 2, half, -half)
+    return fam.SumConstraintSystem((n, m), tuple(
+        fam.LinearConstraint(
+            tuple(rng.choice(coeffs) for _ in range(n * m)),
+            rng.choice((0, 0, 1, -1, 2, half)),
+        )
+        for _ in range(rng.randint(0, 3))
+    ))
+
+
+class TestRandomSystemsMatchFilter:
+    """The completion-table walk on seeded random systems against the
+    literal filter: the stream in odometer order, the count-only count and
+    the serialized text, member by member, also at each rank."""
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_system(self, seed):
+        import random
+
+        from bohemian.matrices import serialize_matrix
+
+        body = _random_system(random.Random(seed))
+        n, m = body.shape
+        for values in RANDOM_POPULATIONS:
+            if len(values) ** (n * m) > 60_000:
+                continue
+            population = cs.Population(values)
+            want = [
+                x for x in map(lambda e: IntMatrix(n, m, e), product(values, repeat=n * m))
+                if body.is_member(x)
+            ]
+            got = cs.enumerate_sum_constrained(body, population)
+            assert list(got) == want, (seed, values)
+            quick = cs.enumerate_sum_constrained(body, population, count_only=True)
+            assert quick.matrices is None and quick.count == got.count == len(want)
+            text = "".join(serialize_matrix(x) + "\n" for x in want)
+            assert got.serialize() == text + f"count: {len(want)}\n", (seed, values)
+            family = fam.InverseFamily("Random", "{1}", (n, m), body)
+            for rank in range(min(n, m) + 1):
+                kept = [x for x in want if exact_rank(x) == rank]
+                ranked = cs.materialize_family(family, population, rank)
+                assert list(ranked) == kept, (seed, values, rank)
+                text = "".join(serialize_matrix(x) + "\n" for x in kept)
+                assert ranked.serialize() == text + f"count: {len(kept)}\n"
+
+    def test_orthogonal_stack_streams_the_census(self):
+        # three mutually orthogonal rank-one row blocks; the Thm4.7 system
+        # has 20 cells and 12,600 ternary members
+        from bohemian.theorems import select_theorem
+
+        a = M([[1, 1, 1, 0, 0], [-1, -1, -1, 0, 0], [1, -1, 0, 1, 0], [0, 0, 0, 0, 1]])
+        family = select_theorem(a, "1")
+        assert family.theorem_id == "Thm4.7"
+        got = cs.materialize_family(family)
+        want = cs.brute_force_inverses(a, "1", cell_budget=20)
+        assert got == want and want.count == 12_600
+        assert got.serialize() == want.serialize()
+
+
 def _product_reference(body, values):
     n, m = body.shape
     seen = set()

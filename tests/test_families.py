@@ -530,31 +530,9 @@ def _rank_one_core(shape, rows, cols):
     return fam.InverseFamily("RankOneInner", "{1}", shape, body)
 
 
-def _single_cell_components(components):
-    """``components`` with every class split into one class per cell, each
-    cell carrying its class's coefficient in every check."""
-
-    def split(system):
-        comps = components(system)
-        if comps is None:
-            return None
-        return [
-            (
-                [[cell] for cls in classes for cell in cls],
-                [
-                    (tuple(c for c, cls in zip(coeffs, classes) for _ in cls), rhs)
-                    for coeffs, rhs in checks
-                ],
-            )
-            for classes, checks in comps
-        ]
-
-    return split
-
-
 class TestCellClasses:
-    """Cells with one coefficient vector are one class, whatever the
-    blocks the constraints were written on."""
+    """Block-sum systems written cell by cell, whose cells share few
+    coefficient vectors, against the literal filter and the census."""
 
     BLOCK_FAMILIES = [
         fam.inner_full_type_I(2, 3),
@@ -576,20 +554,25 @@ class TestCellClasses:
     @pytest.mark.parametrize(
         "family", BLOCK_FAMILIES, ids=lambda f: f"{f.theorem_id}-{f.shape}"
     )
-    def test_single_cell_form_gives_the_block_stream(self, family, monkeypatch):
-        # each block term is one class of cells; enumerating every cell as
-        # a class of its own gives the same stream and counts
+    def test_single_cell_form_gives_the_block_stream(self, family):
+        # each block term is one run of cells with one coefficient vector;
+        # the stream and the count over each population are the literal
+        # filter's, in odometer order
         body = family.body
         n, m = family.shape
-        want = [cs.enumerate_sum_constrained(body, p) for p in self.POPULATIONS]
-        monkeypatch.setattr(cs, "_components", _single_cell_components(cs._components))
-        assert sum(len(classes) for classes, _ in cs._components(body)) == n * m
-        for population, block in zip(self.POPULATIONS, want):
-            assert cs.enumerate_sum_constrained(body, population) == block
+        assert n * m <= 9
+        literal = [
+            x for x in product((-1, 0, 1), repeat=n * m)
+            if body.is_member(IntMatrix(n, m, x))
+        ]
+        for population in self.POPULATIONS:
+            want = [x for x in literal if all(v in population for v in x)]
+            got = cs.enumerate_sum_constrained(body, population)
+            assert got.matrices == tuple(want), (family.theorem_id, population)
             quick = cs.enumerate_sum_constrained(body, population, True)
-            assert quick.count == block.count
+            assert quick.count == got.count == len(want)
         # the S1 systems have half-integer block sums
-        assert want[0].count > 0 or family.theorem_id in ("Thm4.5", "Rank2OuterS1")
+        assert literal or family.theorem_id in ("Thm4.5", "Rank2OuterS1")
 
     @pytest.mark.parametrize("population", POPULATIONS, ids=str)
     def test_signed_rank_one_stack_streams_the_census(self, population):
