@@ -12,15 +12,16 @@ written as single integers (``brute_force_inverses`` has the lemmas).
 
 Constraint-guided enumeration and family materialization live here too,
 in the same odometer order, so theorem-versus-oracle comparisons are
-plain stream or set comparisons.  Every producer carries members as
-row-major entry tuples, and an :class:`EnumerationResult` holds them so: a
-matrix is built, through the checked ``IntMatrix`` constructor, only where
-a caller iterates a result.  A linear system is walked cell by cell in
+plain stream or set comparisons.  An :class:`EnumerationResult` holds
+every producer's members as ordered blocks of row-major entry tuples, a
+prefix with a suffix list that blocks may share, and writes and ranks
+them per prefix and per shared list; a matrix is built, through the
+checked ``IntMatrix`` constructor, only where a caller iterates it.  The
+scan's AXA = A join gives each first half of X the shared bucket of last
+halves that complete it.  A linear system is walked cell by cell in
 row-major order on one integer code of its residuals, each connected
 component of its constraints checked against a completion table, so
-every kept filling extends to a member, with no sort or permutation.  Its
-members are blocks: a prefix with the shared list of the suffixes that
-complete its residual, written as the prefix's text joined with theirs.
+every kept filling extends to a member, with no sort or permutation.
 The rank-one family evaluates each factor's forms once per factor vector.
 """
 
@@ -29,7 +30,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from functools import cache, lru_cache
-from itertools import chain, compress, cycle, product, repeat
+from itertools import chain, compress, product, repeat
 from math import gcd, lcm
 from operator import itemgetter, mul
 from typing import Iterator, NamedTuple, Optional
@@ -47,6 +48,7 @@ from .matrices import (
     TernaryMatrix,
     _product_rows,
     _row_rank,
+    _transposer,
     normalize_spec,
 )
 
@@ -82,41 +84,28 @@ class Population:
 TERNARY = Population()
 
 
-class _RowText(dict):
-    """Row tuple -> its line in the matrix text format plus ``end``, made
-    on first use."""
-
-    def __init__(self, end: str):
-        super().__init__()
-        self.end = end
-
-    def __missing__(self, row: tuple[int, ...]) -> str:
-        text = self[row] = " ".join(map(str, row)) + self.end
-        return text
-
-
 class EnumerationResult:
     """An ordered stream of ``shape`` matrices plus its exact count.
 
-    ``matrices`` holds the row-major entry tuple of each member, or is None
-    for count-only runs; otherwise the count equals the stream length.  A
-    linear system's result holds ordered blocks instead (``_of_blocks``)
-    and builds ``matrices`` from them on first read.  Iteration builds the
-    members as checked :class:`IntMatrix` objects; ``serialize`` writes the
-    tuples or the blocks directly.
+    The members are ordered blocks (prefix, suffixes), each giving p + s
+    for s in its suffixes; the prefixes cover the same leading row-major
+    cells, and blocks may share a suffix list.  The constructor's stream
+    of entry tuples is one block with the empty prefix.  ``matrices``,
+    built on first read, holds each member's entry tuple, or is None for
+    a count-only run; otherwise the count equals the stream length.
+    Iteration builds checked :class:`IntMatrix` objects; ``serialize``
+    writes the blocks directly.
     """
 
-    __slots__ = ("shape", "count", "_matrices", "_blocks")
+    __slots__ = ("shape", "count", "_blocks", "_matrices")
 
     def __init__(self, shape: tuple[int, int],
                  matrices: Optional[tuple[tuple[int, ...], ...]], count: int):
-        self.shape, self.count = shape, count
-        self._matrices, self._blocks = matrices, None
+        self.shape, self.count, self._matrices = shape, count, None
+        self._blocks = None if matrices is None else [((), matrices)]
 
     @classmethod
     def _of_blocks(cls, shape, blocks) -> "EnumerationResult":
-        """The stream of p + s for each block (p, suffixes) and s of its
-        suffixes, in order; the prefixes cover the same leading cells."""
         result = cls(shape, None, sum(len(ss) for _, ss in blocks))
         result._blocks = blocks
         return result
@@ -148,14 +137,14 @@ class EnumerationResult:
         """Stream in the matrix text format, blank-line separated, with a
         trailing count record.
 
-        Each member reads as ``serialize_matrix`` writes it.  A block is
-        written as ``p + p.join(suffix_texts)``: its prefix's text is made
-        once, and a shared list's suffix texts once for all its blocks (a
-        list is known by its identity while the blocks hold it).  A stream
-        of tuples makes the text of a row once per distinct row, and the
-        last row of a member carries the blank line after it.
+        Each member reads as ``serialize_matrix`` writes it, the last row
+        carrying the blank line after it.  A block is written as
+        ``p + p.join(suffix_texts)``: its prefix's text is made once, and a
+        shared list's suffix texts once for all its blocks (a list is known
+        by its identity while the blocks hold it).
         """
         rows, cols = self.shape
+        parts = []
         if self._blocks:
             fmt = ["{}" + (" " if (c + 1) % cols else "\n") for c in range(rows * cols - 1)]
             fmt.append("{}\n\n")
@@ -163,14 +152,9 @@ class EnumerationResult:
             head, tail = "".join(fmt[:split]).format, "".join(fmt[split:]).format
             lists = {id(ss): ss for _, ss in self._blocks}  # one per shared list
             suffix_texts = {key: [tail(*s) for s in ss] for key, ss in lists.items()}
-            parts = []
             for p, ss in self._blocks:
                 text = head(*p)
                 parts.append(text + text.join(suffix_texts[id(ss)]))
-        else:
-            flat = chain.from_iterable(self.matrices or ())
-            texts = cycle([_RowText("\n")] * (rows - 1) + [_RowText("\n\n")])
-            parts = list(map(dict.__getitem__, texts, zip(*[flat] * cols)))
         parts.append(f"count: {self.count}\n")
         return "".join(parts)
 
@@ -201,9 +185,10 @@ def brute_force_inverses(
     AXA = A is a sum of one term per row of X, A[:, k] (x_k A), and
     ``_join`` decides it by a hash join: the term sums of the last half of
     the rows are tabulated once, and each first half is one dictionary
-    lookup of A minus its own sum, which yields every completing last half
-    in odometer order; a count-only run without a rank filter adds up the
-    sizes of those buckets.
+    lookup of A minus its own sum, which yields the bucket of every
+    completing last half in odometer order: one block of the result, its
+    entry tuples made once per bucket.  A count-only run without a rank
+    filter adds up the sizes of those buckets.
 
     XAX = X is decided one row space at a time, by this lemma.  Let A be
     the scanned m x n matrix (m <= n), X an n x m matrix whose rows lie in
@@ -224,7 +209,7 @@ def brute_force_inverses(
     holds rank-r matrices only, so a rank filter picks parts instead of
     ranking hits, and no W of dimension above rank(A), or above the
     filter, is built; a W with rank(B A) < r holds none.  The parts'
-    streams are merged back into odometer order.
+    streams are merged back into odometer order, one block.
 
     Spec 12 is the part of dimension rank(A), by this lemma (Ben-Israel
     and Greville, *Generalized Inverses*, ch. 1): AXA = A and XAX = X if
@@ -244,8 +229,8 @@ def brute_force_inverses(
     Only per-row parts of the products are shared, tabulated once per A.
     A taller-than-wide A is scanned as A^T, whose inverses are the
     transposes of A's with the same ranks, so every table of rows has at
-    most |P|^min(m, n) entries.  Ranks are taken, and entry tuples made,
-    for hits only.
+    most |P|^min(m, n) entries; its hits are transposed and sorted into
+    one block.  Ranks are taken, and entry tuples made, for hits only.
     """
     spec = normalize_spec(spec)
     cells = a.rows * a.cols
@@ -270,15 +255,9 @@ def brute_force_inverses(
     ra = _product_rows(rows, ar)
     if spec == "1":
         tally = count_only and rank_filter is None
-        hits = _join(*_inner_codes(ar, ra), range(len(rows)), tally)
+        pairs = _join(*_inner_codes(ar, ra), range(len(rows)), tally)
         if tally:
-            return EnumerationResult(shape, None, sum(hits))
-        if rank_filter is not None:
-            # X and the scanned rows (X or X^T) have the same rank
-            hits = (idx for idx in hits
-                    if _row_rank([rows[i] for i in idx]) == rank_filter)
-        if count_only:
-            return EnumerationResult(shape, None, sum(1 for _ in hits))
+            return EnumerationResult(shape, None, sum(pairs))
     else:
         joins = _outer_joins(ar, rows, ra, population.values, rank, rank_filter,
                              count_only)
@@ -289,14 +268,31 @@ def brute_force_inverses(
             coeffs, vecs, target = _inner_codes(ar, ra)
             hits = [idx for idx in hits
                     if sum(map(mul, coeffs, map(vecs.__getitem__, idx))) == target]
-    if flip:
-        # row j of X is column j of the scanned X^T
-        found = sorted(  # odometer order again
-            tuple(chain.from_iterable(zip(*[rows[i] for i in idx]))) for idx in hits
-        )
-    else:
-        found = [tuple(chain.from_iterable([rows[i] for i in idx])) for idx in hits]
-    return EnumerationResult(shape, tuple(found), len(found))
+        pairs = [((), hits)]
+    scanned = (len(ar[0]), len(ar))  # the shape of X, or of X^T if flipped
+    result = EnumerationResult._of_blocks(scanned, _entry_blocks(pairs, rows))
+    if spec == "1" and rank_filter is not None:
+        result = _of_rank(result, rank_filter)  # rank(X^T) = rank(X)
+    if count_only:
+        return EnumerationResult(shape, None, result.count)
+    if flip:  # row j of X is column j of the scanned X^T
+        found = sorted(map(_transposer(*scanned), result.matrices))
+        return EnumerationResult(shape, tuple(found), len(found))
+    return result
+
+
+def _entry_blocks(pairs, rows) -> list[tuple[tuple[int, ...], list[tuple[int, ...]]]]:
+    """The blocks of (lead, bucket) pairs of index tuples into the table
+    ``rows``: an index tuple's entry tuple is its rows concatenated, and a
+    bucket that several leads share is converted once."""
+    tails: dict[int, list[tuple[int, ...]]] = {}  # by the bucket's identity
+    blocks = []
+    for lead, bucket in pairs:
+        key = id(bucket)
+        if key not in tails:
+            tails[key] = [tuple(chain.from_iterable([rows[i] for i in t])) for t in bucket]
+        blocks.append((tuple(chain.from_iterable([rows[i] for i in lead])), tails[key]))
+    return blocks
 
 
 def _powers(bound: int, count: int) -> list[int]:
@@ -314,17 +310,18 @@ def _powers(bound: int, count: int) -> list[int]:
 def _join(coeffs, vecs, target, index, count_only=False) -> Iterator:
     """The index tuples (i_0, ..., i_{n-1}) over ``index`` whose terms
     coeffs[k] * vecs[i_k] add up to ``target``, in odometer order, where
-    n = len(coeffs) and ``vecs`` is aligned with ``index``; with
-    ``count_only``, the number of them, as a stream of partial counts.
+    n = len(coeffs) and ``vecs`` is aligned with ``index``, as (lead,
+    bucket) pairs, the hits lead + t for t in bucket; with ``count_only``,
+    the number of them, as a stream of partial counts.
 
     The terms are codes (``_powers``) of integer vectors, so a sum of
     terms is the code of the sum of the vectors, and equal codes mean
     equal vectors as long as the caller's radix bounds the entries of the
     target minus any sum of n terms.  The sums of the terms of the last
-    n // 2 positions are tabulated once, each with the index tuples that
-    give it in odometer order; the first n - n // 2 positions are walked
-    with the target minus their running sum, so each choice of them is
-    one lookup of what is left.
+    n // 2 positions are tabulated once, each with the bucket of index
+    tuples that give it in odometer order; the first n - n // 2 positions
+    are walked with the target minus their running sum, so each choice of
+    them, a lead, is one lookup of its shared bucket.
     """
     n = len(coeffs)
     terms = [[c * v for v in vecs] for c in coeffs]
@@ -346,15 +343,13 @@ def _join(coeffs, vecs, target, index, count_only=False) -> Iterator:
     get = suffixes.get
     no_suffix = repeat(())
 
-    def hits():
+    def pairs():
         for prefix, rest in zip(product(index, repeat=head - 1), rests):
             found = list(map(get, map(rest.__sub__, last), no_suffix))
             for i, bucket in compress(zip(index, found), found):
-                lead = prefix + (i,)
-                for t in bucket:
-                    yield lead + t
+                yield prefix + (i,), bucket
 
-    return hits()
+    return pairs()
 
 
 def _inner_codes(ar, ra) -> tuple[list[int], list[int], int]:
@@ -412,7 +407,8 @@ def _outer_joins(
         target = sum(map(mul, [codes[b] for b in space.basis], blocks))
         found = _join(coeffs, [codes[i] for i in space.members], target,
                       space.members, count_only)
-        yield found if count_only else filter(holds, found)
+        yield found if count_only else filter(
+            holds, (lead + t for lead, bucket in found for t in bucket))
 
 
 class _Subspace(NamedTuple):
@@ -690,25 +686,25 @@ def _of_rank(result: EnumerationResult, rank: int) -> EnumerationResult:
     """The members of ``result`` of the given rank, in its order.
 
     The rank of X is that of its set of distinct rows, memoized on the set.
-    A block's prefix ends on a row boundary unless X has one row, so the
-    prefix's row set is taken once per block and a suffix's once per
-    shared list, and the rank once per distinct union.
+    A block's whole rows give one row set per block, and the rest of its
+    prefix (nonempty only where X has one row) joined with each suffix one
+    per shared list and rest; the rank is taken once per distinct union.
     """
-    n, m = result.shape
+    m = result.shape[1]
     rank_of = cache(_row_rank)
 
     def rows(e):
         return frozenset(zip(*[iter(e)] * m))
 
-    if result._blocks is None or n == 1:
-        kept = tuple(e for e in result.matrices if rank_of(rows(e)) == rank)
-        return EnumerationResult(result.shape, kept, len(kept))
-    lists = {id(ss): ss for _, ss in result._blocks}  # one per shared list
-    tails = {key: [rows(s) for s in ss] for key, ss in lists.items()}
+    tails: dict[tuple, list[frozenset]] = {}  # by (list identity, rest)
     blocks = []
     for p, ss in result._blocks:
-        head = rows(p)
-        kept = [s for s, t in zip(ss, tails[id(ss)]) if rank_of(head | t) == rank]
+        whole = len(p) - len(p) % m
+        head, rest = rows(p[:whole]), p[whole:]
+        key = (id(ss), rest)
+        if key not in tails:
+            tails[key] = [rows(rest + s) for s in ss]
+        kept = [s for s, t in zip(ss, tails[key]) if rank_of(head | t) == rank]
         if kept:
             blocks.append((p, kept))
     return EnumerationResult._of_blocks(result.shape, blocks)

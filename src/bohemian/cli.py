@@ -122,7 +122,7 @@ def _cmd_decompose(args) -> int:
 
 
 def _parse_population(raw: Optional[str]) -> cs.Population:
-    if not raw:
+    if raw is None:
         return cs.TERNARY
     try:
         values = tuple(sorted(int(v) for v in raw.split(",")))

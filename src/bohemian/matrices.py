@@ -316,8 +316,8 @@ def normalize_spec(spec: str) -> str:
 
 @lru_cache(maxsize=64)
 def _transposer(rows: int, cols: int):
-    """Maps the row-major entries of a ``rows`` x ``cols`` matrix (both at
-    least 2) to those of its transpose."""
+    """Maps the row-major entries of a ``rows`` x ``cols`` matrix (at
+    least 2 of them) to those of its transpose."""
     return operator.itemgetter(
         *(i * cols + j for j in range(cols) for i in range(rows))
     )

@@ -21,6 +21,7 @@ from bohemian.matrices import (
     multiply,
     ones,
     penrose_check,
+    serialize_matrix,
     zeros,
 )
 
@@ -229,8 +230,9 @@ def _assert_scan_matches(
 ):
     """Scans of every spec at each rank in ``ranks``, and count-only scans
     at each rank in ``count_ranks``, against the reference members over
-    ``population``.  Streams are compared as matrices, which fix their
-    serialized bytes, or as those bytes."""
+    ``population``.  Streams are compared as matrices and, with
+    ``serialized``, as bytes, against each member as ``serialize_matrix``
+    writes it followed by a blank line, and the count record."""
     checked = [c for c in checked if all(e in population for e in c[0].entries)]
     for spec in ("1", "2", "12"):
         for rank in ranks:
@@ -239,13 +241,12 @@ def _assert_scan_matches(
                 if report.satisfies(spec) and rank in (None, r)
             )
             got = cs.brute_force_inverses(a, spec, population, rank)
+            assert tuple(got) == want and got.count == len(want), (
+                a, spec, population, rank,
+            )
             if serialized:
-                want_text = cs.EnumerationResult(
-                    (a.cols, a.rows), tuple(x.entries for x in want), len(want)
-                ).serialize()
-                assert got.serialize() == want_text, (a, spec, population, rank)
-            else:
-                assert tuple(got) == want and got.count == len(want), (
+                want_text = "".join(serialize_matrix(x) + "\n" for x in want)
+                assert got.serialize() == want_text + f"count: {len(want)}\n", (
                     a, spec, population, rank,
                 )
             if rank in count_ranks:
@@ -273,7 +274,8 @@ class TestScanMatchesReference:
                 for values in SCAN_POPULATIONS:
                     if set(values) <= set(widest):
                         population = cs.Population(values)
-                        _assert_scan_matches(a, population, checked, ranks)
+                        _assert_scan_matches(a, population, checked, ranks,
+                                             serialized=population == cs.TERNARY)
 
     @pytest.mark.parametrize(
         "a, reflexive",
@@ -355,7 +357,8 @@ class TestScanIndependence:
     classification or the dispatch that it checks."""
 
     SCAN = ("brute_force_inverses", "_join", "_inner_codes", "_outer_joins",
-            "_subspaces", "_normal_basis")
+            "_subspaces", "_normal_basis", "_powers", "_entry_blocks",
+            "_of_rank")
     CHECKED = {"bohemian.families", "bohemian.classify", "bohemian.theorems"}
 
     def test_scan_names_resolve_outside_the_checked_modules(self):
@@ -370,6 +373,13 @@ class TestScanIndependence:
         assert used["_product_rows"] == "bohemian.matrices"
         assert used["compress"] == "itertools"
         assert used["_join"] == used["_subspaces"] == "bohemian.census"
+        # every census function the scan calls is walked as well
+        called = {
+            attr for attr, home in used.items()
+            if home == "bohemian.census" and callable(getattr(cs, attr))
+            and not isinstance(getattr(cs, attr), type)
+        }
+        assert called <= set(self.SCAN), called - set(self.SCAN)
 
     def test_walk_sees_family_use(self):
         # family materialization does read the families module's types

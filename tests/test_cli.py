@@ -164,6 +164,7 @@ class TestInverses:
     @pytest.mark.parametrize(
         "raw, reason",
         [
+            ("", "expected comma-separated integers"),
             ("0,0", "population values must be strictly increasing"),
             ("a", "expected comma-separated integers"),
             ("1,,2", "expected comma-separated integers"),
