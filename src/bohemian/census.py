@@ -22,14 +22,17 @@ halves that complete it.  A linear system is walked cell by cell in
 row-major order on one integer code of its residuals, each connected
 component of its constraints checked against a completion table, so
 every kept filling extends to a member, with no sort or permutation.
-The rank-one family evaluates each factor's forms once per factor vector.
+A rank filter ranks row spaces, once per head space and shared list,
+not members.  The rank-one family codes each factor vector's form values
+as one integer and makes each member once, from its one factor pair
+whose q has first nonzero entry +1.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from functools import cache, lru_cache
+from functools import lru_cache
 from itertools import chain, compress, product, repeat
 from math import gcd, lcm
 from operator import itemgetter, mul
@@ -558,10 +561,11 @@ def enumerate_sum_constrained(
     A value placed in c changes only its component's residual, so, every
     target checked first, checking that one after each value keeps
     exactly the fillings that extend.  The cells before the row boundary
-    nearest the middle (mid-row for a one-row X) give the prefixes, in
-    odometer order, each paired with the list of the completions of its
-    residual, one list per residual: the members in odometer order, with
-    no sort.
+    nearest the middle (mid-row for a one-row X) give the prefixes,
+    walked forward from the start residual in odometer order, each
+    carrying its residual; each is paired with the list of the
+    completions of its residual, one list per residual: the members in
+    odometer order, with no sort.
     """
     shape = system.shape
     n, m = shape
@@ -613,23 +617,40 @@ def enumerate_sum_constrained(
     if count_only:
         return EnumerationResult(shape, None, count * len(values) ** steps.count(free))
     split = m * (n // 2) if n > 1 else m // 2
-    prefixes = _completions(steps[:split], values, {start})[start]
-    residuals = [start - sum(map(mul, p, weights)) for p in prefixes]
-    suffixes = _completions(steps[split:], values, set(residuals))
-    return EnumerationResult._of_blocks(
-        shape, [(p, suffixes[r]) for p, r in zip(prefixes, residuals)])
+    level = [((), start)]  # each live prefix with its residual
+    for weight, base, radix, table in steps[:split]:
+        level = [(p + (v,), s) for p, r in level for v in values
+                 for s in (r - v * weight,) if s // base % radix in table]
+    suffixes = _completions(steps[split:], values, {r for _, r in level})
+    return EnumerationResult._of_blocks(shape, [(p, suffixes[r]) for p, r in level])
 
 
 # ---------------------------------------------------------------------------
 # family materialization
 
-def _by_form_values(forms, vectors) -> dict[tuple, list[tuple[int, ...]]]:
-    """The vectors grouped by their dot products with the forms."""
-    groups: dict[tuple, list[tuple[int, ...]]] = {}
-    for vec in vectors:
-        key = tuple(sum(map(mul, f, vec)) for f in forms)
-        groups.setdefault(key, []).append(vec)
-    return groups
+def _by_form_values(forms, choices) -> dict[tuple[int, ...], list[tuple[int, ...]]]:
+    """The vectors of ``product(*c)`` for each c in ``choices``, grouped
+    by their dot products with the forms.
+
+    A vector's values are written as one code (``_powers``), built
+    coordinate by coordinate as ``_join`` builds its sums: coordinate k
+    adds its entry times the code of the forms' k-th entries.  Every value
+    lies in [-b, b] for b the largest sum of |f_k| of a form, and two
+    value vectors differ by at most 2 b per entry, so equal codes mean
+    equal values; each group's values are taken once, from its first
+    vector.
+    """
+    digits = _powers(2 * max((sum(map(abs, f)) for f in forms), default=0), len(forms))
+    columns = [sum(f[k] * d for f, d in zip(forms, digits)) for k in range(len(choices[0]))]
+    groups: dict[int, list[tuple[int, ...]]] = {}
+    for choice in choices:
+        codes = [0]
+        for column, vals in zip(columns, choice):
+            codes = [s + v * column for s in codes for v in vals]
+        for code, vec in zip(codes, product(*choice)):
+            groups.setdefault(code, []).append(vec)
+    return {tuple(sum(map(mul, f, vecs[0])) for f in forms): vecs
+            for vecs in groups.values()}
 
 
 def _scaled_rows(vec: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
@@ -639,34 +660,42 @@ def _scaled_rows(vec: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
 
 def _materialize_product(
     body: RankOneProductFamily, population: Population
-) -> set[tuple[int, ...]]:
-    # every ternary rank-one matrix is p q^T with ternary factors, whatever
-    # the population its entries are then filtered by; a pinned q_1 = 1
-    # gives the same matrices as q_1 != 0, by (p, q) -> (-p, -q).  The
-    # products q . u and p . v are taken once per factor vector; the
-    # condition is then a dot product of the two value vectors, decided
-    # once per pair of distinct value vectors.
+) -> list[tuple[int, ...]]:
+    """The body's population-valued members, each once, in no order.
+
+    Every ternary rank-one matrix is p q^T with ternary factors, whatever
+    the population its entries are then filtered by.  Lemma: a nonzero
+    rank-one ternary X has exactly one ternary factor pair (p, q) whose q
+    has first nonzero entry +1.  Proof: row i of X is p_i q with p_i in
+    {-1, 0, 1}, so the nonzero rows of X are ±q; that fixes q up to sign,
+    the sign rule fixes q, and X fixes each p_i.  The condition is
+    bilinear, so (p, q) and (-p, -q) meet it together, and the members
+    are the products over the q with first nonzero +1 (q_1 = 1 where the
+    lead is pinned), each member made once, with no set to remove
+    repeats.  The products q . u and p . v are coded once per factor
+    vector; the condition is then a dot product of two value vectors,
+    decided once per pair of distinct value vectors.
+    """
     n, m = body.shape
     values = TERNARY.values
-    lead = (1,) if body.pinned_lead else values
-    p_groups = _by_form_values([v for _, v in body.terms], product(values, repeat=n))
+    # q's first nonzero entry is its j-th: zeros, a one, then any values
+    leads = [[(1,)]] if body.pinned_lead else [[(0,)] * j + [(1,)] for j in range(m)]
+    p_groups = _by_form_values([v for _, v in body.terms], [[values] * n])
     q_groups = _by_form_values(
-        [u for u, _ in body.terms], product(lead, *[values] * (m - 1))
+        [u for u, _ in body.terms], [lead + [values] * (m - len(lead)) for lead in leads]
     )
-    seen: set[tuple[int, ...]] = set()
+    members = []
     for qv, qs in q_groups.items():
         rows = [_scaled_rows(q).__getitem__ for q in qs]
         for pv, ps in p_groups.items():
             if sum(map(mul, pv, qv)) == 1:
-                seen.update(
-                    tuple(chain.from_iterable(map(row, p))) for p in ps for row in rows
-                )
-    return set(filter(set(population.values).issuperset, seen))
+                members += [tuple(chain.from_iterable(map(row, p))) for p in ps for row in rows]
+    return list(filter(set(population.values).issuperset, members))
 
 
 def _materialize_body(body, population: Population, shape: tuple[int, int]):
     """The body's members: a linear system's result, in odometer order, or
-    a set of entry tuples for any other body."""
+    a collection of distinct entry tuples for any other body."""
     if isinstance(body, SumConstraintSystem):
         return enumerate_sum_constrained(body, population)
     if isinstance(body, RankOneProductFamily):
@@ -685,28 +714,64 @@ def _materialize_body(body, population: Population, shape: tuple[int, int]):
 def _of_rank(result: EnumerationResult, rank: int) -> EnumerationResult:
     """The members of ``result`` of the given rank, in its order.
 
-    The rank of X is that of its set of distinct rows, memoized on the set.
-    A block's whole rows give one row set per block, and the rest of its
-    prefix (nonempty only where X has one row) joined with each suffix one
-    per shared list and rest; the rank is taken once per distinct union.
+    The rank of X is the dimension of its row space, and a block splits
+    its rows into the whole rows of the prefix, the head, and the rest of
+    the prefix (nonempty only where X has one row) joined with a suffix,
+    a tail: rank X = dim span(head rows ∪ tail rows).  So ranks are taken
+    on row spaces, never on members.  Each row space has a small id, kept
+    by its integer normal basis (``_normal_basis`` reads it off the
+    reduced echelon form, so every basis of the space gives the same),
+    and the space one row spans with it is memoized per (space id, row).
+    The tails of a shared list get their space ids once per (list, rest);
+    a list is then cut once per head space, by whether each tail's space
+    joined to the head's has dimension ``rank``, and the kept list is
+    shared by every block with that list, rest and head space, so
+    ``serialize`` writes it once.
     """
     m = result.shape[1]
-    rank_of = cache(_row_rank)
+    ids: dict[tuple, int] = {}  # the normal basis of a space -> its id
+    bases: list[list[tuple[int, ...]]] = []
+    normals: list[tuple[tuple[int, ...], ...]] = []
+    grown: dict[tuple[int, tuple[int, ...]], int] = {}
 
-    def rows(e):
-        return frozenset(zip(*[iter(e)] * m))
+    def space(basis):
+        normal = tuple(_normal_basis(basis, m))
+        if normal not in ids:
+            ids[normal] = len(bases)
+            bases.append(basis)
+            normals.append(normal)
+        return ids[normal]
 
-    tails: dict[tuple, list[frozenset]] = {}  # by (list identity, rest)
+    def span(sid, rows):
+        """The id of the span of space ``sid`` and the rows."""
+        for row in rows:
+            key = (sid, row)
+            if key not in grown:
+                inside = not any(sum(map(mul, y, row)) for y in normals[sid])
+                grown[key] = sid if inside else space(bases[sid] + [row])
+            sid = grown[key]
+        return sid
+
+    zero = space([])
+    tails: dict[tuple, list[int]] = {}  # the tails' space ids, by (list, rest)
+    fits: dict[int, dict[int, bool]] = {}  # head space -> tail space -> kept
+    cuts: dict[tuple, list[tuple[int, ...]]] = {}  # by (list, rest, head space)
     blocks = []
     for p, ss in result._blocks:
         whole = len(p) - len(p) % m
-        head, rest = rows(p[:whole]), p[whole:]
-        key = (id(ss), rest)
-        if key not in tails:
-            tails[key] = [rows(rest + s) for s in ss]
-        kept = [s for s, t in zip(ss, tails[key]) if rank_of(head | t) == rank]
-        if kept:
-            blocks.append((p, kept))
+        rest = p[whole:]
+        head = span(zero, zip(*[iter(p[:whole])] * m))
+        key = (id(ss), rest, head)
+        if key not in cuts:
+            tail = key[:2]
+            if tail not in tails:
+                tails[tail] = [span(zero, zip(*[iter(rest + s)] * m)) for s in ss]
+            fit = fits.setdefault(head, {})
+            for t in set(tails[tail]).difference(fit):
+                fit[t] = len(bases[span(head, bases[t])]) == rank
+            cuts[key] = list(compress(ss, map(fit.__getitem__, tails[tail])))
+        if cuts[key]:
+            blocks.append((p, cuts[key]))
     return EnumerationResult._of_blocks(result.shape, blocks)
 
 
@@ -724,7 +789,7 @@ def materialize_family(
         # counted without building members
         return enumerate_sum_constrained(family.body, population, count_only=True)
     found = _materialize_body(family.body, population, shape)
-    if isinstance(found, set):
+    if not isinstance(found, EnumerationResult):
         found = EnumerationResult(shape, tuple(sorted(found)), len(found))
     if rank is not None:
         found = _of_rank(found, rank)

@@ -745,6 +745,96 @@ class TestRandomSystemsMatchFilter:
         assert got.serialize() == want.serialize()
 
 
+def _row_space(rows):
+    """The reduced row echelon form of the rows, in Fraction: one key per
+    row space, made without the census code."""
+    echelon = []
+    for row in rows:
+        row = list(map(Fraction, row))
+        for pivot in echelon:
+            c = next(c for c, e in enumerate(pivot) if e)
+            row = [e - row[c] * p for e, p in zip(row, pivot)]
+        if any(row):
+            lead = next(e for e in row if e)
+            row = [e / lead for e in row]
+            c = row.index(1)
+            echelon = [[e - p[c] * r for e, r in zip(p, row)] for p in echelon]
+            echelon.append(row)
+    return tuple(sorted(tuple(r) for r in echelon))
+
+
+class TestOfRank:
+    """``_of_rank`` against ``exact_rank`` member by member, and its kept
+    lists shared by the blocks whose suffix list, prefix rest and head
+    space agree."""
+
+    @staticmethod
+    def _check(result):
+        n, m = result.shape
+        stream = result.matrices
+        kept_lists = 0
+        for rank in range(min(n, m) + 1):
+            want = tuple(e for e in stream if exact_rank(IntMatrix(n, m, e)) == rank)
+            got = cs._of_rank(result, rank)
+            assert got.matrices == want and got.count == len(want), rank
+            # each kept block keeps its prefix, and the blocks of one
+            # (suffix list, rest, head space) hold one kept list
+            source = {p: ss for p, ss in result._blocks}
+            held = {}
+            for p, kept in got._blocks:
+                whole = len(p) - len(p) % m
+                head = _row_space(zip(*[iter(p[:whole])] * m))
+                key = (id(source[p]), p[whole:], head)
+                assert held.setdefault(key, kept) is kept, (rank, p)
+            kept_lists += len({id(kept) for _, kept in got._blocks})
+        return kept_lists
+
+    @pytest.mark.parametrize(
+        "rows",
+        [
+            [[1], [1], [0], [0], [0], [0], [0]],
+            [[1], [-1], [-1], [0], [0], [0], [0]],
+            [[1, 1, 0, 0, 0, 0, 0]],
+            [[-1, 1, 1, 0, 0, 0, 0]],
+            [[1, 1, -1, -1, -1], [1, 1, -1, -1, -1]],
+            [[1, 1], [1, 1], [-1, -1], [-1, -1], [-1, -1]],
+            [[1, 1, 1, 0, 0], [-1, -1, -1, 0, 0], [1, -1, 0, 1, 0], [0, 0, 0, 0, 1]],
+        ],
+        ids=["typeIII-7x1", "typeIV-7x1", "typeIII-1x7", "typeIV-1x7",
+             "typeII-2x5", "typeII-5x2", "orthogonal-stack-4x5"],
+    )
+    def test_theorem_families(self, rows):
+        # a 7x1 A has a one-row X, which the walk splits mid-row
+        from bohemian.theorems import select_theorem
+
+        a = M(rows)
+        result = cs.materialize_family(select_theorem(a, "1"))
+        assert len(result._blocks) > 1
+        if a.cols == 1:
+            assert 0 < len(result._blocks[0][0]) < a.rows
+        kept_lists = self._check(result)
+        if a.rows == 2:  # heads of one row space share their kept lists
+            assert kept_lists < sum(
+                len(cs._of_rank(result, r)._blocks) for r in range(3))
+
+    @pytest.mark.parametrize(
+        "a",
+        [ones(2, 3), ones(3, 2), M([[1, 0, -1], [0, 1, 1]]), M([[1, 1, 0], [0, 1, 1]]),
+         M([[1, 0], [1, -1], [0, 1]]), ones(2, 4)],
+        ids=["ones-2x3", "ones-3x2", "2x3", "2x3-b", "3x2", "ones-2x4"],
+    )
+    def test_spec1_scans(self, a):
+        # the scan's leads are whole rows of X, and a bucket is shared by
+        # every lead that it completes
+        full = cs.brute_force_inverses(a, "1")
+        for rank in range(min(a.shape) + 1):
+            got = cs.brute_force_inverses(a, "1", rank_filter=rank)
+            want = tuple(x for x in full if exact_rank(x) == rank)
+            assert tuple(got) == want, rank
+        if a.rows <= a.cols:  # the scan's own blocks
+            self._check(full)
+
+
 def _product_reference(body, values):
     n, m = body.shape
     seen = set()
