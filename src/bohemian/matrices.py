@@ -1,37 +1,53 @@
 """Exact integer matrix kernel.
 
-Immutable dense matrices with arbitrary-precision integer entries, exact rank
-via fraction-free elimination, entry-sum functionals, Penrose-equation checks,
-and signed-permutation transforms.  No floating point is used anywhere; every
-predicate is decided by exact arithmetic.
+Immutable dense matrices with arbitrary-precision integer entries, exact rank,
+entry-sum functionals, Penrose-equation checks, and signed-permutation
+transforms.  No floating point is used anywhere; every predicate is
+decided by exact arithmetic.
 
 The universal input type is :class:`TernaryMatrix`, whose entries are
 restricted to the population {-1, 0, +1}.  Intermediate products (such as
 A @ X @ A) live in the unrestricted :class:`IntMatrix`.
 
-Every product goes through one kernel, :func:`_product_plan`.  For each
-shape (m, k, p) it compiles, on first use, a straight-line function from
-the row-major entry tuples of an m x k and a k x p factor to those of
-their product, ``(a0*b0 + a1*b2, ...)``: only ``*`` and ``+``, so integer
-factors give an exact integer product.  The inner sums are grouped as
-balanced trees, so a long one compiles without deep recursion.  Plans live
-in a bounded cache, and none is compiled at import.  Which form a product
-takes depends on its shape alone (:func:`_entry_product`): with at most
-``PLAN_LIMIT`` multiplications, :func:`multiply` and :func:`penrose_check`
-apply the whole-shape plan to the entry tuples.  Larger products, and
-every caller holding row tuples, use the row form :func:`_product_rows`:
-the 1 x k x p plan mapped over the rows of the left factor, so a plan
-has at most ``PLAN_LIMIT`` terms or as many as the right factor has
-entries.
+The kernel compiles one straight-line plan per shape for each of its three
+hot operations, on first use, into a bounded cache; none is compiled at
+import, and which form an operation takes depends on the shape alone.
+
+* Products (:func:`_product_plan`): for each shape (m, k, p), a function
+  from the row-major entry tuples of an m x k and a k x p factor to those
+  of their product, ``(a0*b0 + a1*b2, ...)``: only ``*`` and ``+``, so
+  integer factors give an exact integer product.  With at most
+  ``PLAN_LIMIT`` multiplications, :func:`multiply` applies the whole-shape
+  plan to the entry tuples (:func:`_entry_product`).  Larger products, and
+  every caller holding row tuples, use the row form :func:`_product_rows`:
+  the 1 x k x p plan mapped over the rows of the left factor while the
+  right factor has at most ``PLAN_LIMIT`` entries, and above that each
+  row-column sum taken in C by ``sum(map(mul, row, column))``.
+* Penrose flags (:func:`_penrose_plan`): for each shape (m, n) of A, a
+  function of the entry tuples of A and X that forms AX and XA once and
+  returns the four flags of :func:`penrose_check` through short-circuit
+  comparisons, so a candidate that fails AXA = A at its first entry costs
+  one comparison there.  It is compiled while m*n*max(m, n) is at most
+  ``PLAN_LIMIT``; larger shapes compose the :func:`_entry_product` forms.
+* Small ranks (:func:`_rank_plan`): for each shape, a function of the
+  entry tuple that returns the largest order of a nonzero minor, which is
+  the rank.  It is compiled while it has at most ``PLAN_LIMIT``
+  multiplications; larger shapes, and every caller holding row tuples,
+  use the fraction-free (Bareiss) elimination :func:`_row_rank`.
 
 Inputs are checked at the API boundary only: the public constructors
 (``IntMatrix(...)``, ``TernaryMatrix(...)``, ``from_rows``, ``zeros``,
-``ones``, ``identity``, ``unit``) and :func:`parse_matrix`.  A result
-built from operands that were already checked (a product, a transpose, a
-signed-permutation transform) is not checked again: the private
-``IntMatrix._trusted`` builds it, because a sum of products of integers is
-an integer, and moving or negating checked entries keeps them in range.
-Internal callers use it too for entry tuples that are drawn from the
+``ones``, ``identity``, ``unit``, ``SignedPermutation(...)``) and
+:func:`parse_matrix`.  Dimensions must be of type ``int``, so a plan
+cached for a shape is only ever reached with that shape, and entries that
+are ``bool`` (or another ``int`` subclass) are stored as plain ``int``.  A
+result built from operands that were already checked (a product, a
+transpose, a signed-permutation transform) is not checked again: the
+private ``IntMatrix._trusted`` builds it, because a sum of products of
+integers is an integer, and moving or negating checked entries keeps them
+in range.  ``SignedPermutation._trusted`` likewise builds transposes and
+the enumeration of :func:`iter_signed_permutations`.  Internal callers use
+``IntMatrix._trusted`` too for entry tuples that are drawn from the
 population by construction, such as ``verify``'s exhaustive grids.
 """
 
@@ -41,7 +57,8 @@ import operator
 import re
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import chain, permutations, product, repeat
+from itertools import chain, combinations, permutations, product, repeat
+from math import comb
 from typing import Iterable, Iterator, Sequence
 
 TRITS = (-1, 0, 1)
@@ -84,6 +101,12 @@ class IntMatrix:
     entries: tuple[int, ...]
 
     def __post_init__(self):
+        # a float or bool dimension would compare equal to an int one and
+        # reach the plans cached for that shape
+        if type(self.rows) is not int:
+            raise ShapeError(f"matrix rows must be an int, got {self.rows!r}")
+        if type(self.cols) is not int:
+            raise ShapeError(f"matrix cols must be an int, got {self.cols!r}")
         if not isinstance(self.entries, tuple):
             object.__setattr__(self, "entries", tuple(self.entries))
         if self.rows < 1 or self.cols < 1:
@@ -95,7 +118,8 @@ class IntMatrix:
                 f"{self.rows}x{self.cols} matrix needs {self.rows * self.cols} "
                 f"entries, got {len(self.entries)}"
             )
-        self._check_entries()
+        if not self._check_entries():
+            object.__setattr__(self, "entries", tuple(map(int, self.entries)))
 
     @classmethod
     def _trusted(cls, rows: int, cols: int, entries: tuple[int, ...]) -> "IntMatrix":
@@ -108,10 +132,17 @@ class IntMatrix:
         fields["entries"] = entries
         return m
 
-    def _check_entries(self):
+    def _check_entries(self) -> bool:
+        """Raise on the first entry that is not an integer; return whether
+        every entry is a plain ``int`` rather than a ``bool`` or another
+        ``int`` subclass."""
+        plain = True
         for e in self.entries:
-            if not isinstance(e, int):
-                raise DomainError(f"entries must be integers, got {e!r}")
+            if type(e) is not int:
+                if not isinstance(e, int):
+                    raise DomainError(f"entries must be integers, got {e!r}")
+                plain = False
+        return plain
 
     @classmethod
     def from_rows(cls, rows: Iterable[Iterable[int]]) -> "IntMatrix":
@@ -175,10 +206,14 @@ class IntMatrix:
 class TernaryMatrix(IntMatrix):
     """Matrix whose entries all lie in the population {-1, 0, +1}."""
 
-    def _check_entries(self):
+    def _check_entries(self) -> bool:
+        plain = True
         for e in self.entries:
-            if e not in (-1, 0, 1) or not isinstance(e, int):
-                raise DomainError(f"ternary entries must be -1, 0 or 1, got {e!r}")
+            if type(e) is not int or e not in (-1, 0, 1):
+                if e not in (-1, 0, 1) or not isinstance(e, int):
+                    raise DomainError(f"ternary entries must be -1, 0 or 1, got {e!r}")
+                plain = False
+        return plain
 
 
 def zeros(rows: int, cols: int) -> TernaryMatrix:
@@ -203,13 +238,29 @@ def unit(rows: int, cols: int, i: int, j: int, value: int = 1) -> TernaryMatrix:
     return TernaryMatrix(rows, cols, tuple(ent))
 
 
-def _balanced_sum(terms: list[str]) -> str:
-    """``terms`` joined by ``+`` as a balanced tree, so the expression nests
-    only log2(len(terms)) deep."""
-    if len(terms) == 1:
-        return terms[0]
-    half = len(terms) // 2
-    return f"({_balanced_sum(terms[:half])} + {_balanced_sum(terms[half:])})"
+def _compile(name: str, source: str):
+    """The function ``name`` defined by ``source``, compiled in a fresh
+    namespace."""
+    namespace = {"__name__": __name__}
+    exec(compile(source, f"<{name}>", "exec"), namespace)
+    return namespace[name]
+
+
+def _unpack(prefix: str, count: int, source: str) -> tuple[list[str], str]:
+    """Names ``prefix0``, ``prefix1``, ... for the ``count`` items of the
+    tuple named ``source``, and the statement that binds them."""
+    names = [f"{prefix}{i}" for i in range(count)]
+    return names, f"    {', '.join(names)}, = {source}\n"
+
+
+def _product_terms(left, right, m: int, k: int, p: int) -> list[str]:
+    """Source of the m*p row-major entries of the product of an m x k and a
+    k x p factor whose entries are named by ``left`` and ``right``."""
+    return [
+        " + ".join(f"{left[i * k + t]}*{right[t * p + j]}" for t in range(k))
+        for i in range(m)
+        for j in range(p)
+    ]
 
 
 @lru_cache(maxsize=128)
@@ -220,30 +271,28 @@ def _product_plan(m: int, k: int, p: int):
     returns the product's, as one straight-line expression:
     ``(a0*b0 + a1*b2, ...)`` for m = k = p = 2.
     """
-    a = [f"a{i}" for i in range(m * k)]
-    b = [f"b{i}" for i in range(k * p)]
-    body = ", ".join(
-        _balanced_sum([f"{a[i * k + t]}*{b[t * p + j]}" for t in range(k)])
-        for i in range(m)
-        for j in range(p)
-    )
+    a, unpack_a = _unpack("a", m * k, "a")
+    b, unpack_b = _unpack("b", k * p, "b")
     name = f"product_{m}x{k}x{p}"
     source = (
-        f"def {name}(a, b):\n"
-        f"    {', '.join(a)}, = a\n"
-        f"    {', '.join(b)}, = b\n"
-        f"    return ({body},)\n"
+        f"def {name}(a, b):\n{unpack_a}{unpack_b}"
+        f"    return ({', '.join(_product_terms(a, b, m, k, p))},)\n"
     )
-    namespace = {"__name__": __name__}
-    exec(compile(source, f"<{name}>", "exec"), namespace)
-    return namespace[name]
+    return _compile(name, source)
 
 
 def _product_rows(a_rows, b_rows):
     """Row tuples of the product, given row tuples of both factors: the
-    1 x k x p plan applied to each row of the left factor."""
-    plan = _product_plan(1, len(b_rows), len(b_rows[0]))
-    return tuple(map(plan, a_rows, repeat(tuple(chain.from_iterable(b_rows)))))
+    1 x k x p plan applied to each row of the left factor while the right
+    factor has at most ``PLAN_LIMIT`` entries, one ``sum(map(mul, ...))``
+    per row and column above that."""
+    k, p = len(b_rows), len(b_rows[0])
+    if k * p <= PLAN_LIMIT:
+        plan = _product_plan(1, k, p)
+        return tuple(map(plan, a_rows, repeat(tuple(chain.from_iterable(b_rows)))))
+    columns = tuple(zip(*b_rows))
+    mul = operator.mul
+    return tuple(tuple(sum(map(mul, row, col)) for col in columns) for row in a_rows)
 
 
 @lru_cache(maxsize=128)
@@ -323,22 +372,93 @@ def _transposer(rows: int, cols: int):
     )
 
 
+def _penrose_plan(m: int, n: int):
+    """The compiled Penrose flags of an m x n matrix A and an n x m
+    candidate X.
+
+    The returned function takes the row-major entry tuples of A and X and
+    returns the four flags of :func:`penrose_check` as a tuple.  It forms
+    the smaller of AX and XA once, as locals P, and reads both AXA and XAX
+    off P: AXA = (AX)A = A(XA) and XAX = X(AX) = (XA)X.  Each equation is
+    decided by ``==`` on one entry after another joined by ``and``, and the
+    other product's symmetry by its entries formed pair by pair, so each
+    flag stops at the first entry that differs.
+    """
+    a, unpack_a = _unpack("a", m * n, "a")
+    x, unpack_x = _unpack("x", n * m, "x")
+    # P = UV is k x k for the k x w factor U = A and V = X when m <= n,
+    # else for U = X and V = A
+    u, v, k, w = (a, x, m, n) if m <= n else (x, a, n, m)
+    p = [f"p{i}" for i in range(k * k)]
+
+    def equal(terms, names):
+        return " and ".join(f"{t} == {e}" for t, e in zip(terms, names))
+
+    def symmetric(terms, size):
+        pairs = [(i * size + j, j * size + i) for i in range(size) for j in range(i)]
+        return " and ".join(f"{terms[s]} == {terms[t]}" for s, t in pairs) or "True"
+
+    # UVU = U, VUV = V, UV and VU symmetric
+    flags = [
+        equal(_product_terms(p, u, k, k, w), u),
+        equal(_product_terms(v, p, w, k, k), v),
+        symmetric(p, k),
+        symmetric(_product_terms(v, u, w, k, w), w),
+    ]
+    if m > n:
+        flags = [flags[1], flags[0], flags[3], flags[2]]
+    name = f"penrose_{m}x{n}"
+    source = (
+        f"def {name}(a, x):\n{unpack_a}{unpack_x}"
+        + "".join(f"    {e} = {t}\n" for e, t in zip(p, _product_terms(u, v, k, w, k)))
+        + "    return (\n"
+        + "".join(f"        ({flag}),\n" for flag in flags)
+        + "    )\n"
+    )
+    return _compile(name, source)
+
+
+def _composed_flags(m: int, n: int):
+    """The Penrose flags of :func:`_penrose_plan`, composed from the
+    :func:`_entry_product` forms and whole-tuple comparisons."""
+    ax_of, xa_of = _entry_product(m, n, m), _entry_product(n, m, n)
+    axa_of, xax_of = _entry_product(m, m, n), _entry_product(n, n, m)
+
+    def composed(ae, xe):
+        ax, xa = ax_of(ae, xe), xa_of(xe, ae)
+        return (
+            axa_of(ax, ae) == ae,
+            xax_of(xa, xe) == xe,
+            m == 1 or ax == _transposer(m, m)(ax),
+            n == 1 or xa == _transposer(n, n)(xa),
+        )
+
+    return composed
+
+
+@lru_cache(maxsize=64)
+def _penrose_flags(m: int, n: int):
+    """The Penrose flags of an m x n matrix A and an n x m candidate as a
+    function of their entry tuples: the compiled plan while
+    m*n*max(m, n) is at most ``PLAN_LIMIT``, the composed form above."""
+    if m * n * max(m, n) <= PLAN_LIMIT:
+        return _penrose_plan(m, n)
+    return _composed_flags(m, n)
+
+
+#: every report by its four flags; a report is immutable, so
+#: :func:`penrose_check` hands out these shared instances
+_REPORTS = {flags: PenroseReport(*flags) for flags in product((False, True), repeat=4)}
+
+
 def penrose_check(a: IntMatrix, x: IntMatrix) -> PenroseReport:
     """Test AXA=A, XAX=X and the two symmetry equations exactly."""
-    if (x.rows, x.cols) != (a.cols, a.rows):
-        raise ShapeError(
-            f"candidate inverse must be {a.cols}x{a.rows}, got {x.rows}x{x.cols}"
-        )
     m, n = a.rows, a.cols
-    ae, xe = a.entries, x.entries
-    ax = _entry_product(m, n, m)(ae, xe)
-    xa = _entry_product(n, m, n)(xe, ae)
-    return PenroseReport(
-        _entry_product(m, m, n)(ax, ae) == ae,
-        _entry_product(n, n, m)(xa, xe) == xe,
-        m == 1 or ax == _transposer(m, m)(ax),
-        n == 1 or xa == _transposer(n, n)(xa),
-    )
+    if x.rows != n or x.cols != m:
+        raise ShapeError(
+            f"candidate inverse must be {n}x{m}, got {x.rows}x{x.cols}"
+        )
+    return _REPORTS[_penrose_flags(m, n)(a.entries, x.entries)]
 
 
 @dataclass(frozen=True)
@@ -367,6 +487,18 @@ class SignedPermutation:
             raise DomainError(f"signs must be +-1: {self.signs}")
 
     @classmethod
+    def _trusted(
+        cls, perm: tuple[int, ...], signs: tuple[int, ...]
+    ) -> "SignedPermutation":
+        """An instance built without ``__post_init__``'s checks, for a perm
+        and signs that are valid by construction."""
+        u = object.__new__(cls)
+        fields = u.__dict__
+        fields["perm"] = perm
+        fields["signs"] = signs
+        return u
+
+    @classmethod
     def identity(cls, k: int) -> "SignedPermutation":
         return cls(tuple(range(k)), (1,) * k)
 
@@ -388,7 +520,7 @@ class SignedPermutation:
         for t, (r, s) in enumerate(zip(self.perm, self.signs)):
             perm[r] = t
             signs[r] = s
-        return SignedPermutation(tuple(perm), tuple(signs))
+        return SignedPermutation._trusted(tuple(perm), tuple(signs))
 
     def apply_left(self, m: IntMatrix) -> IntMatrix:
         """U @ M computed by row relocation: row perm[t] gets signs[t] * M[t]."""
@@ -417,9 +549,10 @@ class SignedPermutation:
 
 def iter_signed_permutations(k: int) -> Iterator[SignedPermutation]:
     """All 2^k * k! signed permutations of size k, in a fixed order."""
+    trusted = SignedPermutation._trusted
     for perm in permutations(range(k)):
         for signs in product((1, -1), repeat=k):
-            yield SignedPermutation(perm, signs)
+            yield trusted(perm, signs)
 
 
 def transform_inverse(
@@ -438,9 +571,78 @@ def transform_inverse(
     return u.transpose().apply_right(v.transpose().apply_left(x))
 
 
+def _rank_plan(rows: int, cols: int):
+    """The compiled rank of a ``rows`` x ``cols`` matrix, as a function of
+    its row-major entry tuple.
+
+    The rank is the largest order of a nonzero minor, or 0 for the zero
+    matrix: the rows through a nonzero k x k minor are independent, and k
+    independent rows form a k x ``cols`` matrix of rank k, whose k
+    independent columns give a nonzero k x k minor.  The plan tests the
+    orders from min(rows, cols) down, each as its minors joined by ``or``,
+    and returns the first order with a nonzero one; order 1 is ``any`` of
+    the entries.  A minor of order k >= 2 is expanded along its first row
+    into minors of order k - 1 on the rows below.  Those are bound to
+    locals before the chain of order k, and the chain of order k - 1 reads
+    them by name, so every minor is computed at most once.
+    """
+    a, unpack = _unpack("a", rows * cols, "a")
+    bound: set[tuple] = set()
+    lines: list[str] = []
+
+    def label(r, c):
+        return f"d{'_'.join(map(str, r))}x{'_'.join(map(str, c))}"
+
+    def expansion(r, c):
+        """Source of the minor on rows ``r`` and columns ``c``, binding its
+        sub-minors of order 2 and up first."""
+        if len(r) == 1:
+            return a[r[0] * cols + c[0]]
+        terms = []
+        for j, cj in enumerate(c):
+            sub = (r[1:], c[:j] + c[j + 1 :])
+            if len(r) > 2 and sub not in bound:
+                lines.append(f"    {label(*sub)} = {expansion(*sub)}\n")
+                bound.add(sub)
+            minor = label(*sub) if len(r) > 2 else expansion(*sub)
+            terms.append(f"{a[r[0] * cols + cj]}*{minor}")
+        return terms[0] + "".join(
+            f" {'+-'[j % 2]} {t}" for j, t in enumerate(terms) if j
+        )
+
+    for k in range(min(rows, cols), 1, -1):
+        minors = [
+            label(r, c) if (r, c) in bound else f"({expansion(r, c)})"
+            for r in combinations(range(rows), k)
+            for c in combinations(range(cols), k)
+        ]
+        lines.append(f"    if {' or '.join(minors)}:\n        return {k}\n")
+    name = f"rank_{rows}x{cols}"
+    source = (
+        f"def {name}(a):\n{unpack if lines else ''}{''.join(lines)}"
+        "    return 1 if any(a) else 0\n"
+    )
+    return _compile(name, source)
+
+
+@lru_cache(maxsize=64)
+def _entry_rank(rows: int, cols: int):
+    """:func:`exact_rank` as a function of the entry tuple: the compiled
+    plan while it has at most ``PLAN_LIMIT`` multiplications (k for each
+    minor of order k >= 2), elimination by :func:`_row_rank` above that."""
+    count = 0
+    for k in range(2, min(rows, cols) + 1):
+        count += k * comb(rows, k) * comb(cols, k)
+        if count > PLAN_LIMIT:
+            return lambda entries: _row_rank(zip(*[iter(entries)] * cols))
+    return _rank_plan(rows, cols)
+
+
 def exact_rank(a: IntMatrix) -> int:
-    """Rank over the rationals via fraction-free (Bareiss) elimination."""
-    return _row_rank(a.row_tuples())
+    """Rank over the rationals: the largest order of a nonzero minor, read
+    off a compiled plan for small shapes (:func:`_rank_plan`) and by
+    fraction-free (Bareiss) elimination for larger ones."""
+    return _entry_rank(a.rows, a.cols)(a.entries)
 
 
 def _row_rank(rows: Iterable[Sequence[int]]) -> int:

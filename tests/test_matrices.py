@@ -1,8 +1,9 @@
 from __future__ import annotations
 
 import random
+from operator import mul
 from fractions import Fraction
-from itertools import product
+from itertools import permutations, product
 
 import pytest
 from hypothesis import given, settings
@@ -10,6 +11,12 @@ from hypothesis import strategies as st
 
 from bohemian.matrices import (
     PLAN_LIMIT,
+    _composed_flags,
+    _entry_rank,
+    _penrose_flags,
+    _penrose_plan,
+    _rank_plan,
+    _row_rank,
     DomainError,
     IntMatrix,
     ParseError,
@@ -88,6 +95,24 @@ class TestConstruction:
     def test_entries_become_a_tuple(self):
         assert IntMatrix(1, 2, [3, 4]).entries == (3, 4)
 
+    @pytest.mark.parametrize("cls", [IntMatrix, TernaryMatrix])
+    def test_bool_entries_are_stored_as_int(self, cls):
+        m = cls(1, 3, (True, False, -1))
+        assert [type(e) for e in m.entries] == [int, int, int]
+        assert serialize_matrix(m) == "1 0 -1\n"
+
+    @pytest.mark.parametrize("bad", [2.0, True, "2", None])
+    @pytest.mark.parametrize("cls", [IntMatrix, TernaryMatrix])
+    def test_dimensions_must_be_ints(self, cls, bad):
+        # 2.0 and True compare equal to an int dimension; each must be
+        # refused before any plan cached for that shape is reached
+        with pytest.raises(ShapeError) as rows_err:
+            cls(bad, 2, (1, 0, 0, 1))
+        assert str(rows_err.value) == f"matrix rows must be an int, got {bad!r}"
+        with pytest.raises(ShapeError) as cols_err:
+            cls(2, bad, (1, 0, 0, 1))
+        assert str(cols_err.value) == f"matrix cols must be an int, got {bad!r}"
+
 
 class TestRank:
     def test_repeated_rows(self):
@@ -126,6 +151,43 @@ class TestRank:
         for m, n in product(range(1, 4), repeat=2):
             for a in all_ternary(m, n):
                 assert exact_rank(a) == exact_rank(a.transpose())
+
+    def test_plan_matches_elimination_on_every_small_ternary_matrix(self):
+        shapes = [(m, n) for m, n in product(range(1, 10), repeat=2) if m * n <= 9]
+        for m, n in shapes:
+            plan = _rank_plan(m, n)
+            for ent in product((-1, 0, 1), repeat=m * n):
+                assert plan(ent) == _row_rank(zip(*[iter(ent)] * n))
+
+    def test_plan_matches_elimination_on_random_int_matrices(self):
+        # the compiled shapes up to 9 x 9, and the first shapes above the
+        # bound, which exact_rank eliminates and the plan is compiled for
+        # here only; products of an m x r and an r x n factor give every
+        # rank r, so each order's chain of minors falls through
+        compiled = [(m, 1) for m in range(1, 10)] + [(1, n) for n in range(2, 10)]
+        compiled += [(2, n) for n in range(2, 9)] + [(m, 2) for m in range(3, 9)]
+        compiled += [(3, 3), (3, 4), (4, 3)]
+        above = [(2, 9), (9, 2), (3, 5), (5, 3), (4, 4)]
+        rng = random.Random(19)
+        pools = [range(-5, 6), (-(2**65), 2**65, -1, 0, 1)]
+        for (m, n), pool in product(compiled + above, pools):
+            is_plan = _entry_rank(m, n).__name__ == f"rank_{m}x{n}"
+            assert is_plan == ((m, n) in compiled)
+            plan = _rank_plan(m, n)
+            for r in range(min(m, n) + 1):
+                for _ in range(10):
+                    left = [[rng.choice(pool) for _ in range(r)] for _ in range(m)]
+                    right = [[rng.choice(pool) for _ in range(n)] for _ in range(r)]
+                    rows = [
+                        tuple(sum(map(mul, row, col)) for col in zip(*right))
+                        if r
+                        else (0,) * n
+                        for row in left
+                    ]
+                    a = IntMatrix.from_rows(rows)
+                    want = _row_rank(rows)
+                    assert want <= r
+                    assert plan(a.entries) == exact_rank(a) == want
 
 
 class TestEntrySum:
@@ -170,25 +232,93 @@ class TestPenrose:
     def test_flags_match_defining_equations_small_shapes(self):
         # exhaustive cross-check against an index-by-index evaluation of the
         # defining equations, every shape up to 2 x 3
-        def naive(a_rows, b_rows, m, k, n):
-            return tuple(
-                tuple(
-                    sum(a_rows[i][t] * b_rows[t][j] for t in range(k))
-                    for j in range(n)
-                )
-                for i in range(m)
-            )
+        def naive(ae, be, m, k, n):
+            out = []
+            for i in range(m):
+                for j in range(n):
+                    total = 0
+                    for t in range(k):
+                        total += ae[i * k + t] * be[t * n + j]
+                    out.append(total)
+            return tuple(out)
 
         for m, n in [(1, 1), (1, 2), (2, 1), (1, 3), (2, 2), (2, 3)]:
-            xs = [(x, x.row_tuples()) for x in all_ternary(n, m)]
+            xs = [(x, x.entries) for x in all_ternary(n, m)]
             for a in all_ternary(m, n):
-                ar = a.row_tuples()
-                for x, xr in xs:
+                ae = a.entries
+                for x, xe in xs:
                     rep = penrose_check(a, x)
-                    axa = naive(naive(ar, xr, m, n, m), ar, m, m, n)
-                    xax = naive(naive(xr, ar, n, m, n), xr, n, n, m)
-                    assert rep.satisfies_1 == (axa == ar)
-                    assert rep.satisfies_2 == (xax == xr)
+                    axa = naive(naive(ae, xe, m, n, m), ae, m, m, n)
+                    xax = naive(naive(xe, ae, n, m, n), xe, n, n, m)
+                    assert rep.satisfies_1 == (axa == ae)
+                    assert rep.satisfies_2 == (xax == xe)
+
+    def test_plan_matches_composed_flags_on_every_small_ternary_pair(self):
+        # every compiled shape whose A and X have up to 8 cells together
+        for m, n in [(1, 1), (1, 2), (2, 1), (1, 3), (3, 1), (1, 4), (4, 1), (2, 2)]:
+            plan, composed = _penrose_plan(m, n), _composed_flags(m, n)
+            for ae, xe in product(product((-1, 0, 1), repeat=m * n), repeat=2):
+                assert plan(ae, xe) == composed(ae, xe)
+
+    def test_plan_matches_composed_flags_on_random_int_pairs(self):
+        # the compiled shapes, and the first shape above the bound for each
+        # m, which penrose_check composes and the plan is compiled for here
+        # only.  A = U E V with E = [I_r 0; 0 0] and X = V^-1 E^T U^-1, for
+        # integer shears U and V, satisfies equations 1 and 2; one changed
+        # entry of X breaks them at some entry other than the first
+        compiled = [
+            (m, n)
+            for m, n in product(range(1, 9), repeat=2)
+            if m * n * max(m, n) <= PLAN_LIMIT
+        ]
+        above = [(1, 9), (2, 6), (3, 5), (4, 5), (5, 3), (6, 2), (7, 2), (8, 2), (9, 1)]
+        rng = random.Random(23)
+
+        def sheared(k, factors):
+            # a unimodular k x k matrix and its inverse, as entry lists
+            u = [[int(i == j) for j in range(k)] for i in range(k)]
+            inv = [row[:] for row in u]
+            for _ in range(2 * k if k > 1 else 0):
+                i, j = rng.sample(range(k), 2)
+                c = rng.choice(factors)
+                u[i] = [e + c * f for e, f in zip(u[i], u[j])]
+                for row in inv:
+                    row[j] -= c * row[i]
+            return u, inv
+
+        def times(a, b):
+            return [[sum(map(mul, r, c)) for c in zip(*b)] for r in a]
+
+        def flat(rows):
+            return tuple(e for r in rows for e in r)
+
+        pools = [range(-5, 6), (-(2**65), 2**65)]
+        for (m, n), factors in product(compiled + above, pools):
+            flags = _penrose_flags(m, n)
+            assert (flags.__name__ == f"penrose_{m}x{n}") == ((m, n) in compiled)
+            plan, composed = _penrose_plan(m, n), _composed_flags(m, n)
+            seen = set()
+            for r in range(min(m, n) + 1):
+                for _ in range(6):
+                    u, u_inv = sheared(m, factors)
+                    v, v_inv = sheared(n, factors)
+                    e = [[int(i == j < r) for j in range(n)] for i in range(m)]
+                    a = flat(times(times(u, e), v))
+                    x = flat(times(times(v_inv, [list(c) for c in zip(*e)]), u_inv))
+                    changed = list(x)
+                    changed[rng.randrange(len(x))] += rng.choice((-1, 1))
+                    noise = tuple(rng.choice(factors) for _ in x)
+                    for xe in (x, tuple(changed), noise, (0,) * len(x)):
+                        got = plan(a, xe)
+                        assert got == composed(a, xe)
+                        rep = penrose_check(IntMatrix(m, n, a), IntMatrix(n, m, xe))
+                        assert got == tuple(rep.to_json().values())
+                        seen.add(got)
+                    assert plan(a, x)[:2] == (True, True)
+            # each flag takes both values, but a symmetry flag of a 1 x 1
+            # product, which is always True
+            for i, size in enumerate((0, 0, m, n)):
+                assert {f[i] for f in seen} == ({True} if size == 1 else {False, True})
 
     def test_symmetry_flags_match_transpose_equality(self):
         # every ternary (A, X) pair of each shape, against AX and XA formed
@@ -239,6 +369,36 @@ class TestSignedPermutation:
     def test_enumeration_count(self):
         assert len(list(iter_signed_permutations(2))) == 8
         assert len(list(iter_signed_permutations(3))) == 48
+
+    def test_built_results_equal_validated_constructions(self, monkeypatch):
+        # enumerated and transposed signed permutations are built without
+        # __post_init__; each must equal, type and fields alike, the one
+        # constructed with every check from its matrix
+        def from_matrix(rows):
+            # column t holds its one nonzero entry at row perm[t]
+            cols = list(zip(*rows))
+            perm = tuple(next(r for r, e in enumerate(c) if e) for c in cols)
+            return SignedPermutation(perm, tuple(c[r] for c, r in zip(cols, perm)))
+
+        want = []
+        for k in range(1, 5):
+            for perm in permutations(range(k)):
+                for signs in product((1, -1), repeat=k):
+                    rows = SignedPermutation(perm, signs).to_matrix().row_tuples()
+                    want.append((from_matrix(rows), from_matrix(zip(*rows))))
+
+        def refuse(self):
+            raise AssertionError("a built signed permutation was checked again")
+
+        monkeypatch.setattr(SignedPermutation, "__post_init__", refuse)
+        got = [u for k in range(1, 5) for u in iter_signed_permutations(k)]
+        assert len(got) == len(want) == 2 + 8 + 48 + 384
+        for u, (u_want, t_want) in zip(got, want):
+            t = u.transpose()
+            for g, w in ((u, u_want), (t, t_want)):
+                assert type(g) is SignedPermutation
+                assert vars(g) == vars(w)
+                assert [type(e) for e in g.perm + g.signs] == [int] * (2 * g.size)
 
 
 class TestTransformInverse:
@@ -325,9 +485,14 @@ def _triple_loop(a, b):
 class TestMultiply:
     def test_matches_triple_loop_on_random_int_matrices(self):
         # every shape up to 4 x 4 x 4 runs as one compiled plan; (5, 4, 6)
-        # has more than PLAN_LIMIT multiplications and runs row by row
+        # has more than PLAN_LIMIT multiplications and runs row by row, and
+        # (2, 9, 8) also has a right factor of more than PLAN_LIMIT entries,
+        # so each row-column sum is taken by sum(map(mul, ...))
         rng = random.Random(13)
-        shapes = [*product(range(1, 5), repeat=3), (1, 3, 5), (5, 3, 1), (5, 4, 6)]
+        shapes = [
+            *product(range(1, 5), repeat=3), (1, 3, 5), (5, 3, 1), (5, 4, 6), (2, 9, 8)
+        ]
+        assert 9 * 8 > PLAN_LIMIT >= 4 * 6
         assert 5 * 4 * 6 > PLAN_LIMIT >= 4 * 4 * 4
         pools = [range(-9, 10), (-(2**70), 2**65 + 3, -1, 0, 7)]
         for (m, k, n), pool in product(shapes, pools):
@@ -338,7 +503,7 @@ class TestMultiply:
                 assert type(got) is IntMatrix
                 assert got.shape == (m, n)
                 assert got.to_lists() == _triple_loop(a, b)
-        # an inner sum of 3,000 terms compiles (as a balanced tree)
+        # an inner sum of 3,000 terms
         assert multiply(ones(1, 3000), ones(3000, 1)).to_lists() == [[3000]]
 
     def test_built_results_equal_checked_ones_without_the_checks(self, monkeypatch):
