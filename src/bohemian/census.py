@@ -49,6 +49,7 @@ from .matrices import (
     IntMatrix,
     ResourceLimitError,
     TernaryMatrix,
+    _compile,
     _product_rows,
     _row_rank,
     _transposer,
@@ -211,8 +212,7 @@ def brute_force_inverses(
     B A is read from the table of products x A.  A part of dimension r
     holds rank-r matrices only, so a rank filter picks parts instead of
     ranking hits, and no W of dimension above rank(A), or above the
-    filter, is built; a W with rank(B A) < r holds none.  The parts'
-    streams are merged back into odometer order, one block.
+    filter, is built; a W with rank(B A) < r holds none.
 
     Spec 12 is the part of dimension rank(A), by this lemma (Ben-Israel
     and Greville, *Generalized Inverses*, ch. 1): AXA = A and XAX = X if
@@ -226,14 +226,19 @@ def brute_force_inverses(
 
     So spec 12 runs the XAX = X joins of the subspaces of dimension
     rank(A) only.  Each streamed hit is still confirmed on XAX = X, and a
-    spec-12 hit on AXA = A too, each by sums of the same integer codes
-    that the joins use.
+    spec-12 hit on AXA = A too, by sums of the same integer codes that
+    the joins use, in one compiled plan per shape (``_row_plan``) that
+    also makes the hit's entry tuple; one sort merges the parts.  The row
+    table is in odometer order, so index tuples compare as the entry
+    tuples their rows concatenate into: each join, and the spec-1 join's
+    blocks, stream in odometer order.
 
     Only per-row parts of the products are shared, tabulated once per A.
     A taller-than-wide A is scanned as A^T, whose inverses are the
     transposes of A's with the same ranks, so every table of rows has at
-    most |P|^min(m, n) entries; its hits are transposed and sorted into
-    one block.  Ranks are taken, and entry tuples made, for hits only.
+    most |P|^min(m, n) entries; its hits' entry tuples are transposed
+    (and, for spec 1, then sorted).  Ranks are taken, and entry tuples
+    made, for hits only.
     """
     spec = normalize_spec(spec)
     cells = a.rows * a.cols
@@ -262,19 +267,17 @@ def brute_force_inverses(
         if tally:
             return EnumerationResult(shape, None, sum(pairs))
     else:
-        joins = _outer_joins(ar, rows, ra, population.values, rank, rank_filter,
-                             count_only)
+        codes, joins = _outer_joins(ar, rows, ra, population.values, rank,
+                                    rank_filter, count_only)
         if count_only:
             return EnumerationResult(shape, None, sum(chain.from_iterable(joins)))
-        hits = sorted(chain.from_iterable(joins))  # one odometer order again
-        if spec == "12":  # confirm AXA = A as well
-            coeffs, vecs, target = _inner_codes(ar, ra)
-            hits = [idx for idx in hits
-                    if sum(map(mul, coeffs, map(vecs.__getitem__, idx))) == target]
-        pairs = [((), hits)]
+        hit = _row_plan(len(ar[0]), len(ar), flip, spec)(
+            rows, ra, codes, *(_inner_codes(ar, ra) if spec == "12" else ()))
+        found = sorted(filter(None, map(hit, chain.from_iterable(joins))))
+        return EnumerationResult(shape, tuple(found), len(found))
     scanned = (len(ar[0]), len(ar))  # the shape of X, or of X^T if flipped
-    result = EnumerationResult._of_blocks(scanned, _entry_blocks(pairs, rows))
-    if spec == "1" and rank_filter is not None:
+    result = EnumerationResult._of_blocks(scanned, _entry_blocks(pairs, rows, len(ar[0])))
+    if rank_filter is not None:
         result = _of_rank(result, rank_filter)  # rank(X^T) = rank(X)
     if count_only:
         return EnumerationResult(shape, None, result.count)
@@ -284,18 +287,58 @@ def brute_force_inverses(
     return result
 
 
-def _entry_blocks(pairs, rows) -> list[tuple[tuple[int, ...], list[tuple[int, ...]]]]:
-    """The blocks of (lead, bucket) pairs of index tuples into the table
-    ``rows``: an index tuple's entry tuple is its rows concatenated, and a
-    bucket that several leads share is converted once."""
+def _entry_blocks(pairs, rows, n) -> list[tuple[tuple[int, ...], list[tuple[int, ...]]]]:
+    """The blocks of the (lead, bucket) pairs of a join over n positions,
+    of index tuples into the table ``rows``: an index tuple's entry tuple
+    is its rows concatenated (``_row_plan``), and a bucket that several
+    leads share is converted once."""
+    lead_rows = _row_plan(n - n // 2, 0, False, None)(rows)
+    tail_rows = _row_plan(n // 2, 0, False, None)(rows)
     tails: dict[int, list[tuple[int, ...]]] = {}  # by the bucket's identity
     blocks = []
     for lead, bucket in pairs:
         key = id(bucket)
         if key not in tails:
-            tails[key] = [tuple(chain.from_iterable([rows[i] for i in t])) for t in bucket]
-        blocks.append((tuple(chain.from_iterable([rows[i] for i in lead])), tails[key]))
+            tails[key] = list(map(tail_rows, bucket))
+        blocks.append((lead_rows(lead), tails[key]))
     return blocks
+
+
+@lru_cache(maxsize=64)
+def _row_plan(n: int, m: int, flip: bool, confirm: Optional[str]):
+    """``_row_plan(n, m, flip, confirm)(rows, ra, codes, *inner)``, compiled
+    per shape, maps an index tuple (i_0, ..., i_{n-1}) into ``rows``, the
+    rows x_k of an n x m X, to X's entry tuple, or with ``flip`` to X^T's.
+    With ``confirm`` "2" or "12" it gives None unless XAX = X for the
+    scanned m x n A: row i of XAX has the code sum_k (x_i A)_k codes[i_k]
+    (``ra`` holds x A), which must be x_i's; with "12", also unless
+    AXA = A, on the terms ``inner`` of ``_inner_codes``."""
+    idx = [f"i{k}" for k in range(n)]
+    body = [f"{', '.join(idx)}, = idx"] if n else []
+    setup, pad = [], ""
+    if confirm:
+        xa = [[f"a{k}_{j}" for j in range(n)] for k in range(n)]  # x_k A
+        body += [f"c{k} = codes[{i}]" for k, i in enumerate(idx)]
+        body += [f"{', '.join(row)}, = ra[{i}]" for row, i in zip(xa, idx)]
+        checks = [" + ".join(f"{a}*c{j}" for j, a in enumerate(row)) + f" == c{k}"
+                  for k, row in enumerate(xa)]
+        if confirm == "12":
+            setup = [f"{', '.join(f'k{k}' for k in range(n))}, = coeffs"]
+            checks.append(" + ".join(f"k{k}*vecs[{i}]" for k, i in enumerate(idx))
+                          + " == target")
+        body.append(f"if {' and '.join(checks)}:")
+        pad = "    "
+    if flip:  # row j of X is column j of the scanned X^T
+        x = [[f"x{k}_{j}" for j in range(m)] for k in range(n)]
+        body += [f"{pad}{', '.join(row)}, = rows[{i}]" for row, i in zip(x, idx)]
+        body.append(f"{pad}return ({', '.join(row[j] for j in range(m) for row in x)},)")
+    else:
+        body.append(f"{pad}return {' + '.join(f'rows[{i}]' for i in idx) or '()'}")
+    name = f"rows_{n}x{m}{'_flip' * flip}_{confirm}"
+    return _compile(name, "".join([
+        f"def {name}(rows, ra=(), codes=(), coeffs=(), vecs=(), target=0):\n",
+        *(f"    {line}\n" for line in setup), "    def plan(idx):\n",
+        *(f"        {line}\n" for line in body), "    return plan\n"]))
 
 
 def _powers(bound: int, count: int) -> list[int]:
@@ -372,15 +415,14 @@ def _inner_codes(ar, ra) -> tuple[list[int], list[int], int]:
     return coeffs, vecs, target
 
 
-def _outer_joins(
-    ar, rows, ra, values, rank, rank_filter, count_only
-) -> Iterator[Iterator]:
-    """For XAX = X, for an m x n A of the given rank with m <= n: one
-    ``_join`` per subspace W spanned by population rows, of dimension
-    ``rank_filter`` if given and at most the rank otherwise, with basis B
-    and rank(B A) = dim W.  Its terms are (B A)[:, k] x_k over the rows
-    x_k in W and its target is B.
-    A streamed hit is kept only if XAX = X holds: row i of XAX is
+def _outer_joins(ar, rows, ra, values, rank, rank_filter, count_only):
+    """For XAX = X, for an m x n A of the given rank with m <= n: the
+    codes of the table's rows, and one ``_join`` per subspace W spanned by
+    population rows, of dimension ``rank_filter`` if given and at most the
+    rank otherwise, with basis B and rank(B A) = dim W.  Its terms are
+    (B A)[:, k] x_k over the rows x_k in W and its target is B; each
+    streams its hits as index tuples, in odometer order.
+    The codes confirm a hit (``_row_plan``): row i of XAX is
     sum_k (x_i A)_k x_k, so its code is one dot product of x_i A with the
     codes of the rows of X, and the radix bounds its difference from the
     code of x_i as it bounds a join's."""
@@ -393,25 +435,23 @@ def _outer_joins(
     blocks = digits[::m]  # R^(j m): row j of a term
     injective = rank == m  # then rank(B A) = rank(B) always
 
-    def holds(idx):
-        xs = list(map(codes.__getitem__, idx))
-        return all(sum(map(mul, ra[i], xs)) == code for i, code in zip(idx, xs))
+    def joins():
+        for space in _subspaces(m, values, rank if rank_filter is None else rank_filter):
+            r = len(space.basis)
+            if rank_filter not in (None, r):
+                continue
+            ba = [ra[b] for b in space.basis]
+            if r and not injective and _row_rank(ba) < r:
+                continue
+            columns = zip(*ba) if r else repeat((), n)  # (B A)[:, k]
+            coeffs = [sum(map(mul, col, blocks)) for col in columns]
+            target = sum(map(mul, [codes[b] for b in space.basis], blocks))
+            found = _join(coeffs, [codes[i] for i in space.members], target,
+                          space.members, count_only)
+            yield found if count_only else (
+                lead + t for lead, bucket in found for t in bucket)
 
-    top = rank if rank_filter is None else rank_filter
-    for space in _subspaces(m, values, top):
-        r = len(space.basis)
-        if rank_filter not in (None, r):
-            continue
-        ba = [ra[b] for b in space.basis]
-        if r and not injective and _row_rank(ba) < r:
-            continue
-        columns = zip(*ba) if r else repeat((), n)  # (B A)[:, k]
-        coeffs = [sum(map(mul, col, blocks)) for col in columns]
-        target = sum(map(mul, [codes[b] for b in space.basis], blocks))
-        found = _join(coeffs, [codes[i] for i in space.members], target,
-                      space.members, count_only)
-        yield found if count_only else filter(
-            holds, (lead + t for lead, bucket in found for t in bucket))
+    return codes, joins()
 
 
 class _Subspace(NamedTuple):

@@ -92,6 +92,17 @@ class ParseError(ValueError):
         self.column = column
 
 
+def _check_dimensions(rows, cols) -> None:
+    # a float or bool dimension would compare equal to an int one and
+    # reach the plans cached for that shape
+    if type(rows) is not int:
+        raise ShapeError(f"matrix rows must be an int, got {rows!r}")
+    if type(cols) is not int:
+        raise ShapeError(f"matrix cols must be an int, got {cols!r}")
+    if rows < 1 or cols < 1:
+        raise ShapeError(f"matrix dimensions must be positive, got {rows}x{cols}")
+
+
 @dataclass(frozen=True, eq=False)
 class IntMatrix:
     """Dense row-major matrix of arbitrary-precision integers."""
@@ -101,18 +112,9 @@ class IntMatrix:
     entries: tuple[int, ...]
 
     def __post_init__(self):
-        # a float or bool dimension would compare equal to an int one and
-        # reach the plans cached for that shape
-        if type(self.rows) is not int:
-            raise ShapeError(f"matrix rows must be an int, got {self.rows!r}")
-        if type(self.cols) is not int:
-            raise ShapeError(f"matrix cols must be an int, got {self.cols!r}")
+        _check_dimensions(self.rows, self.cols)
         if not isinstance(self.entries, tuple):
             object.__setattr__(self, "entries", tuple(self.entries))
-        if self.rows < 1 or self.cols < 1:
-            raise ShapeError(
-                f"matrix dimensions must be positive, got {self.rows}x{self.cols}"
-            )
         if len(self.entries) != self.rows * self.cols:
             raise ShapeError(
                 f"{self.rows}x{self.cols} matrix needs {self.rows * self.cols} "
@@ -217,22 +219,26 @@ class TernaryMatrix(IntMatrix):
 
 
 def zeros(rows: int, cols: int) -> TernaryMatrix:
+    _check_dimensions(rows, cols)
     return TernaryMatrix(rows, cols, (0,) * (rows * cols))
 
 
 def ones(rows: int, cols: int, sign: int = 1) -> TernaryMatrix:
+    _check_dimensions(rows, cols)
     if sign not in (-1, 1):
         raise DomainError(f"sign must be +1 or -1, got {sign}")
     return TernaryMatrix(rows, cols, (sign,) * (rows * cols))
 
 
 def identity(k: int) -> TernaryMatrix:
+    _check_dimensions(k, k)
     return TernaryMatrix(
         k, k, tuple(1 if i == j else 0 for i in range(k) for j in range(k))
     )
 
 
 def unit(rows: int, cols: int, i: int, j: int, value: int = 1) -> TernaryMatrix:
+    _check_dimensions(rows, cols)
     ent = [0] * (rows * cols)
     ent[i * cols + j] = value
     return TernaryMatrix(rows, cols, tuple(ent))

@@ -1,9 +1,10 @@
 from __future__ import annotations
 
 import inspect
+import random
 import types
 from fractions import Fraction
-from itertools import product
+from itertools import chain, product
 
 import pytest
 from hypothesis import given, settings
@@ -16,6 +17,8 @@ from bohemian.matrices import (
     IntMatrix,
     ShapeError,
     TernaryMatrix,
+    _product_rows,
+    _row_rank,
     exact_rank,
     identity,
     multiply,
@@ -317,6 +320,86 @@ class TestScanMatchesReference:
         for values in [(-1, 1), (1,), (-1, 0, 1, 2)]:
             _assert_scan_matches(a, cs.Population(values), checked, ranks, ranks)
 
+    @pytest.mark.parametrize(
+        "shape, seed",
+        [((3, 3), 1), ((3, 3), 13), ((2, 4), 3), ((4, 2), 3), ((2, 5), 1), ((5, 2), 3)],
+        ids=["3x3-full-rank", "3x3-rank-2", "2x4", "4x2", "2x5", "5x2"],
+    )
+    def test_eight_to_ten_cells(self, shape, seed):
+        # seeded A with 8-10 cells reach joins of three to five positions
+        # and, for a tall A, the scan of A^T, streamed as text and counted
+        # at every rank over {-1, 0, 1} and {0, 1}; each rank-2 A has
+        # reflexive inverses over both
+        rng = random.Random(seed)
+        a = TernaryMatrix(*shape, tuple(rng.choice((-1, 0, 1))
+                                        for _ in range(shape[0] * shape[1])))
+        checked = _reference(a, cs.TERNARY.values)
+        ranks = (None,) + tuple(range(min(shape) + 1))
+        for values in [(-1, 0, 1), (0, 1)]:
+            _assert_scan_matches(a, cs.Population(values), checked, ranks, ranks,
+                                 serialized=True)
+
+
+def _mul(p, q):
+    """The product of two matrices given as row tuples, by plain loops."""
+    return tuple(tuple(sum(row[t] * q[t][j] for t in range(len(q)))
+                       for j in range(len(q[0]))) for row in p)
+
+
+#: every shape m x n (m <= n) of a scanned A with at most 10 cells
+HIT_SHAPES = [(m, n) for m in range(1, 4) for n in range(m, 11) if m * n <= 10]
+
+
+class TestHitPlans:
+    """The compiled confirmation of the XAX = X joins' hits, on arbitrary
+    index tuples: the joins yield members only, so their hits alone would
+    not show a plan that skips an equation."""
+
+    @pytest.mark.parametrize("m, n", HIT_SHAPES, ids=[f"{m}x{n}" for m, n in HIT_SHAPES])
+    def test_plan_is_the_defining_equations(self, m, n):
+        rng = random.Random(10 * m + n)
+        kinds = set()
+        # a rank-one A with reflexive inverses, and a random one
+        rank_one = ((1,) * n,) + ((0,) * n,) * (m - 1)
+        for values in [(-1, 0, 1), (0, 1), (-2, -1, 0, 1, 2)]:
+            rows = tuple(product(values, repeat=m))
+            random_a = tuple(tuple(rng.choice((-1, 0, 1)) for _ in range(n))
+                             for _ in range(m))
+            for ar in (rank_one, random_a):
+                ra = _product_rows(rows, ar)
+                codes, joins = cs._outer_joins(ar, rows, ra, values, _row_rank(ar),
+                                               None, False)
+                hits = list(chain.from_iterable(joins))
+                tuples = rng.sample(hits, min(len(hits), 60)) + [
+                    tuple(rng.randrange(len(rows)) for _ in range(n)) for _ in range(60)
+                ] + [(rows.index((0,) * m),) * n]
+                for flip, reflexive in product((False, True), repeat=2):
+                    inner = cs._inner_codes(ar, ra) if reflexive else ()
+                    plan = cs._row_plan(n, m, flip, "12" if reflexive else "2")(
+                        rows, ra, codes, *inner)
+                    for idx in tuples:
+                        x = tuple(rows[i] for i in idx)  # n x m
+                        outer = _mul(_mul(x, ar), x) == x
+                        inner_ok = _mul(_mul(ar, x), ar) == ar
+                        kind = (reflexive, outer, inner_ok if reflexive else None)
+                        kinds.add(kind)
+                        want = None
+                        if outer and (inner_ok or not reflexive):
+                            want = tuple(chain.from_iterable(zip(*x) if flip else x))
+                        assert plan(idx) == want, (ar, values, flip, reflexive, idx)
+        # every outcome was met: no outer inverse, an outer inverse, and,
+        # for spec 12, an outer one that is not inner, and a reflexive one
+        assert kinds >= {(False, False, None), (False, True, None),
+                         (True, False, False), (True, True, False), (True, True, True)}
+
+    def test_unconfirmed_plan_concatenates(self):
+        # spec 1's blocks: leads and suffixes of any length, zero included
+        rows = tuple(product((0, 1, 2), repeat=2))
+        for length in range(5):
+            plan = cs._row_plan(length, 0, False, None)(rows)
+            for idx in product(range(len(rows)), repeat=length):
+                assert plan(idx) == tuple(chain.from_iterable(rows[i] for i in idx))
+
 
 def _assert_capped_prefixes(m, values, spaces):
     """The lattice capped at dimension r is the dimension-<= r part of the
@@ -358,7 +441,7 @@ class TestScanIndependence:
 
     SCAN = ("brute_force_inverses", "_join", "_inner_codes", "_outer_joins",
             "_subspaces", "_normal_basis", "_powers", "_entry_blocks",
-            "_of_rank")
+            "_of_rank", "_row_plan")
     CHECKED = {"bohemian.families", "bohemian.classify", "bohemian.theorems"}
 
     def test_scan_names_resolve_outside_the_checked_modules(self):
@@ -380,6 +463,17 @@ class TestScanIndependence:
             and not isinstance(getattr(cs, attr), type)
         }
         assert called <= set(self.SCAN), called - set(self.SCAN)
+
+    def test_compiled_plans_read_no_global_name(self):
+        # the walk above cannot see inside exec-compiled source, so every
+        # plan's code objects, nested ones included, are read directly
+        plans = [cs._row_plan(length, 0, False, None) for length in range(4)] + [
+            cs._row_plan(n, m, flip, confirm)
+            for m, n in [(1, 1), (1, 3), (2, 2), (2, 5), (3, 3)]
+            for flip, confirm in product((False, True), (None, "2", "12"))
+        ]
+        for plan in plans:
+            assert set(_names_used(plan.__code__)) == set(), plan.__name__
 
     def test_walk_sees_family_use(self):
         # family materialization does read the families module's types

@@ -113,6 +113,23 @@ class TestConstruction:
             cls(2, bad, (1, 0, 0, 1))
         assert str(cols_err.value) == f"matrix cols must be an int, got {bad!r}"
 
+    @pytest.mark.parametrize("bad", [2.0, True, "2", None])
+    def test_constructors_check_dimensions_first(self, bad):
+        # each constructor refuses a non-int dimension with the constructor's
+        # text, before computing any entry from it
+        calls = [
+            ("rows", lambda d: zeros(d, 2)), ("cols", lambda d: zeros(2, d)),
+            ("rows", lambda d: ones(d, 2)), ("cols", lambda d: ones(2, d)),
+            ("rows", lambda d: identity(d)),
+            ("rows", lambda d: unit(d, 2, 0, 0)), ("cols", lambda d: unit(2, d, 0, 0)),
+        ]
+        for which, call in calls:
+            with pytest.raises(ShapeError) as err:
+                call(bad)
+            assert str(err.value) == f"matrix {which} must be an int, got {bad!r}"
+        with pytest.raises(ShapeError, match="^matrix dimensions must be positive"):
+            unit(0, 2, 0, 0)
+
 
 class TestRank:
     def test_repeated_rows(self):
