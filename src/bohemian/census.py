@@ -733,7 +733,7 @@ def _materialize_product(
     return list(filter(set(population.values).issuperset, members))
 
 
-def _materialize_body(body, population: Population, shape: tuple[int, int]):
+def _materialize_body(body, population: Population):
     """The body's members: a linear system's result, in odometer order, or
     a collection of distinct entry tuples for any other body."""
     if isinstance(body, SumConstraintSystem):
@@ -743,10 +743,10 @@ def _materialize_body(body, population: Population, shape: tuple[int, int]):
     if isinstance(body, ExplicitUnion):
         out: set[tuple[int, ...]] = set()
         for comp in body.components:
-            found = _materialize_body(comp.body, population, comp.shape)
+            found = _materialize_body(comp.body, population)
             out.update(found.matrices if isinstance(found, EnumerationResult) else found)
         if 0 in population:
-            out.add((0,) * (shape[0] * shape[1]))
+            out.add((0,) * (body.shape[0] * body.shape[1]))
         return out
     raise DomainError(f"cannot materialize body of type {type(body).__name__}")
 
@@ -828,7 +828,7 @@ def materialize_family(
     if count_only and rank is None and isinstance(family.body, SumConstraintSystem):
         # counted without building members
         return enumerate_sum_constrained(family.body, population, count_only=True)
-    found = _materialize_body(family.body, population, shape)
+    found = _materialize_body(family.body, population)
     if not isinstance(found, EnumerationResult):
         found = EnumerationResult(shape, tuple(sorted(found)), len(found))
     if rank is not None:

@@ -1,11 +1,12 @@
 """Machine-checkable descriptions of inner and outer inverse sets.
 
 Each characterized set is carried as data, not a closure: an
-:class:`InverseFamily` bundles a stable ``theorem_id``, the inverse shape,
-and one of three constraint payloads (linear systems on the entries of
-X, rank-one product conditions, or explicit unions).  Families can be
-serialized, diffed, and materialized over a finite population, and every
-one is cross-checked against the brute-force census in the tests.
+:class:`InverseFamily` bundles a stable ``theorem_id``, one of three
+bodies (a linear system on the entries of X, a rank-one product
+condition, or an explicit union), which also holds the inverse shape,
+and a note.  Families can be compared and materialized over a finite
+population, and every one is cross-checked against the brute-force
+census in the tests.
 
 A linear constraint holds one exact coefficient per row-major cell of X.
 The paper's block-sum equations, "sum of c_b times the entry sum of
@@ -58,10 +59,6 @@ def _coerce_rows(x, shape: tuple[int, int]):
     return tuple(rows)
 
 
-def _rat_json(x: Union[int, Fraction]) -> dict:
-    return {"num": x.numerator, "den": x.denominator}
-
-
 @dataclass(frozen=True)
 class LinearConstraint:
     """Sum of coeffs[k] * x_k over the row-major entries x_k of the
@@ -74,12 +71,6 @@ class LinearConstraint:
     def evaluate(self, entries) -> Fraction:
         return sum(map(mul, self.coeffs, entries), start=Fraction(0))
 
-    def to_json(self) -> dict:
-        return {
-            "coeffs": [_rat_json(c) for c in self.coeffs],
-            "rhs": _rat_json(self.rhs),
-        }
-
 
 @dataclass(frozen=True)
 class SumConstraintSystem:
@@ -87,8 +78,6 @@ class SumConstraintSystem:
 
     shape: tuple[int, int]
     constraints: tuple[LinearConstraint, ...]
-
-    kind = "sum_constraints"
 
     def __post_init__(self):
         cells = self.shape[0] * self.shape[1]
@@ -102,9 +91,6 @@ class SumConstraintSystem:
     def is_member(self, x) -> bool:
         entries = tuple(chain.from_iterable(_coerce_rows(x, self.shape)))
         return all(con.evaluate(entries) == con.rhs for con in self.constraints)
-
-    def to_json(self) -> dict:
-        return {"constraints": [c.to_json() for c in self.constraints]}
 
 
 def _block_system(
@@ -126,9 +112,23 @@ def _block_system(
     return SumConstraintSystem((sum(row_sizes), len(cols)), constraints)
 
 
-def _bilinear(v: Sequence[int], u: Sequence[int], rhs: int) -> LinearConstraint:
-    """v^T X u = rhs: cell (r, c) of X carries v[r] * u[c]."""
-    return LinearConstraint(tuple(a * b for a in v for b in u), rhs)
+def _inner_system(terms, shape: tuple[int, int]) -> SumConstraintSystem:
+    """Inner inverses of A = sum of u_j v_j^T over the terms (u_j, v_j),
+    where the u's are independent and the v's are independent: the X of
+    the given shape with v_i^T X u_j = [i = j], one equation per ordered
+    pair (i, j), i-major.
+
+    Proof.  Let U have the columns u_j and V the columns v_j, so A = U V^T
+    and AXA = U (V^T X U) V^T, where entry (i, j) of V^T X U is
+    v_i^T X u_j.  U has a left inverse and V^T a right inverse, since
+    their columns and rows are independent, so U M V^T = U V^T exactly
+    when M = I.  In v_i^T X u_j, cell (r, c) of X carries v_i[r] * u_j[c].
+    """
+    return SumConstraintSystem(shape, tuple(
+        LinearConstraint(tuple(a * b for a in v_i for b in u_j), int(i == j))
+        for i, (_, v_i) in enumerate(terms)
+        for j, (u_j, _) in enumerate(terms)
+    ))
 
 
 @dataclass(frozen=True)
@@ -147,34 +147,19 @@ class RankOneProductFamily:
     terms: tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]
     pinned_lead: bool = False
 
-    kind = "rank_one_product"
-
     def condition_value(self, p, q):
         return sum(
             sum(map(mul, q, u)) * sum(map(mul, p, v)) for u, v in self.terms
         )
 
-    def to_json(self) -> dict:
-        out = {"terms": [{"q": list(u), "p": list(v)} for u, v in self.terms]}
-        if self.pinned_lead:
-            out["pinned_lead"] = True
-        return out
-
 
 @dataclass(frozen=True)
 class ExplicitUnion:
     """The zero matrix together with disjoint sub-families of nonzero
-    members."""
+    members, all of the given shape."""
 
+    shape: tuple[int, int]
     components: tuple["InverseFamily", ...]
-
-    kind = "union"
-
-    def to_json(self) -> dict:
-        return {
-            "include_zero": True,
-            "components": [c.to_json() for c in self.components],
-        }
 
 
 FamilyBody = Union[SumConstraintSystem, RankOneProductFamily, ExplicitUnion]
@@ -182,25 +167,15 @@ FamilyBody = Union[SumConstraintSystem, RankOneProductFamily, ExplicitUnion]
 
 @dataclass(frozen=True)
 class InverseFamily:
-    """A theorem-indexed, serializable description of an inverse set."""
+    """A theorem-indexed description of an inverse set."""
 
     theorem_id: str
-    spec: str
-    shape: tuple[int, int]
     body: FamilyBody
     note: str = ""
 
-    def to_json(self) -> dict:
-        out = {
-            "theorem_id": self.theorem_id,
-            "spec": self.spec,
-            "shape": list(self.shape),
-            "kind": self.body.kind,
-        }
-        out.update(self.body.to_json())
-        if self.note:
-            out["note"] = self.note
-        return out
+    @property
+    def shape(self) -> tuple[int, int]:
+        return self.body.shape
 
 
 # ---------------------------------------------------------------------------
@@ -223,7 +198,7 @@ def inner_full(form: FullForm, m: int) -> InverseFamily:
     if form.widths[1]:
         terms[(1, 0)] = -form.sign
     body = _block_system([w for w in form.widths if w], [m], (terms, 1))
-    return InverseFamily(_INNER_FULL_IDS[form.kind], "{1}", body.shape, body)
+    return InverseFamily(_INNER_FULL_IDS[form.kind], body)
 
 
 def inner_full_type_I(m: int, n: int, sign: int = 1) -> InverseFamily:
@@ -271,7 +246,7 @@ def inner_S1(m1: int, m2: int, n1: int) -> InverseFamily:
         ({(0, 1): 1}, half),
         ({(1, 1): -1}, half),
     )
-    return InverseFamily("Thm4.5", "{1}", body.shape, body)
+    return InverseFamily("Thm4.5", body)
 
 
 def inner_S2(m1: int, m2: int, n1: int, n3: int) -> InverseFamily:
@@ -289,7 +264,7 @@ def inner_S2(m1: int, m2: int, n1: int, n3: int) -> InverseFamily:
         ({(0, 0): 1, (1, 0): -1}, 0),
         (second_col, 0),
     )
-    return InverseFamily("Thm4.6", "{1}", body.shape, body)
+    return InverseFamily("Thm4.6", body)
 
 
 def inner_S3(m1: int, m2: int, widths: Sequence[int]) -> InverseFamily:
@@ -304,7 +279,7 @@ def inner_S3(m1: int, m2: int, widths: Sequence[int]) -> InverseFamily:
         ({(0, 1): 1, (1, 1): 1, (2, 1): 1}, 0),
         ({(3, 1): 1, (1, 1): -1, (0, 1): 1}, 1),
     )
-    return InverseFamily("Thm4.8", "{1}", body.shape, body)
+    return InverseFamily("Thm4.8", body)
 
 
 def _rank_one_uv(block: TernaryMatrix) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -336,22 +311,17 @@ def _validate_class3_blocks(blocks: tuple[TernaryMatrix, ...]):
 
 def class3_inner_system(blocks: Sequence[TernaryMatrix]) -> InverseFamily:
     """Inner inverses of a stack of mutually orthogonal rank-one blocks:
-    weighted row-sum conditions, one equation per ordered block pair."""
+    weighted row-sum conditions, one equation per ordered block pair.
+    Block j = u_j v_j^T gives the term (u_j padded to its rows of A, v_j);
+    the padded u's have disjoint supports and the orthogonal v's are
+    independent, so the identity system applies."""
     blocks = tuple(blocks)
     uv = _validate_class3_blocks(blocks)
-    n = blocks[0].cols
     ms = [b.rows for b in blocks]
     m = sum(ms)
     offsets = accumulate(ms, initial=0)
-    # block j's u, padded to the columns of X that face it
-    us = [_padded(u_j, off, m) for (u_j, _), off in zip(uv, offsets)]
-    constraints = tuple(
-        _bilinear(v_i, u, int(i == j))
-        for i, (_, v_i) in enumerate(uv)
-        for j, u in enumerate(us)
-    )
-    body = SumConstraintSystem((n, m), constraints)
-    return InverseFamily("Thm4.7", "{1}", (n, m), body)
+    terms = [(_padded(u, off, m), v) for (u, v), off in zip(uv, offsets)]
+    return InverseFamily("Thm4.7", _inner_system(terms, (blocks[0].cols, m)))
 
 
 def inner_rank_one(a: TernaryMatrix) -> InverseFamily:
@@ -417,13 +387,13 @@ def outer_rank_one_general(
         raise DomainError("outer-product factors must be nonzero")
     m, n = len(zeta), len(eta)
     body = RankOneProductFamily((n, m), ((zeta, eta),))
-    return InverseFamily("Thm5.1", "{2}_1", (n, m), body)
+    return InverseFamily("Thm5.1", body)
 
 
 def outer_full_type_I(m: int, n: int) -> InverseFamily:
     """Nonzero outer inverses of the all-ones matrix: both factor sums 1."""
     fam = outer_rank_one_general((1,) * m, (1,) * n)
-    return InverseFamily("Cor5.2", "{2}_1", fam.shape, fam.body)
+    return InverseFamily("Cor5.2", fam.body)
 
 
 def outer_full_type_III(m: int, n1: int, n2: int) -> InverseFamily:
@@ -432,7 +402,7 @@ def outer_full_type_III(m: int, n1: int, n2: int) -> InverseFamily:
     if n2 < 0 or n1 < 1:
         raise DomainError("need n1 >= 1 and n2 >= 0")
     fam = outer_rank_one_general((1,) * m, (1,) * n1 + (0,) * n2)
-    return InverseFamily("Thm5.5", "{2}_1", fam.shape, fam.body)
+    return InverseFamily("Thm5.5", fam.body)
 
 
 def _padded(vec: Sequence[int], offset: int, total: int) -> tuple[int, ...]:
@@ -475,7 +445,7 @@ def outer_rank1_block_diagonal(blocks: Sequence[TernaryMatrix]) -> InverseFamily
     col_offsets = tuple(accumulate((b.cols for b in blocks), initial=0))
     m, n = sum(b.rows for b in blocks), col_offsets[-1]
     body = RankOneProductFamily((n, m), _rank_one_terms(blocks, col_offsets, n))
-    return InverseFamily("Thm5.10", "{2}_1", (n, m), body)
+    return InverseFamily("Thm5.10", body)
 
 
 def outer_rank1_row_partitioned(blocks: Sequence[TernaryMatrix]) -> InverseFamily:
@@ -488,7 +458,7 @@ def outer_rank1_row_partitioned(blocks: Sequence[TernaryMatrix]) -> InverseFamil
         raise ShapeError("blocks must share their column count")
     m = sum(b.rows for b in blocks)
     body = RankOneProductFamily((n, m), _rank_one_terms(blocks, [0] * len(blocks), n))
-    return InverseFamily("OuterRank1RowBlocks", "{2}_1", (n, m), body)
+    return InverseFamily("OuterRank1RowBlocks", body)
 
 
 def outer_rank1_full_row_rank(rows: Sequence[Sequence[int]]) -> InverseFamily:
@@ -502,13 +472,7 @@ def outer_rank1_full_row_rank(rows: Sequence[Sequence[int]]) -> InverseFamily:
         raise DomainError("rows must be linearly independent")
     blocks = [TernaryMatrix.from_rows([r]) for r in a.row_tuples()]
     body = replace(outer_rank1_row_partitioned(blocks).body, pinned_lead=True)
-    return InverseFamily(
-        "OuterRank1FullRowRank",
-        "{2}_1",
-        (a.cols, a.rows),
-        body,
-        note=FIRST_COLUMN_GAP_NOTE,
-    )
+    return InverseFamily("OuterRank1FullRowRank", body, note=FIRST_COLUMN_GAP_NOTE)
 
 
 def outer_rank2_class3(structure: str, widths: Sequence[int]) -> InverseFamily:
@@ -519,17 +483,17 @@ def outer_rank2_class3(structure: str, widths: Sequence[int]) -> InverseFamily:
         if len(widths) != 1:
             raise DomainError("S1 takes a single half-width")
         fam = inner_S1(1, 1, widths[0])
-        return InverseFamily("Rank2OuterS1", "{2}_r", fam.shape, fam.body)
+        return InverseFamily("Rank2OuterS1", fam.body)
     if structure == "S2":
         if len(widths) != 2:
             raise DomainError("S2 takes (n1, n3)")
         fam = inner_S2(1, 1, widths[0], widths[1])
-        return InverseFamily("Rank2OuterS2", "{2}_r", fam.shape, fam.body)
+        return InverseFamily("Rank2OuterS2", fam.body)
     if structure == "S3":
         if len(widths) != 4:
             raise DomainError("S3 takes four widths")
         fam = inner_S3(1, 1, widths)
-        return InverseFamily("Rank2OuterS3", "{2}_r", fam.shape, fam.body)
+        return InverseFamily("Rank2OuterS3", fam.body)
     if structure == "S4":
         if len(widths) != 2 or any(w < 1 for w in widths):
             raise DomainError("S4 takes two positive widths")
@@ -541,31 +505,24 @@ def outer_rank2_class3(structure: str, widths: Sequence[int]) -> InverseFamily:
             ({(1, 0): 1}, 0),
             ({(0, 1): 1}, 0),
         )
-        return InverseFamily("Rank2OuterS4", "{2}_r", body.shape, body)
+        return InverseFamily("Rank2OuterS4", body)
     raise DomainError(f"unknown structure {structure!r}")
 
 
 def reflexive_full_row_rank(rows: Sequence[Sequence[int]]) -> InverseFamily:
     """Reflexive inverses of a full-row-rank matrix: the product with the
     candidate is the identity, one exact linear condition per entry.  For
-    such matrices this is the whole inner-inverse set as well."""
+    such matrices this is the whole inner-inverse set as well.  A is the
+    sum of e_i A[i]^T over its rows, so entry (i, c) of A X is the
+    identity system's A[i]^T X e_c."""
     a = TernaryMatrix.from_rows(rows)
     m, n = a.rows, a.cols
     if exact_rank(a) != m:
         raise DomainError("rows must be linearly independent")
-    # entry (i, c) of A X is A[i] X e_c
-    units = [_padded((1,), c, m) for c in range(m)]
-    constraints = tuple(
-        _bilinear(row, e_c, int(i == c))
-        for i, row in enumerate(a.row_tuples())
-        for c, e_c in enumerate(units)
-    )
-    body = SumConstraintSystem((n, m), constraints)
+    terms = [(_padded((1,), i, m), row) for i, row in enumerate(a.row_tuples())]
     return InverseFamily(
         "Thm5.16",
-        "{1,2}",
-        (n, m),
-        body,
+        _inner_system(terms, (n, m)),
         note="for full-row-rank matrices the reflexive and inner sets coincide",
     )
 
@@ -574,8 +531,7 @@ def outer_union(
     theorem_id: str, shape: tuple[int, int], components, note: str = ""
 ) -> InverseFamily:
     """Zero together with the given disjoint outer families."""
-    body = ExplicitUnion(tuple(components))
-    return InverseFamily(theorem_id, "{2}", shape, body, note=note)
+    return InverseFamily(theorem_id, ExplicitUnion(shape, tuple(components)), note)
 
 
 def outer_full_set_S4(n1: int, n2: int) -> InverseFamily:

@@ -239,6 +239,14 @@ def identity(k: int) -> TernaryMatrix:
 
 def unit(rows: int, cols: int, i: int, j: int, value: int = 1) -> TernaryMatrix:
     _check_dimensions(rows, cols)
+    # a column index past the end would run into the next row, and a
+    # negative one would count from the end
+    for which, k, size in (("row", i, rows), ("column", j, cols)):
+        if type(k) is not int or not 0 <= k < size:
+            raise ShapeError(
+                f"{which} index must be an int in [0, {size}) for a "
+                f"{rows}x{cols} matrix, got {k!r}"
+            )
     ent = [0] * (rows * cols)
     ent[i * cols + j] = value
     return TernaryMatrix(rows, cols, tuple(ent))

@@ -718,20 +718,20 @@ SUM_FAMILIES = {
     ),
     # s0 / 2 + s1 = 1, s0 the sum of columns 0-1 and s1 of column 2: a
     # fractional coefficient
-    "frac-coeff": fam.InverseFamily("FracCoeff", "{1}", (2, 3), _frac_system(
+    "frac-coeff": fam.InverseFamily("FracCoeff", _frac_system(
         (2, 3), (("1/2", "1/2", 1, "1/2", "1/2", 1), 1),
     )),
     # s0 / 3 - s1 / 6 = 1/2, s0 the sum of row 0 and s1 of rows 1-2, that
     # is 2 s0 - s1 = 3: fractional rhs too
-    "frac-rhs": fam.InverseFamily("FracRhs", "{1}", (3, 2), _frac_system(
+    "frac-rhs": fam.InverseFamily("FracRhs", _frac_system(
         (3, 2), (("1/3", "1/3", "-1/6", "-1/6", "-1/6", "-1/6"), "1/2"),
     )),
     # 2 x0 = 1 has no integer solution
-    "frac-rhs-empty": fam.InverseFamily("FracEmpty", "{1}", (1, 3), _frac_system(
+    "frac-rhs-empty": fam.InverseFamily("FracEmpty", _frac_system(
         (1, 3), ((2, 0, 0), "1/2"), ((0, 1, 1), 0),
     )),
     # no constraint: every cell is free
-    "free-2x2": fam.InverseFamily("Free", "{1}", (2, 2), _frac_system((2, 2))),
+    "free-2x2": fam.InverseFamily("Free", _frac_system((2, 2))),
 }
 #: the families with no ternary member; the S1 systems have half-integer
 #: block sums
@@ -817,7 +817,7 @@ class TestRandomSystemsMatchFilter:
             assert quick.matrices is None and quick.count == got.count == len(want)
             text = "".join(serialize_matrix(x) + "\n" for x in want)
             assert got.serialize() == text + f"count: {len(want)}\n", (seed, values)
-            family = fam.InverseFamily("Random", "{1}", (n, m), body)
+            family = fam.InverseFamily("Random", body)
             for rank in range(min(n, m) + 1):
                 kept = [x for x in want if exact_rank(x) == rank]
                 ranked = cs.materialize_family(family, population, rank)
@@ -966,7 +966,7 @@ PRODUCT_FAMILIES = {
         [M([[1, 1, 0]]), M([[1, -1, 1], [0, 1, 1]])]
     ),
     # (q1 + q2)(p1 + p2) - q1 p2 = 1: two terms, no builder's pairing
-    "two-term": fam.InverseFamily("TwoTermProduct", "{2}_1", (2, 2), fam.RankOneProductFamily(
+    "two-term": fam.InverseFamily("TwoTermProduct", fam.RankOneProductFamily(
         (2, 2), (((1, 1), (1, 1)), ((-1, 0), (0, 1))),
     )),
 }

@@ -1,7 +1,9 @@
 from __future__ import annotations
 
+from dataclasses import fields
 from fractions import Fraction
 from itertools import product
+from operator import mul
 
 import pytest
 
@@ -425,6 +427,53 @@ class TestRankOneCore:
         assert cs.set_equal(got, oracle(a, "1", cell_budget=12)).equal
 
 
+def _small_ternary():
+    """Every ternary matrix of at most 6 cells."""
+    for rows in range(1, 7):
+        for cols in range(1, 6 // rows + 1):
+            yield from all_ternary(rows, cols)
+
+
+def _normalized_rows(n):
+    """The nonzero ternary rows of length n whose first nonzero entry is 1."""
+    rows = product((-1, 0, 1), repeat=n)
+    return [r for r in rows if any(r) and next(filter(None, r)) == 1]
+
+
+class TestIdentitySystem:
+    """The families written by the identity system v_i^T X u_j = [i = j]
+    stream exactly the census, on every A they apply to up to 6 cells and
+    on every stack of two orthogonal rows of length 3 or 4."""
+
+    def test_full_row_rank_reflexive(self):
+        seen = 0
+        for a in _small_ternary():
+            if exact_rank(a) == a.rows:
+                got = members(fam.reflexive_full_row_rank(a.row_tuples()))
+                assert got == oracle(a, "1") == oracle(a, "12"), a.to_lists()
+                seen += 1
+        assert seen == 1758
+
+    def test_rank_one_inner(self):
+        seen = 0
+        for a in _small_ternary():
+            if exact_rank(a) == 1:
+                assert members(fam.inner_rank_one(a)) == oracle(a, "1"), a.to_lists()
+                seen += 1
+        assert seen == 2410
+
+    def test_orthogonal_row_stacks(self):
+        seen = 0
+        for n in (3, 4):
+            rows = _normalized_rows(n)
+            for r1, r2 in product(rows, repeat=2):
+                if sum(map(mul, r1, r2)) == 0:
+                    family = fam.class3_inner_system([M([r1]), M([r2])])
+                    assert members(family) == oracle(M([r1, r2]), "1"), (r1, r2)
+                    seen += 1
+        assert seen == 488
+
+
 class TestSoundness:
     def test_every_materialized_member_satisfies_its_equations(self):
         # family, target matrix, equations the members must satisfy
@@ -454,35 +503,39 @@ class TestSoundness:
                 assert penrose_check(a, x).satisfies(spec), (family.theorem_id, x)
 
 
-class TestSerialization:
-    def test_rationals_as_num_den(self):
-        data = fam.inner_S1(1, 1, 1).to_json()
-        assert data["theorem_id"] == "Thm4.5"
-        assert data["kind"] == "sum_constraints"
-        rhs = data["constraints"][0]["rhs"]
-        assert rhs == {"num": 1, "den": 2}
+class TestFamilyObjects:
+    """A family is a theorem id, a body that holds the shape, and a note."""
+
+    def test_fields(self):
+        family = fam.outer_full_set_S4(1, 2)
+        assert [f.name for f in fields(family)] == ["theorem_id", "body", "note"]
+        assert family.shape == family.body.shape == (3, 2)
+        for comp in family.body.components:
+            assert comp.shape == comp.body.shape == (3, 2)
+
+    def test_rationals_kept_as_stated(self):
+        family = fam.inner_S1(1, 1, 1)
+        assert family.theorem_id == "Thm4.5"
+        assert isinstance(family.body, fam.SumConstraintSystem)
+        first = family.body.constraints[0]
+        assert first.rhs == Fraction(1, 2)
         # one coefficient per row-major cell of X, no block grid
-        assert "partition" not in data
-        one, zero = {"num": 1, "den": 1}, {"num": 0, "den": 1}
-        assert data["constraints"][0]["coeffs"] == [one, zero, zero, zero]
+        assert first.coeffs == (1, 0, 0, 0)
 
-    def test_union_payload(self):
-        data = fam.outer_full_set_S4(1, 1).to_json()
-        assert data["kind"] == "union"
-        assert data["include_zero"] is True
-        kinds = {c["kind"] for c in data["components"]}
-        assert kinds == {"rank_one_product", "sum_constraints"}
-        rank1 = next(c for c in data["components"] if c["kind"] == "rank_one_product")
-        assert rank1["pinned_lead"] is True
+    def test_union_body(self):
+        body = fam.outer_full_set_S4(1, 1).body
+        assert isinstance(body, fam.ExplicitUnion)
+        assert body.shape == (2, 2)
+        rank1, rank2 = (c.body for c in body.components)
+        assert isinstance(rank1, fam.RankOneProductFamily) and rank1.pinned_lead
+        assert isinstance(rank2, fam.SumConstraintSystem)
 
-    def test_product_payload(self):
-        assert fam.outer_full_type_III(2, 1, 1).to_json() == {
-            "theorem_id": "Thm5.5",
-            "spec": "{2}_1",
-            "shape": [2, 2],
-            "kind": "rank_one_product",
-            "terms": [{"q": [1, 1], "p": [1, 0]}],
-        }
+    def test_product_body(self):
+        family = fam.outer_full_type_III(2, 1, 1)
+        assert family.theorem_id == "Thm5.5"
+        assert family.shape == (2, 2)
+        assert isinstance(family.body, fam.RankOneProductFamily)
+        assert family.body.terms == (((1, 1), (1, 0)),)
 
 
 class TestConstraintRows:
@@ -527,7 +580,7 @@ def _rank_one_core(shape, rows, cols):
     n, m = shape
     unit = tuple(int(i < rows and j < cols) for i in range(n) for j in range(m))
     body = fam.SumConstraintSystem(shape, (fam.LinearConstraint(unit, 1),))
-    return fam.InverseFamily("RankOneInner", "{1}", shape, body)
+    return fam.InverseFamily("RankOneInner", body)
 
 
 class TestCellClasses:

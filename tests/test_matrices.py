@@ -130,6 +130,21 @@ class TestConstruction:
         with pytest.raises(ShapeError, match="^matrix dimensions must be positive"):
             unit(0, 2, 0, 0)
 
+    @pytest.mark.parametrize(
+        "i, j, which, bad",
+        [(0, 2, "column", "2"), (1, -1, "column", "-1"), (0, 5, "column", "5"),
+         (0.0, 0, "row", "0.0"), (2, 0, "row", "2")],
+    )
+    def test_unit_checks_its_indices(self, i, j, which, bad):
+        # an index outside the shape is refused, never wrapped into another
+        # cell or left to the list's own IndexError or TypeError
+        with pytest.raises(ShapeError) as err:
+            unit(2, 2, i, j)
+        assert str(err.value) == (
+            f"{which} index must be an int in [0, 2) for a 2x2 matrix, got {bad}"
+        )
+        assert unit(2, 2, 1, 1).entries == (0, 0, 0, 1)
+
 
 class TestRank:
     def test_repeated_rows(self):
