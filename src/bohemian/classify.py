@@ -83,9 +83,6 @@ class FullForm:
         row = (self.sign,) * n1 + (-self.sign,) * n2 + (0,) * n3
         return TernaryMatrix.from_rows([row] * m)
 
-    def to_json(self) -> dict:
-        return {"kind": self.kind, "sign": self.sign, "widths": list(self.widths)}
-
 
 def _runs(row) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """The values and the lengths of the maximal constant runs of a row."""
@@ -175,17 +172,6 @@ class RankOneFactorization:
                 target[self.p2[c]] = rs * self.d2[c] * val
         return TernaryMatrix.from_rows(ent)
 
-    def to_json(self) -> dict:
-        return {
-            "p1": list(self.p1),
-            "d1": list(self.d1),
-            "core": self.core.to_lists(),
-            "d2": list(self.d2),
-            "p2": list(self.p2),
-            "core_form": self.core_form.to_json(),
-            "zero_row_count": self.zero_row_count,
-        }
-
 
 def rank_one_factorize(a: TernaryMatrix) -> RankOneFactorization:
     """Factor a rank-one ternary matrix as P1 @ D1 @ core @ D2 @ P2.
@@ -225,13 +211,6 @@ class GwsBlock:
     col_span: tuple[int, int]
     matrix: TernaryMatrix
 
-    def to_json(self) -> dict:
-        return {
-            "row_span": list(self.row_span),
-            "col_span": list(self.col_span),
-            "matrix": self.matrix.to_lists(),
-        }
-
 
 @dataclass(frozen=True)
 class GwsDecomposition:
@@ -245,13 +224,6 @@ class GwsDecomposition:
     row_perm: tuple[int, ...]
     col_perm: tuple[int, ...]
     blocks: tuple[GwsBlock, ...]
-
-    def to_json(self) -> dict:
-        return {
-            "row_perm": list(self.row_perm),
-            "col_perm": list(self.col_perm),
-            "blocks": [b.to_json() for b in self.blocks],
-        }
 
 
 def gws_detect(a: TernaryMatrix) -> Optional[GwsDecomposition]:
@@ -311,21 +283,6 @@ class ClassReport:
     is_class_II_columnwise: bool
     terms: tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]
     s_structure: Optional[str]
-
-    def to_json(self) -> dict:
-        return {
-            "rank": self.rank,
-            "full_form": self.full_form.to_json() if self.full_form else None,
-            "is_rank_one": self.is_rank_one,
-            "is_well_settled": self.is_well_settled,
-            "is_generalized_well_settled": self.is_generalized_well_settled,
-            "is_class_I": self.is_class_I,
-            "is_class_II": self.is_class_II,
-            "is_class_III": self.is_class_III,
-            "is_class_II_columnwise": self.is_class_II_columnwise,
-            "terms": [[list(u), list(v)] for u, v in self.terms],
-            "s_structure": self.s_structure,
-        }
 
 
 def _terms(classes, m: int):
@@ -423,13 +380,6 @@ class UwDecomposition:
     u: SignedPermutation
     w: TernaryMatrix
     row_block_sizes: tuple[int, ...]
-
-    def to_json(self) -> dict:
-        return {
-            "u": self.u.to_json(),
-            "w": self.w.to_lists(),
-            "row_block_sizes": list(self.row_block_sizes),
-        }
 
 
 def uw_decompose(a: TernaryMatrix) -> UwDecomposition:

@@ -3,8 +3,9 @@
 Subcommands: classify, decompose, inverses, count, identity, verify.
 Matrices are read in the text format (one row per line, entries -1, 0 or
 1); reports are JSON; streams use the text format with a trailing count
-record.  Exit codes: 0 success, 2 usage or parse errors, 3 unsupported
-shape in theorem mode, 4 census budget or term limit exceeded.
+record.  Exit codes: 0 success, 1 a ``verify`` discrepancy that is not
+allowed, 2 usage or parse errors, 3 unsupported shape in theorem mode or
+no decomposition, 4 census budget or term limit exceeded.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import fields, is_dataclass
 from functools import lru_cache
 from typing import Optional
 
@@ -23,6 +25,7 @@ from . import theorems as th
 from . import verify as vf
 from .matrices import (
     DomainError,
+    IntMatrix,
     ParseError,
     TernaryMatrix,
     parse_matrix,
@@ -76,8 +79,19 @@ def _load_matrix(path: str) -> TernaryMatrix:
     return parse_matrix(text)
 
 
-def _emit_json(payload: dict) -> None:
-    print(json.dumps(payload, indent=2, sort_keys=True))
+def _report_json(obj):
+    """The ``default`` hook of ``json.dumps`` for reports: a matrix is its
+    row lists, any other dataclass its fields in order.  The matrix test
+    comes first, as a matrix is a dataclass too."""
+    if isinstance(obj, IntMatrix):
+        return obj.to_lists()
+    if is_dataclass(obj):
+        return {f.name: getattr(obj, f.name) for f in fields(obj)}
+    raise TypeError(f"{type(obj).__name__} is not JSON serializable")
+
+
+def _emit_json(payload) -> None:
+    print(json.dumps(payload, indent=2, sort_keys=True, default=_report_json))
 
 
 # ---------------------------------------------------------------------------
@@ -85,7 +99,7 @@ def _emit_json(payload: dict) -> None:
 
 def _cmd_classify(args) -> int:
     a = _load_matrix(args.matrix)
-    _emit_json(cl.class_membership(a).to_json())
+    _emit_json(cl.class_membership(a))
     return EXIT_OK
 
 
@@ -106,18 +120,17 @@ def _cmd_decompose(args) -> int:
             return EXIT_UNSUPPORTED
     try:
         if form == "rank1":
-            payload = {"form": "rank1", **cl.rank_one_factorize(a).to_json()}
+            dec = cl.rank_one_factorize(a)
         elif form == "gws":
             dec = cl.gws_detect(a)
             if dec is None:
                 raise DomainError("matrix is not generalized well-settled")
-            payload = {"form": "gws", **dec.to_json()}
         else:
-            payload = {"form": "uw", **cl.uw_decompose(a).to_json()}
+            dec = cl.uw_decompose(a)
     except DomainError as exc:
         print(f"decomposition failed: {exc}", file=sys.stderr)
         return EXIT_UNSUPPORTED
-    _emit_json(payload)
+    _emit_json({"form": form, **_report_json(dec)})
     return EXIT_OK
 
 
@@ -162,7 +175,7 @@ def _cmd_inverses(args) -> int:
             family = th.select_theorem(a, spec, args.rank)
         except th.UnsupportedShape as exc:
             report = cl.class_membership(a)
-            print(f"{exc}; detected class: {json.dumps(report.to_json())}",
+            print(f"{exc}; detected class: {json.dumps(report, default=_report_json)}",
                   file=sys.stderr)
             return EXIT_UNSUPPORTED
         print(f"theorem_id: {family.theorem_id}")
@@ -204,7 +217,7 @@ def _cmd_count(args) -> int:
         print(f"{args.formula}: {exc}", file=sys.stderr)
         return EXIT_USAGE
     if args.json:
-        _emit_json(report.to_json())
+        _emit_json(report)
     else:
         print("formula_id,params,value,method")
         print(report.csv_row())
@@ -223,7 +236,7 @@ def _cmd_verify(args) -> int:
         "budget": args.budget,
         "allow_known_gaps": args.allow_known_gaps,
         "ok": ok,
-        "outcomes": [o.to_json() for o in outcomes],
+        "outcomes": outcomes,
     }
     _emit_json(payload)
     return EXIT_OK if ok else 1
@@ -278,8 +291,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="cross-check families and counts "
                        "against the census")
-    p.add_argument("--suite", choices=["core", "inner", "outer", "counts", "all"],
-                   default="all")
+    p.add_argument("--suite", choices=[*vf.SUITES, "all"], default="all")
     p.add_argument("--budget", type=_cell_budget, default=_budget_default(9))
     p.add_argument("--allow-known-gaps", action="store_true")
     p.set_defaults(fn=_cmd_verify)

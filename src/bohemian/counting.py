@@ -9,7 +9,7 @@ convention.  Every sum is refused past ``TERM_LIMIT`` terms.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from math import comb
 from operator import mul
 from typing import NamedTuple, Sequence
@@ -193,22 +193,18 @@ class CardinalityReport:
     formula_id: str
     parameters: dict
     #: every report is evaluated from its closed form
-    method = "closed_form"
+    method: str = field(default="closed_form", init=False)
 
     def __post_init__(self):
         if self.value < 0:
             raise ValueError("counts are nonnegative")
 
-    def to_json(self) -> dict:
-        return {
-            "value": self.value,
-            "formula_id": self.formula_id,
-            "parameters": dict(self.parameters),
-            "method": self.method,
-        }
-
     def csv_row(self) -> str:
+        """The report as one RFC 4180 row: a field holding a comma or a
+        double quote is quoted, its inner quotes doubled."""
         params = " ".join(f"{k}={v}" for k, v in sorted(self.parameters.items()))
+        if "," in params or '"' in params:
+            params = '"' + params.replace('"', '""') + '"'
         return f"{self.formula_id},{params},{self.value},{self.method}"
 
 

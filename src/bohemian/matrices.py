@@ -359,14 +359,6 @@ class PenroseReport:
             ok = ok and self.satisfies_2
         return ok
 
-    def to_json(self) -> dict:
-        return {
-            "satisfies_1": self.satisfies_1,
-            "satisfies_2": self.satisfies_2,
-            "satisfies_3": self.satisfies_3,
-            "satisfies_4": self.satisfies_4,
-        }
-
 
 def normalize_spec(spec: str) -> str:
     s = str(spec).strip().replace("{", "").replace("}", "").replace(",", "")
@@ -556,9 +548,6 @@ class SignedPermutation:
             row[r] if s == 1 else -row[r] for row in m.row_tuples() for r, s in moves
         )
         return IntMatrix._trusted(m.rows, m.cols, entries)
-
-    def to_json(self) -> dict:
-        return {"perm": list(self.perm), "signs": list(self.signs)}
 
 
 def iter_signed_permutations(k: int) -> Iterator[SignedPermutation]:

@@ -54,16 +54,6 @@ class Discrepancy:
     diff_sample: tuple[tuple[list, ...], ...]
     known_gap: bool = False
 
-    def to_json(self) -> dict:
-        return {
-            "theorem_id": self.theorem_id,
-            "instance": self.instance,
-            "family_count": self.family_count,
-            "oracle_count": self.oracle_count,
-            "diff_sample": [list(m) for m in self.diff_sample],
-            "known_gap": self.known_gap,
-        }
-
 
 @dataclass
 class VerifyOutcome:
@@ -142,14 +132,6 @@ class VerifyOutcome:
         if oracle is not None:
             want = expected()
             self.check(theorem_id, instance, want == oracle.count, want, oracle.count)
-
-    def to_json(self) -> dict:
-        return {
-            "suite": self.suite,
-            "cases_run": self.cases_run,
-            "cases_passed": self.cases_passed,
-            "discrepancies": [d.to_json() for d in self.discrepancies],
-        }
 
 
 def _census(

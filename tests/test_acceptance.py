@@ -7,7 +7,6 @@ expected values, all integer-exact, no tolerances anywhere.
 
 from __future__ import annotations
 
-import json
 import time
 from contextlib import contextmanager
 from fractions import Fraction
@@ -402,9 +401,9 @@ def test_criterion_10_full_verify_deterministic():
         first, ok1 = vf.run_verify("all", 9, allow_known_gaps=True)
         second, ok2 = vf.run_verify("all", 9, allow_known_gaps=True)
         assert ok1 and ok2
-        payload1 = json.dumps([o.to_json() for o in first], sort_keys=True)
-        payload2 = json.dumps([o.to_json() for o in second], sort_keys=True)
-        assert payload1 == payload2
+        # dataclass equality compares every field of every outcome and
+        # discrepancy
+        assert first == second
         for outcome in first:
             assert outcome.cases_passed <= outcome.cases_run
             assert bool(outcome.discrepancies) == (

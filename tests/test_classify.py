@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import json
+from dataclasses import fields
 from itertools import product
 
 import pytest
@@ -10,16 +12,23 @@ from bohemian.classify import (
     TYPE_II,
     TYPE_III,
     TYPE_IV,
+    ClassReport,
     FullForm,
+    GwsBlock,
+    GwsDecomposition,
+    RankOneFactorization,
+    UwDecomposition,
     class_membership,
     full_form,
     gws_detect,
     rank_one_factorize,
     uw_decompose,
 )
+from bohemian.cli import main
 from bohemian.matrices import (
     DomainError,
     IntMatrix,
+    SignedPermutation,
     TernaryMatrix,
     exact_rank,
     identity,
@@ -267,21 +276,30 @@ class TestClassMembership:
             for i in range(2):
                 assert sum(1 for u, _ in rep.terms if u[i] != 0) <= 1
 
-    def test_report_json_fields(self):
-        data = class_membership(identity(2)).to_json()
-        for key in (
-            "rank",
-            "full_form",
-            "is_rank_one",
-            "is_well_settled",
-            "is_generalized_well_settled",
-            "is_class_I",
-            "is_class_II",
-            "is_class_III",
-            "terms",
-            "s_structure",
+    def test_report_json_fields(self, capsys, tmp_path):
+        # the CLI writes each report as exactly its dataclass's fields
+        def names(report):
+            return {f.name for f in fields(report)}
+
+        path = tmp_path / "a.txt"
+        path.write_text("1 1 0\n1 1 0\n")
+        assert main(["classify", str(path)]) == 0
+        data = json.loads(capsys.readouterr().out)
+        assert set(data) == names(ClassReport)
+        assert set(data["full_form"]) == names(FullForm)
+        out = {}
+        for form, report in (
+            ("rank1", RankOneFactorization),
+            ("gws", GwsDecomposition),
+            ("uw", UwDecomposition),
         ):
-            assert key in data
+            assert main(["decompose", str(path), "--form", form]) == 0
+            out[form] = json.loads(capsys.readouterr().out)
+            assert out[form]["form"] == form
+            assert set(out[form]) == names(report) | {"form"}
+        assert set(out["rank1"]["core_form"]) == names(FullForm)
+        assert set(out["gws"]["blocks"][0]) == names(GwsBlock)
+        assert set(out["uw"]["u"]) == names(SignedPermutation)
 
 
 class TestStructures:

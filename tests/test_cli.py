@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import contextlib
+import csv
 import hashlib
 import io
 import json
@@ -31,6 +32,32 @@ def run(capsys, *argv):
     captured = capsys.readouterr()
     return code, captured.out, captured.err
 
+
+#: formula, arguments, sha256 of the `count --json` stdout, and the CSV row
+#: of `count`; the rows are RFC 4180, so only a field with a comma is quoted
+COUNT_PINS = [
+    ("count_sum_t", "--n 60 --t -7",
+     "1e38cb2e88ffc483d4f9d2198546a53d391e95ce01712b278966082189db5a15",
+     "count_sum_t,n=60 t=-7,1453566449623793033553715080,closed_form"),
+    ("inner_type_I", "--m 2 --n 3",
+     "145097fa33c548305794dd3f402e5f22b92b47611f675a68e91d7c1193b4fddc",
+     "inner_type_I,m=2 n=3,126,closed_form"),
+    ("outer_type_I", "--m 2 --n 2 --include-zero",
+     "b2677cabc6c4443b579baf466b4fbe6a93d74edffe3a37ac7a5520b9d32872b5",
+     "outer_type_I,include_zero=True m=2 n=2,5,closed_form"),
+    ("outer_type_III", "--m 2 --n1 2 --n2 1 --include-zero",
+     "3476a2ad0d4d3d83d18e8b439628e1bdf2b6163cf9d09de908e7b4fdee67fa00",
+     "outer_type_III,include_zero=True m=2 n1=2 n2=1,13,closed_form"),
+    ("natural_pop", "--m 2 --n 3 --zero-in-pop",
+     "1c1d6cdfccf902ea57f344e81821eb3dbd460b4ce1b6b7fd984bd3aff1788a64",
+     "natural_pop,m=2 n=3 zero_in_pop=True,7,closed_form"),
+    ("outer_S4", "--n1 2 --n2 3",
+     "9bf35a5eef04be68d3bc45e65486723f0497341c3e7555f19f998109327e1d2d",
+     "outer_S4,n1=2 n2=3,397,closed_form"),
+    ("inner_pure_ws", "--dims 1x2,2x1",
+     "1016a58edb252604cf8e1f76f9b1f3c757c5a50db7eeeee851324430c914b7f2",
+     'inner_pure_ws,"dims=((1, 2), (2, 1))",76,closed_form'),
+]
 
 GWS_EXAMPLE = "1 -1 0 0\n-1 1 0 0\n0 0 1 -1\n"
 STAR = "1 -1 0 0 0\n1 0 -1 0 0\n1 0 0 0 -1\n1 0 0 -1 0\n"
@@ -134,6 +161,19 @@ class TestInverses:
         code, _, err = run(capsys, "inverses", path, "--spec", "2", "--mode", "theorem")
         assert code == 3
         assert "detected class" in err
+        # the class report is one line with its keys in field order
+        path = write("b.txt", "1 1 1\n1 -1 -1\n1 -1 -1\n")
+        code, out, err = run(capsys, "inverses", path, "--spec", "2", "--mode", "theorem")
+        assert (code, out) == (3, "")
+        assert err == (
+            "full outer sets are characterized only for rank-one matrices and "
+            'full-row-rank two-row layouts; detected class: {"rank": 2, '
+            '"full_form": null, "is_rank_one": false, "is_well_settled": false, '
+            '"is_generalized_well_settled": false, "is_class_I": false, '
+            '"is_class_II": true, "is_class_III": false, '
+            '"is_class_II_columnwise": true, "terms": [[[1, 0, 0], [1, 1, 1]], '
+            '[[0, 1, 1], [1, -1, -1]]], "s_structure": null}\n'
+        )
 
     def test_budget_exit_four(self, capsys, write):
         path = write("a.txt", "1 1 1 1 1\n")
@@ -361,11 +401,26 @@ class TestCountAndIdentity:
         )
         assert json.loads(out)["value"] == 7
 
+    @pytest.mark.parametrize(
+        "formula,argv,json_sha256,csv_row", COUNT_PINS, ids=[p[0] for p in COUNT_PINS]
+    )
+    def test_count_output_pinned(self, capsys, formula, argv, json_sha256, csv_row):
+        argv = ["count", "--formula", formula, *argv.split()]
+        code, out, _ = run(capsys, *argv, "--json")
+        assert (code, hashlib.sha256(out.encode()).hexdigest()) == (0, json_sha256)
+        code, out, _ = run(capsys, *argv)
+        assert (code, out) == (0, f"formula_id,params,value,method\n{csv_row}\n")
+
+    def test_count_pins_cover_every_formula(self):
+        assert sorted(p[0] for p in COUNT_PINS) == sorted(ct.FORMULAS)
+
     def test_count_dims(self, capsys):
         code, out, _ = run(
             capsys, "count", "--formula", "inner_pure_ws", "--dims", "1x2,1x1"
         )
-        assert ",6,closed_form" in out
+        header, row = csv.reader(io.StringIO(out))
+        assert header == ["formula_id", "params", "value", "method"]
+        assert row == ["inner_pure_ws", "dims=((1, 2), (1, 1))", "6", "closed_form"]
 
     def test_count_missing_param(self, capsys):
         code, _, err = run(capsys, "count", "--formula", "outer_type_I", "--m", "2")
@@ -438,6 +493,20 @@ class TestVerifyCommand:
         _, out1, _ = run(capsys, "verify", "--suite", "counts", "--budget", "6")
         _, out2, _ = run(capsys, "verify", "--suite", "counts", "--budget", "6")
         assert out1 == out2
+
+    def test_suite_choices(self, capsys, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "80")
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--help"])
+        assert exc.value.code == 0
+        assert "\n  --suite {core,inner,outer,counts,all}\n" in capsys.readouterr().out
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--suite", "bogus"])
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.endswith(
+            "bohemian verify: error: argument --suite: invalid choice: 'bogus' "
+            "(choose from 'core', 'inner', 'outer', 'counts', 'all')\n"
+        )
 
 
 class TestTheoremDispatch:

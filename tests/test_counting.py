@@ -168,7 +168,7 @@ class TestReports:
         rep = ct.evaluate_formula("outer_type_I", m=2, n=2, include_zero=False)
         assert rep.value == 4
         assert rep.method == "closed_form"
-        assert rep.to_json()["parameters"] == {
+        assert rep.parameters == {
             "m": 2,
             "n": 2,
             "include_zero": False,
@@ -181,6 +181,10 @@ class TestReports:
     def test_csv_row(self):
         rep = ct.CardinalityReport(7, "natural_pop", {"m": 2, "n": 3})
         assert rep.csv_row() == "natural_pop,m=2 n=3,7,closed_form"
+        # RFC 4180: a field with a comma or a double quote is quoted, and
+        # its inner quotes doubled
+        rep = ct.CardinalityReport(1, "x", {"s": 'a"b,c'})
+        assert rep.csv_row() == 'x,"s=a""b,c",1,closed_form'
 
     def test_negative_count_rejected(self):
         with pytest.raises(ValueError):
