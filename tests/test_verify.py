@@ -9,9 +9,11 @@ changes a digest; a deliberate change re-records the table.
 from __future__ import annotations
 
 import hashlib
+import itertools
 
 import pytest
 
+from bohemian import matrices as mx
 from bohemian import verify as vf
 from bohemian.cli import main
 
@@ -134,3 +136,96 @@ def test_outer_skips_lemma_2_4_below_its_cells():
     assert [d.theorem_id for d in out.discrepancies] == [
         "OuterRank1FullRowRank", "Thm5.19",
     ]
+
+
+@pytest.fixture
+def corrupt_plan(monkeypatch):
+    """corrupt_plan(name, wrap) replaces the kernel's plan builder ``name``
+    with ``wrap(builder)``; every plan cache is cleared on entry and exit,
+    so that ``multiply``, ``penrose_check`` and a direct plan call all see
+    the fault."""
+
+    def clear():
+        for cache in (mx._product_plan, mx._entry_product, mx._penrose_flags):
+            cache.cache_clear()
+
+    def corrupt(name, wrap):
+        clear()
+        monkeypatch.setattr(mx, name, wrap(getattr(mx, name)))
+
+    yield corrupt
+    monkeypatch.undo()
+    clear()
+
+
+def _shifted_products(plan_of):
+    # output entry 0 gains 1 when entry 1 of the left factor is nonzero, on
+    # every shape whose left factor has two rows or more: a fault that
+    # depends on where an entry sits, and leaves the census's one-row
+    # plans alone
+    def plan(m, k, p):
+        real = plan_of(m, k, p)
+        if m < 2:
+            return real
+
+        def shifted(a, b):
+            out = real(a, b)
+            return (out[0] + (a[1] != 0),) + out[1:]
+
+        return shifted
+
+    return plan
+
+
+def _flipped_flags(plan_of):
+    # AXA = A reads flipped when entry 1 of X is nonzero, so no 1x1 shape
+    # is touched
+    def plan(m, n):
+        real = plan_of(m, n)
+
+        def flipped(a, x):
+            flags = real(a, x)
+            if len(x) > 1 and x[1]:
+                return (not flags[0],) + flags[1:]
+            return flags
+
+        return flipped
+
+    return plan
+
+
+def _failures(*outcomes):
+    """(theorem id, instance) -> bad, for every failed case."""
+    return {
+        (d.theorem_id, d.instance): d.family_count
+        for out in outcomes
+        for d in out.discrepancies
+    }
+
+
+def test_a_faulty_product_plan_fails_the_product_sweeps(corrupt_plan):
+    corrupt_plan("_product_plan", _shifted_products)
+    failed = _failures(vf.suite_core(7), vf.suite_outer(7))
+    for n, r in itertools.product(range(1, 4), repeat=2):
+        if n * r <= 7:
+            assert failed[("AllOnesProducts", f"inner shape {n}x{r}")] > 0
+    assert failed[("Lemma2.4", "2x2 blocks, one zero column")] > 0
+    # the Penrose sweeps form no product through these plans
+    assert not any(
+        theorem in ("PenroseDefinition", "TransformInvariance", "RankTranspose")
+        for theorem, _ in failed
+    )
+
+
+def test_a_faulty_penrose_plan_fails_the_penrose_sweeps(corrupt_plan):
+    corrupt_plan("_penrose_plan", _flipped_flags)
+    failed = _failures(vf.suite_core(7), vf.suite_outer(7))
+    for shape in ("1x2", "2x1", "1x3", "3x1"):
+        assert failed[("PenroseDefinition", f"shape {shape}")] > 0
+    for shape in ("1x2", "2x1"):
+        assert failed[("TransformInvariance", f"shape {shape}")] > 0
+    # a 1x1 X has no entry 1, and the product sweeps check no flag
+    assert not any(
+        instance == "shape 1x1" or theorem in ("AllOnesProducts", "Lemma2.4")
+        for theorem, instance in failed
+    )
