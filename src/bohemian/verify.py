@@ -22,11 +22,11 @@ from . import families as fam
 from .matrices import (
     IntMatrix,
     TernaryMatrix,
-    entry_sum,
+    _entry_product,
+    _penrose_flags,
     exact_rank,
     identity,
     iter_signed_permutations,
-    multiply,
     ones,
     parse_matrix,
     penrose_check,
@@ -207,8 +207,10 @@ def suite_core(budget: int) -> VerifyOutcome:
             for x in xs:
                 xe = x.entries
                 rep = penrose_check(a, x)
-                axa = _naive_mul(_naive_mul(ae, xe, m, n, m), ae, m, m, n)
-                xax = _naive_mul(_naive_mul(xe, ae, n, m, n), xe, n, n, m)
+                # AXA = (AX)A and XAX = X(AX), from one AX
+                ax = _naive_mul(ae, xe, m, n, m)
+                axa = _naive_mul(ax, ae, m, m, n)
+                xax = _naive_mul(xe, ax, n, m, m)
                 if rep.satisfies_1 != (axa == ae):
                     bad += 1
                 elif rep.satisfies_2 != (xax == xe):
@@ -216,26 +218,25 @@ def suite_core(budget: int) -> VerifyOutcome:
         out.check("PenroseDefinition", f"shape {m}x{n}", not bad, bad, 0)
 
     # Membership flags invariant under every signed-permutation transform:
-    # X carried to V^T X U^T against U A V, for every (U, V).
+    # X carried to V^T X U^T against U A V, for every (U, V), the flags of
+    # equations (1) and (2) read off the kernel's plan for the shape.
     for m, n in [(1, 1), (1, 2), (2, 1), (2, 2)]:
         if 2 * m * n > budget:
             continue
+        flags = _penrose_flags(m, n)
         uvs = list(product(iter_signed_permutations(m), iter_signed_permutations(n)))
         xs = [
-            (x, [transform_inverse(x, u, v) for u, v in uvs])
+            (x.entries, [transform_inverse(x, u, v).entries for u, v in uvs])
             for x in _all_ternary(n, m)
         ]
         bad = 0
         for a in _all_ternary(m, n):
-            uavs = [v.apply_right(u.apply_left(a)) for u, v in uvs]
-            for x, moved_xs in xs:
-                base = penrose_check(a, x)
-                for uav, moved_x in zip(uavs, moved_xs):
-                    moved = penrose_check(uav, moved_x)
-                    if (
-                        moved.satisfies_1 != base.satisfies_1
-                        or moved.satisfies_2 != base.satisfies_2
-                    ):
+            ae = a.entries
+            uavs = [v.apply_right(u.apply_left(a)).entries for u, v in uvs]
+            for xe, moved_xs in xs:
+                base = flags(ae, xe)[:2]
+                for moved in map(flags, uavs, moved_xs):
+                    if moved[:2] != base:
                         bad += 1
         out.check("TransformInvariance", f"shape {m}x{n}", not bad, bad, 0)
 
@@ -248,20 +249,26 @@ def suite_core(budget: int) -> VerifyOutcome:
         )
         out.check("RankTranspose", f"shape {m}x{n}", ok)
 
-    # All-ones sandwich products collapse to the entry sum.
+    # All-ones sandwich products collapse to the entry sum: J_m X by the
+    # kernel's m x n x r plan, once per m, then (J_m X) J_s for every s.
     for n, r in product(range(1, 4), repeat=2):
         if n * r > budget:
             continue
-        lefts = [ones(m, n) for m in range(1, 4)]
-        rights = [ones(r, s) for s in range(1, 4)]
+        lefts = [
+            (
+                ones(m, n).entries,
+                _entry_product(m, n, r),
+                [(ones(r, s).entries, _entry_product(m, r, s)) for s in range(1, 4)],
+            )
+            for m in range(1, 4)
+        ]
         bad = 0
-        for x in _all_ternary(n, r):
-            want = entry_sum(x)
-            # every (m, s) in turn, each left product formed once
-            for left in lefts:
-                left_x = multiply(left, x)
-                for right in rights:
-                    lhs = multiply(left_x, right).entries
+        for xe in product((-1, 0, 1), repeat=n * r):
+            want = sum(xe)
+            for left, left_times, rights in lefts:
+                left_x = left_times(left, xe)
+                for right, times_right in rights:
+                    lhs = times_right(left_x, right)
                     if lhs.count(want) != len(lhs):
                         bad += 1
         out.check("AllOnesProducts", f"inner shape {n}x{r}", not bad, bad, 0)
@@ -477,20 +484,20 @@ def suite_outer(budget: int) -> VerifyOutcome:
     # stacks are skipped, and not counted, below 6 cells of budget
     if budget < 6:
         return out
+    # X is 3x2: rows 1-2 are X1, row 3 is X2, so rows 1-2 of X B X1 are
+    # X1 B X1 and row 3 is X2 B X1; the census members are entry tuples,
+    # and both products run the kernel's 3 x 2 x 2 plan on them
+    times = _entry_product(3, 2, 2)
     bad = 0
     checked = 0
     for b in _all_ternary(2, 2):
         a = TernaryMatrix.from_rows([r + (0,) for r in b.row_tuples()])
         for x in cs.brute_force_inverses(a, "2", cell_budget=budget).matrices:
-            # X is 3x2: rows 1-2 are X1, row 3 is X2, so rows 1-2 of
-            # X B X1 are X1 B X1 and row 3 is X2 B X1
-            # census members are entry tuples of the checked population
-            x1 = IntMatrix._trusted(2, 2, x[:4])
-            xbx1 = multiply(multiply(IntMatrix._trusted(3, 2, x), b), x1)
+            xbx1 = times(times(x, b.entries), x[:4])
             checked += 1
-            if xbx1.entries[:4] != x[:4]:
+            if xbx1[:4] != x[:4]:
                 bad += 1
-            elif xbx1.entries[4:] != x[4:]:
+            elif xbx1[4:] != x[4:]:
                 bad += 1
     out.check("Lemma2.4", "2x2 blocks, one zero column", not bad, bad, checked)
     return out
