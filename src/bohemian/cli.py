@@ -225,7 +225,11 @@ def _cmd_count(args) -> int:
 
 
 def _cmd_identity(args) -> int:
-    chk = ct.binomial_identity_check(args.m, args.n1, args.n2)
+    try:
+        chk = ct.binomial_identity_check(args.m, args.n1, args.n2)
+    except DomainError as exc:
+        print(f"identity: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     print(f"{chk.lhs} {chk.rhs} {'equal' if chk.equal else 'unequal'}")
     return EXIT_OK
 

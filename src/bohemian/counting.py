@@ -162,9 +162,11 @@ def binomial_identity_check(m: int, n1: int, n2: int) -> IdentityCheck:
 
     The left side counts ternary vectors of length nm with sum 1 directly;
     the right side is the quadruple sum over the split into blocks of
-    widths n1 and n2.
+    widths n1 and n2.  One width may be zero, not both, and m must be
+    positive.
     """
     n = n1 + n2
+    _require_positive("the two-block matrix", m=m, **{"n1+n2": n})
     nm = n * m
     _check_terms(
         f"the identity check at m={m}, n1={n1}, n2={n2}",

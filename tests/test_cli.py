@@ -848,6 +848,17 @@ class TestUsage:
         assert code == 2 and out == ""
         assert "needs positive dimensions" in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("argv,given", [
+        (("--m", "0", "--n1", "1", "--n2", "1"), "m=0"),
+        (("--m", "1", "--n1", "0", "--n2", "0"), "n1+n2=0"),
+    ])
+    def test_identity_of_an_empty_matrix_exit_two(self, capsys, argv, given):
+        code, out, err = run(capsys, "identity", *argv)
+        assert (code, out) == (2, "")
+        assert err == (
+            f"identity: the two-block matrix needs positive dimensions, got {given}\n"
+        )
+
     @pytest.mark.parametrize("dims", ["0x1", "1x2x3"])
     def test_bad_block_dims_exit_two(self, capsys, dims):
         code, _, err = run(capsys, "count", "--formula", "inner_pure_ws", "--dims", dims)
