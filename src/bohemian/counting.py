@@ -162,9 +162,12 @@ def binomial_identity_check(m: int, n1: int, n2: int) -> IdentityCheck:
 
     The left side counts ternary vectors of length nm with sum 1 directly;
     the right side is the quadruple sum over the split into blocks of
-    widths n1 and n2.  One width may be zero, not both, and m must be
-    positive.
+    widths n1 and n2.  One width may be zero, not both, neither may be
+    negative, and m must be positive.
     """
+    if n1 < 0 or n2 < 0:
+        raise DomainError(
+            f"the two-block matrix needs nonnegative block widths, got n1={n1}, n2={n2}")
     n = n1 + n2
     _require_positive("the two-block matrix", m=m, **{"n1+n2": n})
     nm = n * m

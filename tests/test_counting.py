@@ -119,6 +119,12 @@ class TestBinomialIdentity:
         chk = ct.binomial_identity_check(1, 2, 1)
         assert chk.lhs == 6 and chk.equal
 
+    @pytest.mark.parametrize("n1, n2", [(-1, 2), (2, -1)])
+    def test_negative_block_width_raises(self, n1, n2):
+        # no matrix has a block of negative width, even when n1 + n2 > 0
+        with pytest.raises(DomainError, match="needs nonnegative block widths"):
+            ct.binomial_identity_check(1, n1, n2)
+
     def test_lhs_matches_count_formula(self):
         for m, n1, n2 in product(range(1, 4), repeat=3):
             chk = ct.binomial_identity_check(m, n1, n2)
