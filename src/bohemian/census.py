@@ -13,19 +13,23 @@ written as single integers (``brute_force_inverses`` has the lemmas).
 Constraint-guided enumeration and family materialization live here too,
 in the same odometer order, so theorem-versus-oracle comparisons are
 plain stream or set comparisons.  An :class:`EnumerationResult` holds
-every producer's members as ordered blocks of row-major entry tuples, a
-prefix with a suffix list that blocks may share, and writes and ranks
-them per prefix and per shared list; a matrix is built, through the
+every producer's members in one layout: ordered blocks, each a row-major
+prefix with a node of suffixes that blocks and parents may share.  A
+node lists one level's chunks, plain entry tuples at the last level and
+(row, child node) pairs above it, and the result writes and ranks each
+distinct prefix, row and node once; a matrix is built, through the
 checked ``IntMatrix`` constructor, only where a caller iterates it.  The
 scan's AXA = A join gives each first half of X the shared bucket of last
-halves that complete it.  A linear system is walked cell by cell in
-row-major order on one integer code of its residuals, each connected
-component of its constraints checked against a completion table, so
-every kept filling extends to a member, with no sort or permutation.
-A rank filter ranks row spaces, once per head space and shared list,
-not members.  The rank-one family codes each factor vector's form values
-as one integer and makes each member once, from its one factor pair
-whose q has first nonzero entry +1.
+halves that complete it, a one-level node.  A linear system is walked
+cell by cell in row-major order on one integer code of its residuals,
+each connected component of its constraints checked against a
+completion table, so every kept filling extends to a member, with no
+sort or permutation; its completions are one node per residual and row
+of X, shared by every residual and block that reaches it.  A rank filter
+ranks row spaces, once per node and head space, not members.  The
+rank-one family codes each factor vector's form values as one integer
+and makes each member once, from its one factor pair whose q has first
+nonzero entry +1.
 """
 
 from __future__ import annotations
@@ -57,6 +61,8 @@ from .matrices import (
 )
 
 DEFAULT_CELL_BUDGET = 16
+#: the most members a materialized family may stream; a count has no cap
+MEMBER_CAP = 10**7
 
 
 @dataclass(frozen=True)
@@ -91,33 +97,57 @@ TERNARY = Population()
 class EnumerationResult:
     """An ordered stream of ``shape`` matrices plus its exact count.
 
-    The members are ordered blocks (prefix, suffixes), each giving p + s
-    for s in its suffixes; the prefixes cover the same leading row-major
-    cells, and blocks may share a suffix list.  The constructor's stream
-    of entry tuples is one block with the empty prefix.  ``matrices``,
-    built on first read, holds each member's entry tuple, or is None for
-    a count-only run; otherwise the count equals the stream length.
-    Iteration builds checked :class:`IntMatrix` objects; ``serialize``
-    writes the blocks directly.
+    The members are ordered blocks (prefix, node), each giving p + s for
+    s in its node's suffixes.  The layout's invariant: the prefixes cover
+    the same leading row-major cells, and every node has ``_depth``
+    levels, each covering the same cells in every block.  A node is a
+    list of one level's chunks.  At the last level a chunk is a plain
+    entry tuple; above it, it is a pair (row, child node), giving row + s
+    for s in the child's suffixes, where the row is one whole row of X
+    (so the prefix covers whole rows too) and no node is empty.  Chunks
+    stream in odometer order, so the members do.  Blocks and parents may
+    share a node, known by its identity while they hold it, so each
+    node's work is done once per stream.  The constructor's stream of
+    entry tuples is one block with the empty prefix, one level deep.
+    ``matrices``, built on first read, holds each member's entry tuple,
+    or is None for a count-only run; otherwise the count equals the
+    stream length.  Iteration builds checked :class:`IntMatrix` objects;
+    ``serialize`` writes the blocks directly.
     """
 
-    __slots__ = ("shape", "count", "_blocks", "_matrices")
+    __slots__ = ("shape", "count", "_blocks", "_depth", "_matrices")
 
     def __init__(self, shape: tuple[int, int],
                  matrices: Optional[tuple[tuple[int, ...], ...]], count: int):
-        self.shape, self.count, self._matrices = shape, count, None
+        self.shape, self.count, self._matrices, self._depth = shape, count, None, 1
         self._blocks = None if matrices is None else [((), matrices)]
 
     @classmethod
-    def _of_blocks(cls, shape, blocks) -> "EnumerationResult":
-        result = cls(shape, None, sum(len(ss) for _, ss in blocks))
-        result._blocks = blocks
+    def _of_blocks(cls, shape, blocks, depth=1, count=None) -> "EnumerationResult":
+        """The result of the blocks, counted along their nodes unless the
+        count is given."""
+        if count is None and depth == 1:
+            count = sum([len(node) for _, node in blocks])
+        elif count is None:
+            sizes: dict[int, int] = {}  # a last-level node's size is its length
+            for level in reversed(_row_levels(blocks, depth)):
+                for key, node in level.items():
+                    sizes[key] = sum([sizes.get(id(child), len(child)) for _, child in node])
+            count = sum([sizes[id(node)] for _, node in blocks])
+        result = cls(shape, None, count)
+        result._blocks, result._depth = blocks, depth
         return result
 
     @property
     def matrices(self) -> Optional[tuple[tuple[int, ...], ...]]:
         if self._matrices is None and self._blocks is not None:
-            self._matrices = tuple([p + s for p, ss in self._blocks for s in ss])
+            flat = {}  # each node's suffixes, once; a last-level node holds its own
+            for level in reversed(_row_levels(self._blocks, self._depth)):
+                for key, node in level.items():
+                    flat[key] = [row + s for row, child in node
+                                 for s in flat.get(id(child), child)]
+            self._matrices = tuple([
+                p + s for p, node in self._blocks for s in (flat[id(node)] if flat else node)])
         return self._matrices
 
     def __eq__(self, other):
@@ -143,24 +173,57 @@ class EnumerationResult:
 
         Each member reads as ``serialize_matrix`` writes it, the last row
         carrying the blank line after it.  A block is written as
-        ``p + p.join(suffix_texts)``: its prefix's text is made once, and a
-        shared list's suffix texts once for all its blocks (a list is known
-        by its identity while the blocks hold it).
+        ``p + p.join(suffix_texts)``: its prefix's text is made once, and
+        a node's suffix texts once for all its blocks and parents, each
+        the text of a row, made once per distinct row of its level, plus a
+        suffix text of the row's child.
         """
         rows, cols = self.shape
         parts = []
         if self._blocks:
             fmt = ["{}" + (" " if (c + 1) % cols else "\n") for c in range(rows * cols - 1)]
             fmt.append("{}\n\n")
-            split = len(self._blocks[0][0])
-            head, tail = "".join(fmt[:split]).format, "".join(fmt[split:]).format
-            lists = {id(ss): ss for _, ss in self._blocks}  # one per shared list
-            suffix_texts = {key: [tail(*s) for s in ss] for key, ss in lists.items()}
-            for p, ss in self._blocks:
+            p, node = self._blocks[0]
+            cuts = [len(p)]  # the first cell of each level
+            for _ in range(self._depth - 1):
+                row, node = node[0]
+                cuts.append(cuts[-1] + len(row))
+            formats = ["".join(fmt[a:b]).format for a, b in zip(cuts, cuts[1:])]
+            head, tail = "".join(fmt[:cuts[0]]).format, "".join(fmt[cuts[-1]:]).format
+            texts: dict[int, list[str]] = {}  # each node's suffix texts, once
+
+            def written(node):
+                if id(node) not in texts:  # a last-level node
+                    texts[id(node)] = [tail(*s) for s in node]
+                return texts[id(node)]
+
+            for level, write in zip(reversed(_row_levels(self._blocks, self._depth)),
+                                    reversed(formats)):
+                row_texts = {}  # each distinct row's text, once per level
+                for key, node in level.items():
+                    member_texts = []
+                    for row, child in node:
+                        text = row_texts.get(row)
+                        if text is None:
+                            text = row_texts[row] = write(*row)
+                        member_texts += map(text.__add__, texts.get(id(child)) or written(child))
+                    texts[key] = member_texts
+            for p, node in self._blocks:
                 text = head(*p)
-                parts.append(text + text.join(suffix_texts[id(ss)]))
+                parts.append(text + text.join(texts.get(id(node)) or written(node)))
         parts.append(f"count: {self.count}\n")
         return "".join(parts)
+
+
+def _row_levels(blocks, depth) -> list[dict[int, list]]:
+    """The distinct nodes of each level of the blocks above the last, by
+    identity, top level first."""
+    if depth == 1:
+        return []
+    levels = [{id(node): node for _, node in blocks}]
+    for _ in range(depth - 2):
+        levels.append({id(child): child for node in levels[-1].values() for _, child in node})
+    return levels
 
 
 def brute_force_inverses(
@@ -541,15 +604,20 @@ def _subspaces(m: int, values: tuple[int, ...], top: int) -> tuple[_Subspace, ..
 # ---------------------------------------------------------------------------
 # constraint-guided enumeration
 
-def _completions(steps, values, roots) -> dict[int, list[tuple[int, ...]]]:
-    """For each residual of ``roots``, the fillings of the cells of
-    ``steps`` that keep it live, in odometer order.  A cell's step is
-    (weight, base, radix, table): the code of its coefficients, and the
-    place and radix of its component's digits with the keys of the
-    component's completion table for its later cells, which a live
-    residual r has as r // base % radix.  Live residuals are reached
-    forward, and fillings built backward: a value, then each filling of
-    the residual it leaves, so one list serves every residual leading to it.
+def _completions(steps, values, roots, width) -> tuple[dict[int, list], int]:
+    """For each residual of ``roots``, the node of the fillings of the
+    cells of ``steps`` that keep it live, in odometer order, with one
+    level per ``width`` cells (a row of X), and the number of levels.  A
+    cell's step is (weight, base, radix, table): the code of its
+    coefficients, and the place and radix of its component's digits with
+    the keys of the component's completion table for its later cells,
+    which a live residual r has as r // base % radix.  Live residuals are
+    reached forward, and the levels built backward, last level first.
+    Within a level, fillings are built backward too: a value, then each
+    filling of the rest of the level from the residual it leaves.  At the
+    last level the fillings are the node's chunks; above it, each filling
+    of a row is paired with the node of the residual the row leaves.  So
+    one node serves every residual and row leading to it.
     """
     reach = [roots]
     for weight, base, radix, table in steps:
@@ -557,23 +625,40 @@ def _completions(steps, values, roots) -> dict[int, list[tuple[int, ...]]]:
             s for r in reach[-1] for v in values
             for s in (r - v * weight,) if s // base % radix in table
         })
-    lists = dict.fromkeys(reach.pop(), [()])
-    for weight, *_ in reversed(steps):
-        terms = [((v,), v * weight) for v in values]
-        lists = {
-            r: [t + s for t, d in terms for s in lists.get(r - d, ())]
-            for r in reach.pop()
-        }
-    return lists
+    starts = list(range(0, len(steps), width or 1)) or [0]
+    ends = starts[1:] + [len(steps)]
+    nodes = None
+    for a, b in zip(reversed(starts), reversed(ends)):
+        if nodes is None:  # the last level: plain fillings
+            lists = dict.fromkeys(reach[b], [()])
+            for c in reversed(range(a, b)):
+                terms = [((v,), v * steps[c][0]) for v in values]
+                lists = {
+                    r: [t + s for t, d in terms for s in lists.get(r - d, ())]
+                    for r in reach[c]
+                }
+        else:  # the fillings of a row, each with its child
+            lists = {r: [((), nodes[r])] for r in reach[b]}
+            for c in reversed(range(a, b)):
+                terms = [((v,), v * steps[c][0]) for v in values]
+                lists = {
+                    r: [(t + s, child) for t, d in terms for s, child in lists.get(r - d, ())]
+                    for r in reach[c]
+                }
+        nodes = lists
+    return nodes, len(starts)
 
 
 def enumerate_sum_constrained(
     system: SumConstraintSystem,
     population: Population = TERNARY,
     count_only: bool = False,
+    cap: Optional[int] = None,
 ) -> EnumerationResult:
     """All population-valued matrices satisfying every linear constraint,
-    in odometer order by construction.
+    in odometer order by construction; a stream of more than ``cap``
+    members, when one is given, is refused with ``ResourceLimitError``
+    before any of it is built.
 
     Constraints are scaled once to integers by the lcm of their
     denominators (entries are integers, so a rhs of 1/2 becomes 2 s = 1
@@ -603,9 +688,10 @@ def enumerate_sum_constrained(
     exactly the fillings that extend.  The cells before the row boundary
     nearest the middle (mid-row for a one-row X) give the prefixes,
     walked forward from the start residual in odometer order, each
-    carrying its residual; each is paired with the list of the
-    completions of its residual, one list per residual: the members in
-    odometer order, with no sort.
+    carrying its residual; each is paired with the node of the
+    completions of its residual (``_completions``), one level per later
+    row, or one for the rest of a one-row X's row, and one node per
+    residual and row: the members in odometer order, with no sort.
     """
     shape = system.shape
     n, m = shape
@@ -654,15 +740,19 @@ def enumerate_sum_constrained(
         if not count:
             return empty
         start += goal
+    count *= len(values) ** steps.count(free)
     if count_only:
-        return EnumerationResult(shape, None, count * len(values) ** steps.count(free))
+        return EnumerationResult(shape, None, count)
+    if cap is not None:
+        _refuse_past(cap, count)
     split = m * (n // 2) if n > 1 else m // 2
     level = [((), start)]  # each live prefix with its residual
     for weight, base, radix, table in steps[:split]:
         level = [(p + (v,), s) for p, r in level for v in values
                  for s in (r - v * weight,) if s // base % radix in table]
-    suffixes = _completions(steps[split:], values, {r for _, r in level})
-    return EnumerationResult._of_blocks(shape, [(p, suffixes[r]) for p, r in level])
+    nodes, depth = _completions(steps[split:], values, {r for _, r in level},
+                                m if n > 1 else cells - split)
+    return EnumerationResult._of_blocks(shape, [(p, nodes[r]) for p, r in level], depth, count)
 
 
 # ---------------------------------------------------------------------------
@@ -755,20 +845,27 @@ def _of_rank(result: EnumerationResult, rank: int) -> EnumerationResult:
     """The members of ``result`` of the given rank, in its order.
 
     The rank of X is the dimension of its row space, and a block splits
-    its rows into the whole rows of the prefix, the head, and the rest of
-    the prefix (nonempty only where X has one row) joined with a suffix,
-    a tail: rank X = dim span(head rows ∪ tail rows).  So ranks are taken
-    on row spaces, never on members.  Each row space has a small id, kept
-    by its integer normal basis (``_normal_basis`` reads it off the
-    reduced echelon form, so every basis of the space gives the same),
-    and the space one row spans with it is memoized per (space id, row).
-    The tails of a shared list get their space ids once per (list, rest);
-    a list is then cut once per head space, by whether each tail's space
-    joined to the head's has dimension ``rank``, and the kept list is
-    shared by every block with that list, rest and head space, so
-    ``serialize`` writes it once.
+    its rows into the whole rows of the prefix, the head, the row of each
+    level above the last, and the rest of the prefix (nonempty only where
+    X has one row, so the block has one level) joined with a last-level
+    chunk, a tail: rank X = dim span(head rows ∪ level rows ∪ tail rows).
+    So ranks are taken on row spaces, never on members.  Each row space
+    has a small id, kept by its integer normal basis (``_normal_basis``
+    reads it off the reduced echelon form, so every basis of the space
+    gives the same), and the space one row spans with it is memoized per
+    (space id, row).  A node is cut once per (node, rest, head space),
+    into the kept node that every block and parent reaching it with that
+    rest and head space shares, so ``serialize`` writes it once: above
+    the last level, each row's child is cut on the head space grown by
+    the row, and the entries whose cut child is nonempty are kept.  The
+    tails of a last-level node get their space ids once per (node,
+    rest), and the node is cut by whether each tail's space joined to
+    the head's has dimension ``rank``.  A node that keeps every member
+    is kept as it is, and a head space of dimension above ``rank`` keeps
+    nothing, as the spaces only grow.
     """
     m = result.shape[1]
+    last = result._depth - 1
     ids: dict[tuple, int] = {}  # the normal basis of a space -> its id
     bases: list[list[tuple[int, ...]]] = []
     normals: list[tuple[tuple[int, ...], ...]] = []
@@ -793,26 +890,44 @@ def _of_rank(result: EnumerationResult, rank: int) -> EnumerationResult:
         return sid
 
     zero = space([])
-    tails: dict[tuple, list[int]] = {}  # the tails' space ids, by (list, rest)
+    tails: dict[tuple, list[int]] = {}  # the tails' space ids, by (node, rest)
     fits: dict[int, dict[int, bool]] = {}  # head space -> tail space -> kept
-    cuts: dict[tuple, list[tuple[int, ...]]] = {}  # by (list, rest, head space)
-    blocks = []
-    for p, ss in result._blocks:
-        whole = len(p) - len(p) % m
-        rest = p[whole:]
-        head = span(zero, zip(*[iter(p[:whole])] * m))
-        key = (id(ss), rest, head)
-        if key not in cuts:
+    cuts: dict[tuple, list] = {}  # the kept node, by (node, rest, head space)
+
+    def cut(node, level, rest, head):
+        key = (id(node), rest, head)
+        if key in cuts:
+            return cuts[key]
+        if len(bases[head]) > rank:
+            kept = []
+        elif level < last:
+            kept, whole = [], True
+            for row, child in node:
+                below = cut(child, level + 1, (), span(head, (row,)))
+                if below:
+                    kept.append((row, below))
+                whole = whole and below is child
+            if whole:
+                kept = node
+        else:
             tail = key[:2]
             if tail not in tails:
-                tails[tail] = [span(zero, zip(*[iter(rest + s)] * m)) for s in ss]
+                tails[tail] = [span(zero, zip(*[iter(rest + s)] * m)) for s in node]
             fit = fits.setdefault(head, {})
             for t in set(tails[tail]).difference(fit):
                 fit[t] = len(bases[span(head, bases[t])]) == rank
-            cuts[key] = list(compress(ss, map(fit.__getitem__, tails[tail])))
-        if cuts[key]:
-            blocks.append((p, cuts[key]))
-    return EnumerationResult._of_blocks(result.shape, blocks)
+            flags = list(map(fit.__getitem__, tails[tail]))
+            kept = node if all(flags) else list(compress(node, flags))
+        cuts[key] = kept
+        return kept
+
+    blocks = []
+    for p, node in result._blocks:
+        whole = len(p) - len(p) % m
+        kept = cut(node, 0, p[whole:], span(zero, zip(*[iter(p[:whole])] * m)))
+        if kept:
+            blocks.append((p, kept))
+    return EnumerationResult._of_blocks(result.shape, blocks, result._depth)
 
 
 def materialize_family(
@@ -823,17 +938,32 @@ def materialize_family(
 ) -> EnumerationResult:
     """The family's population-valued members, of the given rank when one
     is given, deduplicated and in odometer order; with ``count_only``,
-    their count alone."""
+    their count alone.
+
+    A stream of more than ``MEMBER_CAP`` members is refused with
+    ``ResourceLimitError``: an unfiltered linear system's on the count of
+    its completion tables, before any member is built, and any other once
+    the rank filter has kept its members.  A count is never refused.
+    """
     shape = family.shape
-    if count_only and rank is None and isinstance(family.body, SumConstraintSystem):
-        # counted without building members
-        return enumerate_sum_constrained(family.body, population, count_only=True)
+    if rank is None and isinstance(family.body, SumConstraintSystem):
+        return enumerate_sum_constrained(family.body, population, count_only,
+                                         None if count_only else MEMBER_CAP)
     found = _materialize_body(family.body, population)
     if not isinstance(found, EnumerationResult):
         found = EnumerationResult(shape, tuple(sorted(found)), len(found))
     if rank is not None:
         found = _of_rank(found, rank)
-    return EnumerationResult(shape, None, found.count) if count_only else found
+    if count_only:
+        return EnumerationResult(shape, None, found.count)
+    _refuse_past(MEMBER_CAP, found.count)
+    return found
+
+
+def _refuse_past(cap: int, count: int) -> None:
+    if count > cap:
+        raise ResourceLimitError(
+            f"a stream of {count} members exceeds the member cap of {cap}")
 
 
 @dataclass(frozen=True)

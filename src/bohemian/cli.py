@@ -5,7 +5,7 @@ Matrices are read in the text format (one row per line, entries -1, 0 or
 1); reports are JSON; streams use the text format with a trailing count
 record.  Exit codes: 0 success, 1 a ``verify`` discrepancy that is not
 allowed, 2 usage or parse errors, 3 unsupported shape in theorem mode or
-no decomposition, 4 census budget or term limit exceeded.
+no decomposition, 4 census budget, member cap or term limit exceeded.
 """
 
 from __future__ import annotations
@@ -178,10 +178,11 @@ def _cmd_inverses(args) -> int:
             print(f"{exc}; detected class: {json.dumps(report, default=_report_json)}",
                   file=sys.stderr)
             return EXIT_UNSUPPORTED
+        # built, or refused past the member cap, before anything is printed
+        result = cs.materialize_family(family, population, args.rank, args.count_only)
         print(f"theorem_id: {family.theorem_id}")
         if family.note:
             print(f"note: {family.note}")
-        result = cs.materialize_family(family, population, args.rank, args.count_only)
     sys.stdout.write(result.serialize())
     return EXIT_OK
 

@@ -859,29 +859,38 @@ def _row_space(rows):
 
 class TestOfRank:
     """``_of_rank`` against ``exact_rank`` member by member, and its kept
-    lists shared by the blocks whose suffix list, prefix rest and head
-    space agree."""
+    nodes shared by every block and parent that reach one node with one
+    prefix rest and head space."""
 
     @staticmethod
     def _check(result):
         n, m = result.shape
         stream = result.matrices
-        kept_lists = 0
+        last = result._depth - 1
+        kept_nodes = 0
         for rank in range(min(n, m) + 1):
             want = tuple(e for e in stream if exact_rank(IntMatrix(n, m, e)) == rank)
             got = cs._of_rank(result, rank)
             assert got.matrices == want and got.count == len(want), rank
-            # each kept block keeps its prefix, and the blocks of one
-            # (suffix list, rest, head space) hold one kept list
-            source = {p: ss for p, ss in result._blocks}
+            # each kept block keeps its prefix, and each (node, rest, head
+            # space) is cut into one kept node, the head space growing by
+            # each row above the last level
             held = {}
+
+            def walk(node, kept, level, rest, head):
+                key = (id(node), rest, _row_space(head))
+                assert held.setdefault(key, kept) is kept, (rank, level, head)
+                if level < last:
+                    children = dict(node)
+                    for row, child in kept:
+                        walk(children[row], child, level + 1, (), head + [row])
+
+            source = {p: node for p, node in result._blocks}
             for p, kept in got._blocks:
                 whole = len(p) - len(p) % m
-                head = _row_space(zip(*[iter(p[:whole])] * m))
-                key = (id(source[p]), p[whole:], head)
-                assert held.setdefault(key, kept) is kept, (rank, p)
-            kept_lists += len({id(kept) for _, kept in got._blocks})
-        return kept_lists
+                walk(source[p], kept, 0, p[whole:], list(zip(*[iter(p[:whole])] * m)))
+            kept_nodes += len({id(kept) for _, kept in got._blocks})
+        return kept_nodes
 
     @pytest.mark.parametrize(
         "rows",
@@ -906,9 +915,9 @@ class TestOfRank:
         assert len(result._blocks) > 1
         if a.cols == 1:
             assert 0 < len(result._blocks[0][0]) < a.rows
-        kept_lists = self._check(result)
-        if a.rows == 2:  # heads of one row space share their kept lists
-            assert kept_lists < sum(
+        kept_nodes = self._check(result)
+        if a.rows == 2:  # heads of one row space share their kept nodes
+            assert kept_nodes < sum(
                 len(cs._of_rank(result, r)._blocks) for r in range(3))
 
     @pytest.mark.parametrize(
@@ -927,6 +936,73 @@ class TestOfRank:
             assert tuple(got) == want, rank
         if a.rows <= a.cols:  # the scan's own blocks
             self._check(full)
+
+
+#: each name's result at a rank, or unfiltered at None
+STREAM_PRODUCERS = {
+    # theorem systems, by the rows of X
+    "system-2-rows": lambda r: _theorem_stream(
+        [[1, 1], [1, 1], [-1, -1], [-1, -1], [-1, -1]], r),
+    "system-3-rows": lambda r: _theorem_stream(ones(2, 3).row_tuples(), r),
+    "system-3-rows-b": lambda r: _theorem_stream([[1, 1, 0], [0, 1, 1]], r),
+    "system-4-rows": lambda r: _theorem_stream([[1, 1, -1, -1], [1, 1, -1, -1]], r),
+    "system-5-rows": lambda r: _theorem_stream(
+        [[1, 1, 1, 0, 0], [-1, -1, -1, 0, 0], [1, -1, 0, 1, 0], [0, 0, 0, 0, 1]], r),
+    "system-one-column": lambda r: _theorem_stream([[1, 1, 0, -1, 0]], r),
+    "system-one-row": lambda r: _theorem_stream([[1], [-1], [-1], [0], [0], [0], [0]], r),
+    # 2 x = 1 has no integer solution
+    "system-empty": lambda r: cs.materialize_family(fam.InverseFamily(
+        "Empty", fam.SumConstraintSystem((2, 2), (fam.LinearConstraint((2, 0, 0, 0), 1),))),
+        rank=r),
+    "scan-spec1": lambda r: cs.brute_force_inverses(
+        M([[1, 0, -1], [0, 1, 1]]), "1", rank_filter=r),
+    "scan-spec1-transposed": lambda r: cs.brute_force_inverses(
+        M([[1, 0], [1, -1], [0, 1]]), "1", rank_filter=r),
+    "scan-spec2": lambda r: cs.brute_force_inverses(
+        M([[1, 1, 0], [0, 1, 1]]), "2", rank_filter=r),
+    "product": lambda r: cs.materialize_family(PRODUCT_FAMILIES["typeI"], rank=r),
+    "union": lambda r: _theorem_stream([[1, 1, 0, 1, -1], [0, 1, 1, 1, 1]], r, "2"),
+}
+
+
+def _theorem_stream(rows, rank, spec="1"):
+    from bohemian.theorems import select_theorem
+
+    return cs.materialize_family(select_theorem(M(rows), spec), rank=rank)
+
+
+class TestStreamLayout:
+    """Every producer's result, whatever its blocks and nodes, against its
+    own member stream: the text ``serialize_matrix`` writes member by
+    member, strict odometer order and the count, unfiltered and at each
+    rank."""
+
+    @pytest.mark.parametrize("name", sorted(STREAM_PRODUCERS))
+    def test_serialize_is_the_member_stream(self, name):
+        produce = STREAM_PRODUCERS[name]
+        result = produce(None)
+        n, m = result.shape
+        for rank in (None, *range(min(n, m) + 1)):
+            got = produce(rank) if rank is not None else result
+            stream = got.matrices
+            assert got.count == len(stream), (name, rank)
+            assert all(a < b for a, b in zip(stream, stream[1:])), (name, rank)
+            text = "".join(serialize_matrix(IntMatrix(n, m, e)) + "\n" for e in stream)
+            assert got.serialize() == text + f"count: {len(stream)}\n", (name, rank)
+        if name == "system-empty":
+            assert result.count == 0
+        else:
+            assert result.count > 1
+
+    def test_systems_have_one_level_per_row(self):
+        # the rows after the prefix's are one level each, and a one-row X
+        # split mid-row has one level
+        for name, rows, depth in [("system-5-rows", 5, 3), ("system-4-rows", 4, 2),
+                                  ("system-one-column", 5, 3), ("system-one-row", 1, 1)]:
+            result = STREAM_PRODUCERS[name](None)
+            assert (result.shape[0], result._depth) == (rows, depth), name
+        prefix = STREAM_PRODUCERS["system-one-row"](None)._blocks[0][0]
+        assert 0 < len(prefix) < 7
 
 
 def _product_reference(body, values):

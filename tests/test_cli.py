@@ -5,6 +5,7 @@ import csv
 import hashlib
 import io
 import json
+import time
 from itertools import product
 
 import pytest
@@ -200,6 +201,34 @@ class TestInverses:
             "enumeration of 20 cells (2^20 = 1048576 candidates) "
             "exceeds the budget of 19\n"
         )
+
+    def test_theorem_stream_past_member_cap_exit_four(self, capsys, write):
+        # ones(5, 5) has 79,818,194,925 inner inverses; the count of its
+        # completion tables refuses the stream before any member is built
+        path = write("ones.txt", "1 1 1 1 1\n" * 5)
+        start = time.perf_counter()
+        code, out, err = run(capsys, "inverses", path, "--spec", "1", "--mode", "theorem")
+        assert time.perf_counter() - start < 10
+        assert code == 4 and out == ""
+        assert err == (
+            f"a stream of 79818194925 members exceeds the member cap of {cs.MEMBER_CAP}\n")
+        code, out, err = run(
+            capsys, "inverses", path, "--spec", "1", "--mode", "theorem", "--count-only")
+        assert (code, out, err) == (0, "theorem_id: InnerTypeI\ncount: 79818194925\n", "")
+
+    def test_member_cap_reads_the_rank_filtered_count(self, capsys, write, monkeypatch):
+        # the type-II 2x5 A has 8,350 inner inverses, 90 of them of rank 1
+        monkeypatch.setattr(cs, "MEMBER_CAP", 100)
+        path = write("a.txt", "1 1 -1 -1 -1\n1 1 -1 -1 -1\n")
+        argv = ("inverses", path, "--spec", "1", "--mode", "theorem")
+        code, out, err = run(capsys, *argv, "--rank", "1")
+        assert code == 0 and out.endswith("\ncount: 90\n") and err == ""
+        for extra, count in [((), 8350), (("--rank", "2"), 8260)]:
+            code, out, err = run(capsys, *argv, *extra)
+            assert code == 4 and out == ""
+            assert err == f"a stream of {count} members exceeds the member cap of 100\n"
+            code, out, _ = run(capsys, *argv, *extra, "--count-only")
+            assert code == 0 and out.endswith(f"\ncount: {count}\n")
 
     @pytest.mark.parametrize(
         "raw, reason",
