@@ -101,14 +101,14 @@ class EnumerationResult:
     s in its node's suffixes.  The layout's invariant: the prefixes cover
     the same leading row-major cells, and every node has ``_depth``
     levels, each covering the same cells in every block.  A node is a
-    list of one level's chunks.  At the last level a chunk is a plain
-    entry tuple; above it, it is a pair (row, child node), giving row + s
-    for s in the child's suffixes, where the row is one whole row of X
-    (so the prefix covers whole rows too) and no node is empty.  Chunks
-    stream in odometer order, so the members do.  Blocks and parents may
-    share a node, known by its identity while they hold it, so each
-    node's work is done once per stream.  The constructor's stream of
-    entry tuples is one block with the empty prefix, one level deep.
+    list of one level's chunks: plain entry tuples at the last level,
+    and above it pairs (row, child node), giving row + s for s in the
+    child's suffixes, each row one whole row of X (so the prefix covers
+    whole rows too) and no node empty.  Chunks stream in odometer order,
+    so the members do.  Blocks and parents may share a node, known by
+    its identity while they hold it, so each node's work is done once
+    per stream.  The constructor's stream of entry tuples is one block
+    with the empty prefix, one level deep.
     ``matrices``, built on first read, holds each member's entry tuple,
     or is None for a count-only run; otherwise the count equals the
     stream length.  Iteration builds checked :class:`IntMatrix` objects;
@@ -847,22 +847,18 @@ def _of_rank(result: EnumerationResult, rank: int) -> EnumerationResult:
     The rank of X is the dimension of its row space, and a block splits
     its rows into the whole rows of the prefix, the head, the row of each
     level above the last, and the rest of the prefix (nonempty only where
-    X has one row, so the block has one level) joined with a last-level
-    chunk, a tail: rank X = dim span(head rows ∪ level rows ∪ tail rows).
-    So ranks are taken on row spaces, never on members.  Each row space
-    has a small id, kept by its integer normal basis (``_normal_basis``
-    reads it off the reduced echelon form, so every basis of the space
-    gives the same), and the space one row spans with it is memoized per
-    (space id, row).  A node is cut once per (node, rest, head space),
-    into the kept node that every block and parent reaching it with that
-    rest and head space shares, so ``serialize`` writes it once: above
-    the last level, each row's child is cut on the head space grown by
-    the row, and the entries whose cut child is nonempty are kept.  The
-    tails of a last-level node get their space ids once per (node,
-    rest), and the node is cut by whether each tail's space joined to
-    the head's has dimension ``rank``.  A node that keeps every member
-    is kept as it is, and a head space of dimension above ``rank`` keeps
-    nothing, as the spaces only grow.
+    X has one row) joined with a last-level chunk, a tail.  So ranks are
+    taken on row spaces, never on members.  Each row space has a small
+    id, kept by its integer normal basis (``_normal_basis`` reads it off
+    the reduced echelon form, so every basis of the space gives the
+    same), and the space one row spans with it is memoized per (space
+    id, row).  A node is cut once per (node, rest, head space) into one
+    kept node, which ``serialize`` then writes once: above the last
+    level, by cutting each row's child on the head space grown by the
+    row; at the last level, by whether each tail's space, found once per
+    (node, rest), joined to the head's has dimension ``rank``.  A node
+    that keeps every member is kept as it is, and a head space of
+    dimension above ``rank`` keeps nothing.
     """
     m = result.shape[1]
     last = result._depth - 1
