@@ -202,11 +202,13 @@ class EnumerationResult:
                 row_texts = {}  # each distinct row's text, once per level
                 for key, node in level.items():
                     member_texts = []
+                    add = member_texts.append
                     for row, child in node:
                         text = row_texts.get(row)
                         if text is None:
                             text = row_texts[row] = write(*row)
-                        member_texts += map(text.__add__, texts.get(id(child)) or written(child))
+                        for suffix in texts.get(id(child)) or written(child):
+                            add(text + suffix)
                     texts[key] = member_texts
             for p, node in self._blocks:
                 text = head(*p)
