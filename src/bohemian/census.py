@@ -19,8 +19,9 @@ node lists one level's chunks, plain entry tuples at the last level and
 (row, child node) pairs above it, and the result writes and ranks each
 distinct prefix, row and node once; a matrix is built, through the
 checked ``IntMatrix`` constructor, only where a caller iterates it.  The
-scan's AXA = A join gives each first half of X the shared bucket of last
-halves that complete it, a one-level node.  A linear system is walked
+scan's AXA = A join gives each lead prefix of X one node per rest, its
+(last lead row, shared tail bucket) pairs, or one block per lead where
+that writes fewer texts.  A linear system is walked
 cell by cell in row-major order on one integer code of its residuals,
 each connected component of its constraints checked against a
 completion table, so every kept filling extends to a member, with no
@@ -181,20 +182,20 @@ class EnumerationResult:
         rows, cols = self.shape
         parts = []
         if self._blocks:
-            fmt = ["{}" + (" " if (c + 1) % cols else "\n") for c in range(rows * cols - 1)]
-            fmt.append("{}\n\n")
+            fmt = ["%s" + (" " if (c + 1) % cols else "\n") for c in range(rows * cols - 1)]
+            fmt.append("%s\n\n")
             p, node = self._blocks[0]
             cuts = [len(p)]  # the first cell of each level
             for _ in range(self._depth - 1):
                 row, node = node[0]
                 cuts.append(cuts[-1] + len(row))
-            formats = ["".join(fmt[a:b]).format for a, b in zip(cuts, cuts[1:])]
-            head, tail = "".join(fmt[:cuts[0]]).format, "".join(fmt[cuts[-1]:]).format
+            formats = ["".join(fmt[a:b]).__mod__ for a, b in zip(cuts, cuts[1:])]
+            head, tail = "".join(fmt[:cuts[0]]).__mod__, "".join(fmt[cuts[-1]:]).__mod__
             texts: dict[int, list[str]] = {}  # each node's suffix texts, once
 
             def written(node):
                 if id(node) not in texts:  # a last-level node
-                    texts[id(node)] = [tail(*s) for s in node]
+                    texts[id(node)] = list(map(tail, node))
                 return texts[id(node)]
 
             for level, write in zip(reversed(_row_levels(self._blocks, self._depth)),
@@ -206,12 +207,12 @@ class EnumerationResult:
                     for row, child in node:
                         text = row_texts.get(row)
                         if text is None:
-                            text = row_texts[row] = write(*row)
+                            text = row_texts[row] = write(row)
                         for suffix in texts.get(id(child)) or written(child):
                             add(text + suffix)
                     texts[key] = member_texts
             for p, node in self._blocks:
-                text = head(*p)
+                text = head(p)
                 parts.append(text + text.join(texts.get(id(node)) or written(node)))
         parts.append(f"count: {self.count}\n")
         return "".join(parts)
@@ -255,9 +256,12 @@ def brute_force_inverses(
     ``_join`` decides it by a hash join: the term sums of the last half of
     the rows are tabulated once, and each first half is one dictionary
     lookup of A minus its own sum, which yields the bucket of every
-    completing last half in odometer order: one block of the result, its
-    entry tuples made once per bucket.  A count-only run without a rank
-    filter adds up the sizes of those buckets.
+    completing last half in odometer order, its entry tuples made once.
+    Lemma: a prefix of the first h - 1 rows, h = n - n // 2, has a rest,
+    A minus its terms, and its completions depend on the rest alone; so
+    every prefix with one rest completes by one ordered list of (row h - 1,
+    bucket), one node of the result (``_entry_blocks``).  A count-only run
+    without a rank filter adds up the sizes of the buckets.
 
     XAX = X is decided one row space at a time, by this lemma.  Let A be
     the scanned m x n matrix (m <= n), X an n x m matrix whose rows lie in
@@ -328,9 +332,9 @@ def brute_force_inverses(
     ra = _product_rows(rows, ar)
     if spec == "1":
         tally = count_only and rank_filter is None
-        pairs = _join(*_inner_codes(ar, ra), range(len(rows)), tally)
+        live = _join(*_inner_codes(ar, ra), range(len(rows)), tally)
         if tally:
-            return EnumerationResult(shape, None, sum(pairs))
+            return EnumerationResult(shape, None, sum(live))
     else:
         codes, joins = _outer_joins(ar, rows, ra, population.values, rank,
                                     rank_filter, count_only)
@@ -341,7 +345,7 @@ def brute_force_inverses(
         found = sorted(filter(None, map(hit, chain.from_iterable(joins))))
         return EnumerationResult(shape, tuple(found), len(found))
     scanned = (len(ar[0]), len(ar))  # the shape of X, or of X^T if flipped
-    result = EnumerationResult._of_blocks(scanned, _entry_blocks(pairs, rows, len(ar[0])))
+    result = _entry_blocks(live, rows, scanned)
     if rank_filter is not None:
         result = _of_rank(result, rank_filter)  # rank(X^T) = rank(X)
     if count_only:
@@ -352,21 +356,34 @@ def brute_force_inverses(
     return result
 
 
-def _entry_blocks(pairs, rows, n) -> list[tuple[tuple[int, ...], list[tuple[int, ...]]]]:
-    """The blocks of the (lead, bucket) pairs of a join over n positions,
-    of index tuples into the table ``rows``: an index tuple's entry tuple
-    is its rows concatenated (``_row_plan``), and a bucket that several
-    leads share is converted once."""
-    lead_rows = _row_plan(n - n // 2, 0, False, None)(rows)
+def _entry_blocks(live, rows, shape) -> EnumerationResult:
+    """The result of a spec-1 join's live prefixes (``_join``) of index
+    tuples into ``rows``: one node per rest, each bucket converted once.
+    Blocks (prefix, node) write a text per node member and save a block
+    per lead beyond each prefix's, a block costing about 8 texts; else a
+    block per lead."""
+    n = shape[0]
+    live = list(live)
+    prefix_rows = _row_plan(n - n // 2 - 1, 0, False, None)(rows)
     tail_rows = _row_plan(n // 2, 0, False, None)(rows)
     tails: dict[int, list[tuple[int, ...]]] = {}  # by the bucket's identity
-    blocks = []
-    for lead, bucket in pairs:
-        key = id(bucket)
-        if key not in tails:
-            tails[key] = list(map(tail_rows, bucket))
-        blocks.append((lead_rows(lead), tails[key]))
-    return blocks
+    nodes, sizes, leads = {}, {}, 0  # by the rest
+    for _, rest, found in live:
+        leads += len(found)
+        if rest not in nodes:
+            node = nodes[rest] = []
+            for i, bucket in found:
+                if id(bucket) not in tails:
+                    tails[id(bucket)] = list(map(tail_rows, bucket))
+                node.append((rows[i], tails[id(bucket)]))
+            sizes[rest] = sum([len(tail) for _, tail in node])
+    count = sum([sizes[rest] for _, rest, _ in live])
+    if n - n // 2 > 1 and sum(sizes.values()) < 8 * (leads - len(live)):
+        return EnumerationResult._of_blocks(
+            shape, [(prefix_rows(p), nodes[rest]) for p, rest, _ in live], 2, count)
+    return EnumerationResult._of_blocks(shape, [
+        (p + row, tail) for prefix, rest, _ in live for p in (prefix_rows(prefix),)
+        for row, tail in nodes[rest]], 1, count)
 
 
 @lru_cache(maxsize=64)
@@ -421,18 +438,19 @@ def _powers(bound: int, count: int) -> list[int]:
 def _join(coeffs, vecs, target, index, count_only=False) -> Iterator:
     """The index tuples (i_0, ..., i_{n-1}) over ``index`` whose terms
     coeffs[k] * vecs[i_k] add up to ``target``, in odometer order, where
-    n = len(coeffs) and ``vecs`` is aligned with ``index``, as (lead,
-    bucket) pairs, the hits lead + t for t in bucket; with ``count_only``,
-    the number of them, as a stream of partial counts.
+    n = len(coeffs) and ``vecs`` is aligned with ``index``; with
+    ``count_only``, the number of them, as a stream of partial counts.
 
     The terms are codes (``_powers``) of integer vectors, so a sum of
     terms is the code of the sum of the vectors, and equal codes mean
     equal vectors as long as the caller's radix bounds the entries of the
     target minus any sum of n terms.  The sums of the terms of the last
     n // 2 positions are tabulated once, each with the bucket of index
-    tuples that give it in odometer order; the first n - n // 2 positions
-    are walked with the target minus their running sum, so each choice of
-    them, a lead, is one lookup of its shared bucket.
+    tuples that give it in odometer order.  The first h - 1 positions,
+    h = n - n // 2, are walked with their rest, the target minus their
+    sum, each distinct rest looked up once per row i of position h - 1:
+    each prefix with a hit streams as (prefix, rest, found), found shared
+    by its rest, of (i, bucket) for the hits prefix + (i,) + t, t in bucket.
     """
     n = len(coeffs)
     terms = [[c * v for v in vecs] for c in coeffs]
@@ -453,14 +471,18 @@ def _join(coeffs, vecs, target, index, count_only=False) -> Iterator:
         suffixes.setdefault(s, []).append(t)
     get = suffixes.get
     no_suffix = repeat(())
+    nodes: dict[int, list] = {}  # each rest's (i, bucket) pairs, once
 
-    def pairs():
+    def live():
         for prefix, rest in zip(product(index, repeat=head - 1), rests):
-            found = list(map(get, map(rest.__sub__, last), no_suffix))
-            for i, bucket in compress(zip(index, found), found):
-                yield prefix + (i,), bucket
+            found = nodes.get(rest)
+            if found is None:
+                buckets = list(map(get, map(rest.__sub__, last), no_suffix))
+                found = nodes[rest] = list(compress(zip(index, buckets), buckets))
+            if found:
+                yield prefix, rest, found
 
-    return pairs()
+    return live()
 
 
 def _inner_codes(ar, ra) -> tuple[list[int], list[int], int]:
@@ -514,7 +536,8 @@ def _outer_joins(ar, rows, ra, values, rank, rank_filter, count_only):
             found = _join(coeffs, [codes[i] for i in space.members], target,
                           space.members, count_only)
             yield found if count_only else (
-                lead + t for lead, bucket in found for t in bucket)
+                prefix + (i,) + t for prefix, _, pairs in found
+                for i, bucket in pairs for t in bucket)
 
     return codes, joins()
 
@@ -656,10 +679,12 @@ def enumerate_sum_constrained(
     population: Population = TERNARY,
     count_only: bool = False,
     cap: Optional[int] = None,
+    prefix_cap: Optional[int] = None,
 ) -> EnumerationResult:
     """All population-valued matrices satisfying every linear constraint,
     in odometer order by construction; a stream of more than ``cap``
-    members, when one is given, is refused with ``ResourceLimitError``
+    members, or a walk of more than ``prefix_cap`` live prefixes, counted
+    forward on residual tallies, is refused with ``ResourceLimitError``
     before any of it is built.
 
     Constraints are scaled once to integers by the lcm of their
@@ -748,12 +773,22 @@ def enumerate_sum_constrained(
     if cap is not None:
         _refuse_past(cap, count)
     split = m * (n // 2) if n > 1 else m // 2
+    if prefix_cap is not None:
+        tally = {start: 1}  # the number of live prefixes with each residual
+        for weight, base, radix, table in steps[:split]:
+            grown = Counter()
+            for r, ways in tally.items():
+                for s in [r - v * weight for v in values]:
+                    if s // base % radix in table:
+                        grown[s] += ways
+            tally = grown
+        _refuse_past(prefix_cap, sum(tally.values()), "a rank-filtered walk of {} prefixes")
     level = [((), start)]  # each live prefix with its residual
     for weight, base, radix, table in steps[:split]:
         level = [(p + (v,), s) for p, r in level for v in values
                  for s in (r - v * weight,) if s // base % radix in table]
     nodes, depth = _completions(steps[split:], values, {r for _, r in level},
-                                m if n > 1 else cells - split)
+                                m if min(n, m) > 1 else cells - split)
     return EnumerationResult._of_blocks(shape, [(p, nodes[r]) for p, r in level], depth, count)
 
 
@@ -941,13 +976,18 @@ def materialize_family(
     A stream of more than ``MEMBER_CAP`` members is refused with
     ``ResourceLimitError``: an unfiltered linear system's on the count of
     its completion tables, before any member is built, and any other once
-    the rank filter has kept its members.  A count is never refused.
+    the rank filter has kept its members.  A rank-filtered linear system
+    with more than ``MEMBER_CAP`` live prefixes is refused, counted or
+    not, before any prefix is built; an unfiltered count never is.
     """
     shape = family.shape
-    if rank is None and isinstance(family.body, SumConstraintSystem):
-        return enumerate_sum_constrained(family.body, population, count_only,
-                                         None if count_only else MEMBER_CAP)
-    found = _materialize_body(family.body, population)
+    if isinstance(family.body, SumConstraintSystem):
+        if rank is None:
+            return enumerate_sum_constrained(family.body, population, count_only,
+                                             None if count_only else MEMBER_CAP)
+        found = enumerate_sum_constrained(family.body, population, prefix_cap=MEMBER_CAP)
+    else:
+        found = _materialize_body(family.body, population)
     if not isinstance(found, EnumerationResult):
         found = EnumerationResult(shape, tuple(sorted(found)), len(found))
     if rank is not None:
@@ -958,10 +998,9 @@ def materialize_family(
     return found
 
 
-def _refuse_past(cap: int, count: int) -> None:
+def _refuse_past(cap: int, count: int, what: str = "a stream of {} members") -> None:
     if count > cap:
-        raise ResourceLimitError(
-            f"a stream of {count} members exceeds the member cap of {cap}")
+        raise ResourceLimitError(f"{what.format(count)} exceeds the member cap of {cap}")
 
 
 @dataclass(frozen=True)

@@ -923,12 +923,13 @@ class TestOfRank:
     @pytest.mark.parametrize(
         "a",
         [ones(2, 3), ones(3, 2), M([[1, 0, -1], [0, 1, 1]]), M([[1, 1, 0], [0, 1, 1]]),
-         M([[1, 0], [1, -1], [0, 1]]), ones(2, 4)],
-        ids=["ones-2x3", "ones-3x2", "2x3", "2x3-b", "3x2", "ones-2x4"],
+         M([[1, 0], [1, -1], [0, 1]]), ones(2, 4), ones(3, 3), ones(2, 5)],
+        ids=["ones-2x3", "ones-3x2", "2x3", "2x3-b", "3x2", "ones-2x4", "ones-3x3",
+             "ones-2x5"],
     )
     def test_spec1_scans(self, a):
-        # the scan's leads are whole rows of X, and a bucket is shared by
-        # every lead that it completes
+        # the scan's prefixes and leads are whole rows of X, and a node or
+        # bucket is shared by every prefix or lead that it completes
         full = cs.brute_force_inverses(a, "1")
         for rank in range(min(a.shape) + 1):
             got = cs.brute_force_inverses(a, "1", rank_filter=rank)
@@ -958,6 +959,8 @@ STREAM_PRODUCERS = {
         M([[1, 0, -1], [0, 1, 1]]), "1", rank_filter=r),
     "scan-spec1-transposed": lambda r: cs.brute_force_inverses(
         M([[1, 0], [1, -1], [0, 1]]), "1", rank_filter=r),
+    "scan-spec1-dense": lambda r: cs.brute_force_inverses(ones(3, 3), "1", rank_filter=r),
+    "scan-spec1-2x5": lambda r: cs.brute_force_inverses(ones(2, 5), "1", rank_filter=r),
     "scan-spec2": lambda r: cs.brute_force_inverses(
         M([[1, 1, 0], [0, 1, 1]]), "2", rank_filter=r),
     "product": lambda r: cs.materialize_family(PRODUCT_FAMILIES["typeI"], rank=r),
@@ -996,13 +999,37 @@ class TestStreamLayout:
 
     def test_systems_have_one_level_per_row(self):
         # the rows after the prefix's are one level each, and a one-row X
-        # split mid-row has one level
+        # split mid-row, or a one-column X, has one level
         for name, rows, depth in [("system-5-rows", 5, 3), ("system-4-rows", 4, 2),
-                                  ("system-one-column", 5, 3), ("system-one-row", 1, 1)]:
+                                  ("system-one-column", 5, 1), ("system-one-row", 1, 1)]:
             result = STREAM_PRODUCERS[name](None)
             assert (result.shape[0], result._depth) == (rows, depth), name
         prefix = STREAM_PRODUCERS["system-one-row"](None)._blocks[0][0]
         assert 0 < len(prefix) < 7
+
+    def test_spec1_scan_shares_one_node_per_rest(self):
+        # X is 3x3: the prefix is row 0, the last lead row 1, the tail row 2,
+        # and a prefix's rest is A - A[:, 0] (x_0 A), its completions' key
+        a = ones(3, 3)
+        result = STREAM_PRODUCERS["scan-spec1-dense"](None)
+        assert (result._depth, len(result._blocks)) == (2, 27)
+        assert {p for p, _ in result._blocks} == set(product(TRITS, repeat=3))
+        by_rest, by_node = {}, {}
+        for p, node in result._blocks:
+            xa = _mul((p,), a.row_tuples())[0]
+            rest = tuple(tuple(e - row[0] * f for e, f in zip(row, xa))
+                         for row in a.row_tuples())
+            by_rest.setdefault(rest, set()).add(id(node))
+            by_node.setdefault(id(node), set()).add(rest)
+        assert len(by_node) == 7
+        assert all(len(v) == 1 for v in (*by_rest.values(), *by_node.values()))
+
+    def test_spec1_scan_stays_flat_where_blocks_are_cheaper(self):
+        # 8 live prefixes have 16 live leads; their 4 nodes would hold 72
+        # members, no fewer than 8 texts for each of the 8 blocks saved
+        result = cs.brute_force_inverses(M([[1, 1, 0], [1, 1, 0]]), "1")
+        assert (result._depth, len(result._blocks), result.count) == (1, 16, 144)
+        assert all(len(p) == 4 for p, _ in result._blocks)  # two rows of the 3x2 X
 
 
 def _product_reference(body, values):

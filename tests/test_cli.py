@@ -216,6 +216,20 @@ class TestInverses:
             capsys, "inverses", path, "--spec", "1", "--mode", "theorem", "--count-only")
         assert (code, out, err) == (0, "theorem_id: InnerTypeI\ncount: 79818194925\n", "")
 
+    def test_rank_filtered_walk_past_member_cap_exit_four(self, capsys, write):
+        # X's sum is 1 for ones(6, 6), so every filling of X's first three
+        # rows but the all -1 one is a live prefix: 3^18 - 1 of them, counted
+        # on residual tallies and refused before any prefix is built
+        path = write("ones.txt", "1 1 1 1 1 1\n" * 6)
+        argv = ("inverses", path, "--spec", "1", "--mode", "theorem", "--rank", "1")
+        for extra in ((), ("--count-only",)):
+            start = time.perf_counter()
+            code, out, err = run(capsys, *argv, *extra)
+            assert time.perf_counter() - start < 10
+            assert (code, out) == (4, ""), extra
+            assert err == (f"a rank-filtered walk of 387420488 prefixes exceeds the "
+                           f"member cap of {cs.MEMBER_CAP}\n")
+
     def test_member_cap_reads_the_rank_filtered_count(self, capsys, write, monkeypatch):
         # the type-II 2x5 A has 8,350 inner inverses, 90 of them of rank 1
         monkeypatch.setattr(cs, "MEMBER_CAP", 100)
